@@ -23,7 +23,7 @@ from .errors import (
     InvalidTableError,
     TreasureHuntError,
 )
-from .game import GameConfig, LOWEST_INDEX
+from .game import ADVERSARIAL, LOWEST_INDEX, GameConfig
 from .jsonio import fraction_to_json
 from .montecarlo import CSV_HEADER, compare_to_exact, run_mc
 from .solver import (
@@ -33,7 +33,6 @@ from .solver import (
     closed_form_value,
     evaluate_under_reveal,
     hider_best_response_value,
-    counting_upper_bound,
     sequence_form_value,
 )
 from .staytables import StayTable, min_scalable_doors, scaled_stay_table
@@ -78,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-n", type=int, required=need_nd, help="number of doors")
         p.add_argument("-d", type=int, required=need_nd, help="number of treasures")
         p.add_argument("-k", type=int, required=need_nd, help="maximum guess size")
-        p.add_argument("--reveal", choices=sorted(_REVEAL_CHOICES), default="lowest")
         p.add_argument("--format", choices=["json", "csv", "text"], default=None)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+    def add_node_budget(p):
         p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     def add_searcher(p):
@@ -103,17 +103,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_certify = sub.add_parser("certify", help="certify a searcher strategy by best response")
     add_common(p_certify)
+    add_node_budget(p_certify)
     add_searcher(p_certify)
     p_certify.set_defaults(func=cmd_certify)
 
     p_lp = sub.add_parser("lp", help="exact game value by sequence-form LP")
     add_common(p_lp)
+    add_node_budget(p_lp)
     p_lp.add_argument("--emit-certificate", default=None, metavar="PATH")
     p_lp.set_defaults(func=cmd_lp)
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo estimate")
     add_common(p_sim)
+    add_node_budget(p_sim)
     add_searcher(p_sim)
+    p_sim.add_argument("--reveal", choices=sorted(_REVEAL_CHOICES), default="lowest")
     p_sim.add_argument("--hider", choices=["uniform", "all-in-one", "file"], default="uniform")
     p_sim.add_argument("--hider-file", default=None)
     p_sim.add_argument("--trials", type=int, default=10000)
@@ -123,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="tabulate values over a parameter range")
     add_common(p_sweep, need_nd=False)
+    add_node_budget(p_sweep)
     add_searcher(p_sweep)
     p_sweep.add_argument("--param", choices=["n", "d", "k"], required=True)
     p_sweep.add_argument("--start", type=int, required=True)
@@ -133,13 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> GameConfig:
+def _config(args, reveal: str = ADVERSARIAL) -> GameConfig:
+    """The game a subcommand runs; only simulate plays a chance reveal rule."""
     try:
-        return GameConfig(
-            n=args.n, d=args.d, k=args.k,
-            occupancy=args.variant,
-            reveal=_REVEAL_CHOICES[args.reveal],
-        )
+        return GameConfig(n=args.n, d=args.d, k=args.k, occupancy=args.variant, reveal=reveal)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -193,7 +195,7 @@ def _report_text(report: ValueReport) -> str:
     ]
     if report.tight is not None:
         lines.append(f"tight: {report.tight}")
-    for name, val in report.details:
+    for name, val in report.details.items():
         lines.append(f"{name}: {val}")
     lines.extend(report.notes)
     return "\n".join(lines)
@@ -239,8 +241,6 @@ def cmd_certify(args) -> int:
     report = hider_best_response_value(config, searcher, node_budget=args.node_budget)
     payload = report.to_json()
     payload["searcher"] = searcher.name
-    payload.setdefault("details", {})
-    payload["details"]["counting_bound"] = fraction_to_json(counting_upper_bound(config))
     if config.occupancy == MULTI:
         payload["details"]["all_in_one_cap"] = fraction_to_json(all_in_one_bound(config))
     worst = report.certificate["worst_allocation"]
@@ -272,7 +272,7 @@ def cmd_lp(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    config = _config(args)
+    config = _config(args, _REVEAL_CHOICES[args.reveal])
     searcher = _resolve_searcher(args, config)
     hider = _resolve_hider(args, config)
     report = run_mc(config, searcher, hider, args.trials, args.seed)
@@ -323,7 +323,7 @@ def cmd_sweep(args) -> int:
         try:
             config = GameConfig(
                 n=params["n"], d=params["d"], k=params["k"],
-                occupancy=args.variant, reveal=_REVEAL_CHOICES[args.reveal],
+                occupancy=args.variant, reveal=ADVERSARIAL,
             )
             if args.method == "value":
                 report = closed_form_value(config)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
 
 from .combinatorics import MULTI, OCCUPANCIES, SINGLE, Allocation, Partition, count_allocations
 from .errors import NonMonotoneDiagramError
@@ -107,6 +109,12 @@ def is_legal_guess(config: GameConfig, guess) -> bool:
     return 1 <= len(doors) <= config.k and all(0 <= o < config.n for o in doors)
 
 
+def all_guesses(config: GameConfig) -> list[tuple[int, ...]]:
+    """Every legal guess as a sorted door tuple: sizes 1 to k, each size in
+    lexicographic order. The LP's column order follows this order."""
+    return [g for size in range(1, config.k + 1) for g in combinations(range(config.n), size)]
+
+
 def reveal_options(state: GameState, guess) -> frozenset[int]:
     """Guessed doors that still hide a treasure; empty means immediate loss."""
     if state.status != ONGOING:
@@ -114,24 +122,43 @@ def reveal_options(state: GameState, guess) -> frozenset[int]:
     return frozenset(o for o in guess if state.remaining[o] > 0)
 
 
+def chance_reveal(
+    remaining, options: Sequence[int], rule: str
+) -> tuple[Sequence[int], tuple[int, ...]]:
+    """The chance move: which of the candidate doors gives up a treasure.
+
+    ``options`` are the guessed doors that still hide a treasure, sorted and
+    nonempty; ``remaining`` holds the treasure count per door. Returns the
+    doors that can come out (``options`` itself or its first door) and
+    their integer weights, proportional to their probabilities. A single
+    candidate is forced under every rule, adversarial included; a real
+    adversarial choice is not a chance move and is rejected, so callers
+    resolve it themselves.
+    """
+    if len(options) == 1:
+        return options, (1,)
+    if rule == LOWEST_INDEX:
+        return options[:1], (1,)
+    if rule == UNIFORM_DOORS:
+        return options, (1,) * len(options)
+    if rule == UNIFORM_TREASURES:
+        return options, tuple(remaining[o] for o in options)
+    raise ValueError(f"{rule!r} is not a chance reveal rule")
+
+
 def reveal_weights(state: GameState, guess, rule: str) -> list[tuple[int, Fraction]]:
     """Chance distribution over the revealed door under a chance reveal rule.
 
-    Empty list signals that the guess loses. Adversarial reveals are not a
-    chance rule and are rejected here; resolving them needs the solver.
+    Empty list signals that the guess loses. An adversarial reveal with a
+    real choice is not a chance move and is rejected here; resolving it
+    needs the solver.
     """
     options = sorted(reveal_options(state, guess))
     if not options:
         return []
-    if rule == LOWEST_INDEX:
-        return [(options[0], Fraction(1))]
-    if rule == UNIFORM_DOORS:
-        p = Fraction(1, len(options))
-        return [(o, p) for o in options]
-    if rule == UNIFORM_TREASURES:
-        total = sum(state.remaining[o] for o in options)
-        return [(o, Fraction(state.remaining[o], total)) for o in options]
-    raise ValueError(f"{rule!r} is not a chance reveal rule")
+    doors, weights = chance_reveal(state.remaining, options, rule)
+    total = sum(weights)
+    return [(o, Fraction(w, total)) for o, w in zip(doors, weights)]
 
 
 def apply_guess(state: GameState, guess, revealed_door: int | None) -> GameState:

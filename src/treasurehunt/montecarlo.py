@@ -17,7 +17,7 @@ from math import sqrt
 from typing import IO, Iterable
 
 from .errors import AdversarialRevealError
-from .game import CHANCE_REVEALS, LOWEST_INDEX, UNIFORM_DOORS, GameConfig
+from .game import CHANCE_REVEALS, GameConfig, chance_reveal
 from .strategies import HiderStrategy, SearcherStrategy
 
 _MASK64 = (1 << 64) - 1
@@ -115,16 +115,17 @@ def run_mc(
             if not options:
                 won = False
                 break
-            if reveal == LOWEST_INDEX or len(options) == 1:
-                door = options[0]
-            elif reveal == UNIFORM_DOORS:
-                door = options[rng.randrange(len(options))]
-            else:  # uniform over treasures
-                r = rng.randrange(sum(remaining[o] for o in options))
-                for door in options:
-                    r -= remaining[door]
-                    if r < 0:
-                        break
+            door = options[0]
+            # A lone candidate is forced under every rule. Most rounds of the
+            # bundled strategies have one, so the call is skipped there.
+            if len(options) > 1:
+                doors, weights = chance_reveal(remaining, options, reveal)
+                if len(doors) > 1:
+                    r = rng.randrange(sum(weights))
+                    for door, weight in zip(doors, weights):
+                        r -= weight
+                        if r < 0:
+                            break
             remaining[door] -= 1
             cursor.observe(guess, door)
         if won:

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 from typing import Sequence
 
 from .combinatorics import SINGLE, enumerate_partitions, partition_weight
 from .errors import BudgetExceededError
-from .game import GameConfig, History
+from .game import GameConfig, History, all_guesses
 from .simplex import GEQ, LEQ, EQ, OPTIMAL, solve_lp
 from .strategies import SearcherStrategy
 
@@ -152,11 +152,9 @@ class _QuotientGame:
 
 
 def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: int) -> _QuotientGame:
-    n, d, k = config.n, config.d, config.k
+    n, d = config.n, config.d
     canon = _Canonicalizer(n)
-    guesses = []
-    for size in range(1, k + 1):
-        guesses.extend(tuple(c) for c in combinations(range(n), size))
+    guesses = all_guesses(config)
 
     s_infosets: list[_SInfoset] = []
     s_infoset_by_hist: dict[Events, _SInfoset] = {}
@@ -473,9 +471,7 @@ class LiftedPlanStrategy(SearcherStrategy):
         return out
 
     def _uniform(self, history: History):
-        legal = []
-        for size in range(1, self.config.k + 1):
-            legal.extend(combinations(range(self.config.n), size))
+        legal = all_guesses(self.config)
         share = Fraction(1, len(legal))
         return [(frozenset(g), share) for g in legal]
 
@@ -534,5 +530,5 @@ def solve_sequence_form(config: GameConfig, *, node_budget: int, column_budget: 
         method=LP,
         tight=value == bound,
         certificate=certificate,
-        details=(("counting_bound", bound), ("dual_value", dual_value)),
+        details={"counting_bound": bound, "dual_value": dual_value},
     )

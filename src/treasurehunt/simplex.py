@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .errors import BudgetExceededError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -28,7 +30,7 @@ class LPResult:
     x: tuple[Fraction, ...] | None
 
 
-class PivotLimitError(RuntimeError):
+class PivotLimitError(BudgetExceededError):
     """Safety valve: the pivot count exceeded the configured limit."""
 
 

@@ -11,14 +11,14 @@ re-exported here as sequence_form_value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Callable, Mapping
 
 from .combinatorics import SINGLE, Allocation, count_allocations, enumerate_allocations
 from .errors import AdversarialRevealError, BudgetExceededError, DoorBudgetError, ExceedsUnitError
-from .game import ADVERSARIAL, CHANCE_REVEALS, LOWEST_INDEX, UNIFORM_DOORS, UNIFORM_TREASURES, GameConfig, History
+from .game import ADVERSARIAL, CHANCE_REVEALS, GameConfig, History, all_guesses, chance_reveal
 from .strategies import HiderStrategy, SearcherStrategy
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -38,14 +38,8 @@ class ValueReport:
     method: str
     tight: bool | None = None
     certificate: object = None
-    details: tuple[tuple[str, Fraction], ...] = ()
+    details: dict[str, Fraction] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
-
-    def detail(self, key: str) -> Fraction | None:
-        for name, val in self.details:
-            if name == key:
-                return val
-        return None
 
     def to_json(self) -> dict:
         from .jsonio import fraction_to_json
@@ -61,7 +55,7 @@ class ValueReport:
         if self.tight is not None:
             out["tight"] = self.tight
         if self.details:
-            out["details"] = {name: fraction_to_json(val) for name, val in self.details}
+            out["details"] = {name: fraction_to_json(val) for name, val in self.details.items()}
         if self.notes:
             out["notes"] = list(self.notes)
         return out
@@ -161,22 +155,12 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
                         branch = v
                     if branch == 0:
                         break
-            elif reveal == LOWEST_INDEX:
-                o = options[0]
-                branch = value(history + ((guess, o),), _dec(remaining, o), found + 1)
-            elif reveal == UNIFORM_DOORS:
-                share = Fraction(1, len(options))
+            else:
+                doors, weights = chance_reveal(remaining, options, reveal)
                 branch = Fraction(0)
-                for o in options:
-                    branch += share * value(history + ((guess, o),), _dec(remaining, o), found + 1)
-            elif reveal == UNIFORM_TREASURES:
-                weight_total = sum(remaining[o] for o in options)
-                branch = Fraction(0)
-                for o in options:
-                    sub = value(history + ((guess, o),), _dec(remaining, o), found + 1)
-                    branch += Fraction(remaining[o], weight_total) * sub
-            else:  # pragma: no cover - guarded by callers
-                raise ValueError(reveal)
+                for o, w in zip(doors, weights):
+                    branch += w * value(history + ((guess, o),), _dec(remaining, o), found + 1)
+                branch /= sum(weights)
             total += p * branch
         memo[key] = total
         return total
@@ -272,7 +256,7 @@ def hider_best_response_value(
         method=HIDER_BEST_RESPONSE,
         tight=worst == bound,
         certificate={"worst_allocation": argmin, "per_allocation": tuple(per)},
-        details=(("counting_bound", bound),),
+        details={"counting_bound": bound},
     )
 
 
@@ -290,7 +274,7 @@ def searcher_best_response_value(
     as for all-in-one hiding, and raise otherwise.
     """
     rule = config.reveal
-    guesses = _all_guesses(config)
+    guesses = all_guesses(config)
     nodes = [0]
     memo: dict = {}
 
@@ -310,23 +294,16 @@ def searcher_best_response_value(
                 options = sorted(o for o in guess if remaining[o] > 0)
                 if not options:
                     continue  # that allocation mass is lost under this guess
-                if rule == ADVERSARIAL:
-                    if len(options) > 1:
-                        raise AdversarialRevealError(
-                            "adversarial reveal with a real choice; use the LP solver"
-                        )
-                    shares = [(options[0], Fraction(1))]
-                elif rule == LOWEST_INDEX:
-                    shares = [(options[0], Fraction(1))]
-                elif rule == UNIFORM_DOORS:
-                    shares = [(o, Fraction(1, len(options))) for o in options]
-                else:  # UNIFORM_TREASURES
-                    total = sum(remaining[o] for o in options)
-                    shares = [(o, Fraction(remaining[o], total)) for o in options]
-                for o, share in shares:
+                if rule == ADVERSARIAL and len(options) > 1:
+                    raise AdversarialRevealError(
+                        "adversarial reveal with a real choice; use the LP solver"
+                    )
+                doors, weights = chance_reveal(remaining, options, rule)
+                total = sum(weights)
+                for o, weight in zip(doors, weights):
                     branch = branches.setdefault(o, {})
                     rem2 = _dec(remaining, o)
-                    branch[rem2] = branch.get(rem2, Fraction(0)) + w * share
+                    branch[rem2] = branch.get(rem2, Fraction(0)) + w * Fraction(weight, total)
             total_value = Fraction(0)
             for o in sorted(branches):
                 entry = tuple(sorted(branches[o].items()))
@@ -343,15 +320,8 @@ def searcher_best_response_value(
         value=value,
         method=SEARCHER_BEST_RESPONSE,
         tight=None,
-        details=(("counting_bound", counting_upper_bound(config)),),
+        details={"counting_bound": counting_upper_bound(config)},
     )
-
-
-def _all_guesses(config: GameConfig) -> list[frozenset[int]]:
-    out = []
-    for size in range(1, config.k + 1):
-        out.extend(frozenset(c) for c in combinations(range(config.n), size))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +376,7 @@ def closed_form_value(config: GameConfig) -> ValueReport:
     adversarial value found by ``sequence_form_value`` is 3/5.
     """
     formula = counting_upper_bound(config)
-    details: list[tuple[str, Fraction]] = [("formula", formula)]
+    details = {"formula": formula}
     notes: list[str] = []
     if config.occupancy == SINGLE:
         value = min(formula, Fraction(1))
@@ -417,7 +387,7 @@ def closed_form_value(config: GameConfig) -> ValueReport:
             notes.append("not-certified: needs n >= d*k, value is an upper bound only")
     else:
         cap = all_in_one_bound(config)
-        details.append(("all_in_one_cap", cap))
+        details["all_in_one_cap"] = cap
         value = min(formula, cap)
         try:
             from .staytables import scaled_stay_table
@@ -436,7 +406,7 @@ def closed_form_value(config: GameConfig) -> ValueReport:
         value=value,
         method=CLOSED_FORM,
         tight=certified and value == formula,
-        details=tuple(details),
+        details=details,
         notes=tuple(notes),
     )
 

@@ -182,6 +182,17 @@ def test_simulate_adversarial_exit_2(capsys):
     assert code == 2
 
 
+def test_reveal_only_on_simulate(capsys):
+    # lp values the adversarial game, so a chance rule there is a usage error.
+    code, out, _ = run_cli(capsys, "lp", "-n", "3", "-d", "3", "-k", "2", "--reveal", "lowest")
+    assert code == 2 and out == ""
+
+
+def test_node_budget_only_where_read(capsys):
+    code, out, _ = run_cli(capsys, "value", "-n", "6", "-d", "3", "-k", "2", "--node-budget", "10")
+    assert code == 2 and out == ""
+
+
 def test_simulate_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "-n", "4", "-d", "2", "-k", "2",

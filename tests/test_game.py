@@ -9,6 +9,7 @@ from treasurehunt.game import (
     LOST,
     ONGOING,
     WON,
+    all_guesses,
     apply_guess,
     history_to_diagram,
     initial_state,
@@ -60,6 +61,14 @@ def test_reveal_weights():
     ]
     with pytest.raises(ValueError):
         reveal_weights(state, {0, 1}, "adversarial")
+    # One candidate door is forced under every rule, adversarial included.
+    assert reveal_weights(state, {0, 2}, "adversarial") == [(0, Fraction(1))]
+
+
+def test_all_guesses_order():
+    # The LP's columns follow this order: sizes 1 to k, lexicographic within a size.
+    assert all_guesses(GameConfig(3, 1, 2)) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    assert len(all_guesses(GameConfig(5, 2, 3))) == 5 + 10 + 10
 
 
 def test_apply_guess_round_trip():

@@ -71,7 +71,7 @@ def test_double_oracle_confirms_3_3_2():
 def test_strong_duality_reported():
     cfg = GameConfig(3, 3, 2)
     report = sequence_form_value(cfg)
-    assert report.detail("dual_value") == report.value
+    assert report.details["dual_value"] == report.value
 
 
 def test_lifted_plan_is_a_proper_strategy():

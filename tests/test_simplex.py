@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from treasurehunt.errors import BudgetExceededError
 from treasurehunt.simplex import EQ, GEQ, LEQ, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
@@ -129,3 +131,11 @@ def test_random_matrix_games_have_equal_sides(data, rows, cols):
     lo = min(min(r) for r in A)
     hi = max(max(r) for r in A)
     assert lo <= v_row <= hi
+
+
+def test_pivot_limit_is_a_budget_error():
+    # max x s.t. x <= 1 starts from the slack basis and needs one pivot;
+    # the CLI maps BudgetExceededError to exit code 5.
+    with pytest.raises(BudgetExceededError):
+        solve_lp(1, [F(1)], [({0: F(1)}, LEQ, F(1))], pivot_limit=0)
+    assert solve_lp(1, [F(1)], [({0: F(1)}, LEQ, F(1))], pivot_limit=1).objective == 1

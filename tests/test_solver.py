@@ -5,7 +5,8 @@ import pytest
 
 from treasurehunt.combinatorics import enumerate_allocations
 from treasurehunt.errors import AdversarialRevealError, BudgetExceededError
-from treasurehunt.game import GameConfig
+from treasurehunt.game import GameConfig, all_guesses
+from treasurehunt.montecarlo import compare_to_exact, run_mc
 from treasurehunt.solver import (
     all_in_one_bound,
     closed_form_value,
@@ -18,6 +19,8 @@ from treasurehunt.solver import (
 )
 from treasurehunt.staytables import StayTable
 from treasurehunt.strategies import (
+    HiderStrategy,
+    SearcherStrategy,
     TabularSearcher,
     all_in_one_hider,
     fresh_doors_searcher,
@@ -159,7 +162,7 @@ def test_random_win_sets_respect_counting_bound():
         GameConfig(3, 2, 2),
     )
     for cfg in configs:
-        guesses = _all_guesses(cfg)
+        guesses = all_guesses(cfg)
         for _ in range(1000):
             chosen: dict = {}
 
@@ -184,15 +187,6 @@ def test_win_set_of_backtracking_strategy():
     assert len(deterministic_win_set(cfg, strategy)) <= 4
 
 
-def _all_guesses(cfg):
-    from itertools import combinations
-
-    out = []
-    for size in range(1, cfg.k + 1):
-        out.extend(frozenset(c) for c in combinations(range(cfg.n), size))
-    return out
-
-
 def test_closed_form_reports():
     single = closed_form_value(GameConfig(4, 2, 2, occupancy="single"))
     assert single.value == F(2, 3) and single.tight is True
@@ -203,8 +197,8 @@ def test_closed_form_reports():
     assert any("not-certified" in note for note in multi.notes)
 
     capped = closed_form_value(GameConfig(3, 3, 2))
-    assert capped.detail("formula") == F(4, 5)
-    assert capped.detail("all_in_one_cap") == F(2, 3)
+    assert capped.details["formula"] == F(4, 5)
+    assert capped.details["all_in_one_cap"] == F(2, 3)
     assert capped.value == F(2, 3)
     assert any("formula-not-tight" in note for note in capped.notes)
 
@@ -228,3 +222,36 @@ def test_chance_reveal_evaluation_matches_adversarial_for_equalizers():
         adv = evaluate_exact(cfg, strat, allocation)
         for rule in ("lowest-index", "uniform-doors", "uniform-treasures"):
             assert evaluate_under_reveal(cfg, strat, allocation, rule) == adv
+
+
+class _StickOnZero(SearcherStrategy):
+    """Guess {0, 1}, then {0} alone after a reveal from door 0."""
+
+    name = "stick-on-zero"
+
+    def __init__(self, config):
+        self.config = config
+
+    def guess_distribution(self, history):
+        if history and history[-1][1] == 0:
+            return [(frozenset({0}), F(1))]
+        return [(frozenset({0, 1}), F(1))]
+
+
+def test_reveal_rules_give_different_values():
+    # Unlike the equalizers above, this searcher covers two live doors, so
+    # each chance rule gives its own value; a swap of two rules' weights
+    # fails here.
+    rules = {"lowest-index": F(0), "uniform-doors": F(1, 2), "uniform-treasures": F(1, 3)}
+    caps = {"lowest-index": F(7, 10), "uniform-doors": F(3, 5), "uniform-treasures": F(19, 30)}
+    for rule, exact in rules.items():
+        cfg = GameConfig(3, 3, 2, reveal=rule)
+        searcher = _StickOnZero(cfg)
+        assert evaluate_under_reveal(cfg, searcher, (2, 1, 0), rule) == exact
+        hider = HiderStrategy(cfg, (((2, 1, 0), F(1)),))
+        report = run_mc(cfg, searcher, hider, 2000, seed=1)
+        assert compare_to_exact(report, exact).passed
+        for other in rules.values():
+            if other != exact:
+                assert not compare_to_exact(report, other).passed
+        assert searcher_best_response_value(cfg, uniform_hider(cfg)).value == caps[rule]
