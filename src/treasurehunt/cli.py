@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--searcher",
             choices=["fresh-k", "ptable-scaled", "ptable-file", "mu-mimic"],
-            default="ptable-scaled",
+            default=None,
+            help="default: ptable-scaled",
         )
         p.add_argument("--ptable-file", default=None)
 
@@ -147,12 +148,12 @@ def _config(args, reveal: str = ADVERSARIAL) -> GameConfig:
 
 
 def _resolve_searcher(args, config):
+    if args.searcher in (None, "ptable-scaled"):
+        return scaled_searcher(config)
     if args.searcher == "fresh-k":
         return fresh_doors_searcher(config)
     if args.searcher == "mu-mimic":
         return mimic_searcher(config)
-    if args.searcher == "ptable-scaled":
-        return scaled_searcher(config)
     if args.ptable_file is None:
         raise UsageError("--searcher ptable-file needs --ptable-file PATH")
     return stay_table_searcher(config, StayTable.load(args.ptable_file))
@@ -312,6 +313,8 @@ def cmd_sweep(args) -> int:
     base = {"n": args.n, "d": args.d, "k": args.k}
     if base[args.param] is not None and base[args.param] != args.start:
         raise UsageError(f"-{args.param} conflicts with --param {args.param}; drop the flag")
+    if args.method != "certify" and (args.searcher or args.ptable_file):
+        raise UsageError(f"--method {args.method} takes no searcher; drop --searcher, --ptable-file")
     header = ["n", "d", "k", "variant", "method", "value_num", "value_den", "tight", "error"]
     rows = []
     for point in range(args.start, args.stop + 1):
@@ -333,6 +336,8 @@ def cmd_sweep(args) -> int:
                 searcher = _resolve_searcher(args, config)
                 report = hider_best_response_value(config, searcher, node_budget=args.node_budget)
             row.extend([report.value.numerator, report.value.denominator, report.tight, ""])
+        except UsageError:
+            raise  # a flag problem, not a property of this row's game
         except (TreasureHuntError, ValueError) as exc:
             row.extend(["", "", "", str(exc)])
         rows.append(row)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from math import comb, factorial, prod
+from typing import Collection, Sequence
 
 from .combinatorics import MULTI, OCCUPANCIES, SINGLE, Allocation, Partition, count_allocations
 from .errors import NonMonotoneDiagramError
@@ -35,6 +36,10 @@ LOST = "lost"
 # was revealed from, or None when the guess revealed nothing (the loss).
 Event = tuple[frozenset[int], int | None]
 History = tuple[Event, ...]
+# Rounds in canonical form: sorted guessed doors and the revealed door, -1
+# while a guess waits for its reveal. A position adds the treasure counts.
+Events = tuple[tuple[tuple[int, ...], int], ...]
+Position = tuple[tuple[int, ...], Events]
 
 
 @dataclass(frozen=True)
@@ -247,3 +252,79 @@ def replay(config: GameConfig, allocation: Allocation, history: History) -> Game
             raise ValueError(f"illegal guess {sorted(guess)}")
         state = apply_guess(state, guess, revealed)
     return state
+
+
+# ---------------------------------------------------------------------------
+# Door relabeling
+# ---------------------------------------------------------------------------
+
+def relabeling(
+    counts: Sequence[int], events: Events | History
+) -> tuple[Position, tuple[int, ...], tuple[int, ...]]:
+    """Canonical form of a position, one relabeling onto it, and its cell sizes.
+
+    The canonical form is the smallest image (relabeled counts, relabeled
+    events) over all door relabelings; ``sigma[door]`` is the door's label
+    in it. Every event is a one-door predicate (was the door guessed, was
+    it revealed), so ordered partition refinement finds it without a
+    search: order the doors by ascending treasure count, then, for each
+    event in turn, split every cell into the revealed door, the other
+    guessed doors and the unguessed doors, and number the doors cell by
+    cell, in index order inside a cell. On the canonical form cell j thus
+    holds consecutive labels, and the relabelings that fix the position
+    permute doors inside cells: ``stabilizer_size(cells)`` of them. Pass
+    zero counts for the canonical form of a history alone.
+    """
+    by_count: dict[int, list[int]] = {}
+    for door, count in enumerate(counts):
+        by_count.setdefault(count, []).append(door)
+    cells = [by_count[count] for count in sorted(by_count)]
+    for doors, revealed in events:
+        refined = []
+        for cell in cells:
+            parts: tuple[list[int], ...] = ([], [], [])
+            for door in cell:
+                parts[0 if door == revealed else 1 if door in doors else 2].append(door)
+            refined.extend(part for part in parts if part)
+        cells = refined
+    sigma = [0] * len(counts)
+    label = 0
+    for cell in cells:
+        for door in cell:
+            sigma[door] = label
+            label += 1
+    relabeled = tuple(
+        (tuple(sorted(sigma[x] for x in doors)), sigma[o] if o >= 0 else -1)
+        for doors, o in events
+    )
+    return (tuple(sorted(counts)), relabeled), tuple(sigma), tuple(map(len, cells))
+
+
+def canonical_form(counts: Sequence[int], events: Events | History) -> Position:
+    """The canonical form alone; without events it is the sorted counts."""
+    if not events:
+        return tuple(sorted(counts)), ()
+    return relabeling(counts, events)[0]
+
+
+def stabilizer_size(cells: Sequence[int]) -> int:
+    """Relabelings that fix a position with these cell sizes."""
+    return prod(factorial(size) for size in cells)
+
+
+def door_set_orbit(cells: Sequence[int], doors: Collection[int]) -> tuple[tuple[int, ...], int]:
+    """Orbit representative and orbit size of a door set on a canonical form.
+
+    The stabilizer moves doors only inside their cells, so the smallest
+    image takes the first c_j labels of each cell j, where c_j doors of the
+    set lie in it, and the orbit has the product of C(|cell j|, c_j) sets.
+    """
+    rep: list[int] = []
+    size = 1
+    start = 0
+    for cell in cells:
+        inside = sum(start <= x < start + cell for x in doors)
+        rep.extend(range(start, start + inside))
+        size *= comb(cell, inside)
+        start += cell
+    return tuple(rep), size

@@ -22,102 +22,30 @@ children counts each concrete terminal exactly once: a child orbit that is
 m times larger than its parent's is entered by exactly m concrete edges
 from the representative. As a whole-construction check, the accumulated
 weight of every position is asserted to equal its orbit size n!/|stab|.
+Canonical forms, stabilizers and orbits come from ``game.relabeling``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from typing import Sequence
 
 from .combinatorics import SINGLE, enumerate_partitions, partition_weight
 from .errors import BudgetExceededError
-from .game import GameConfig, History, all_guesses
+from .game import (
+    Events,
+    GameConfig,
+    History,
+    all_guesses,
+    canonical_form,
+    door_set_orbit,
+    relabeling,
+    stabilizer_size,
+)
 from .simplex import GEQ, LEQ, EQ, OPTIMAL, solve_lp
 from .strategies import SearcherStrategy
-
-Events = tuple[tuple[tuple[int, ...], int], ...]  # ((sorted doors, reveal), ...); -1 marks a pending guess
-
-
-class _Canonicalizer:
-    """Minimal-encoding canonical forms under the door symmetric group."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.perms = list(permutations(range(n)))
-        self._full_cache: dict = {}
-        self._hist_cache: dict = {}
-        self._stab_cache: dict = {}
-
-    def full(self, alloc: tuple[int, ...], events: Events):
-        """Canonical (alloc, events), the stabilizer size, and one minimizing map."""
-        key = (alloc, events)
-        hit = self._full_cache.get(key)
-        if hit is not None:
-            return hit
-        best = None
-        best_perm = None
-        count = 0
-        for perm in self.perms:
-            enc = (_apply_alloc(alloc, perm), _apply_events(events, perm))
-            if best is None or enc < best:
-                best, best_perm, count = enc, perm, 1
-            elif enc == best:
-                count += 1
-        result = (best, count, best_perm)
-        self._full_cache[key] = result
-        return result
-
-    def history(self, events: Events):
-        """Canonical events alone, and one minimizing map."""
-        hit = self._hist_cache.get(events)
-        if hit is not None:
-            return hit
-        best = None
-        best_perm = None
-        for perm in self.perms:
-            enc = _apply_events(events, perm)
-            if best is None or enc < best:
-                best, best_perm = enc, perm
-        result = (best, best_perm)
-        self._hist_cache[events] = result
-        return result
-
-    def stab_of_events(self, events: Events) -> list:
-        key = ("hist", events)
-        hit = self._stab_cache.get(key)
-        if hit is None:
-            hit = [p for p in self.perms if _apply_events(events, p) == events]
-            self._stab_cache[key] = hit
-        return hit
-
-    def stab_of_state(self, alloc: tuple[int, ...], events: Events) -> list:
-        key = ("full", alloc, events)
-        hit = self._stab_cache.get(key)
-        if hit is None:
-            hit = [
-                p
-                for p in self.perms
-                if _apply_alloc(alloc, p) == alloc and _apply_events(events, p) == events
-            ]
-            self._stab_cache[key] = hit
-        return hit
-
-
-def _apply_alloc(alloc: tuple[int, ...], perm) -> tuple[int, ...]:
-    out = [0] * len(alloc)
-    for i, c in enumerate(alloc):
-        out[perm[i]] = c
-    return tuple(out)
-
-
-def _apply_events(events: Events, perm) -> Events:
-    return tuple(
-        (tuple(sorted(perm[x] for x in doors)), perm[o] if o >= 0 else -1)
-        for doors, o in events
-    )
 
 
 @dataclass
@@ -139,7 +67,6 @@ class _HInfoset:
 @dataclass
 class _QuotientGame:
     config: GameConfig
-    canon: _Canonicalizer
     s_count: int
     h_count: int
     s_infosets: list
@@ -153,7 +80,7 @@ class _QuotientGame:
 
 def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: int) -> _QuotientGame:
     n, d = config.n, config.d
-    canon = _Canonicalizer(n)
+    no_counts = (0,) * n  # histories are canonicalized on their own
     guesses = all_guesses(config)
 
     s_infosets: list[_SInfoset] = []
@@ -171,27 +98,21 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     def new_s_infoset(hist: Events) -> _SInfoset:
         nonlocal s_count
         if hist:
-            prev = hist[:-1]
-            prev_canon, sigma = canon.history(prev)
-            parent_info = s_infoset_by_hist[prev_canon]
-            doors = hist[-1][0]
-            mapped = tuple(sorted(sigma[x] for x in doors))
-            stab = canon.stab_of_events(prev_canon)
-            key = min(tuple(sorted(p[x] for x in mapped)) for p in stab)
-            parent_seq = parent_info.action_of[key]
+            (_, prev), sigma, prev_cells = relabeling(no_counts, hist[:-1])
+            mapped = [sigma[x] for x in hist[-1][0]]
+            parent_seq = s_infoset_by_hist[prev].action_of[door_set_orbit(prev_cells, mapped)[0]]
         else:
             parent_seq = 0
-        stab = canon.stab_of_events(hist)
+        cells = relabeling(no_counts, hist)[2]
         info = _SInfoset(uid=len(s_infosets), hist=hist, parent_seq=parent_seq, actions=[], action_of={})
         for g in guesses:
-            images = {tuple(sorted(p[x] for x in g)) for p in stab}
-            key = min(images)
+            key, size = door_set_orbit(cells, g)
             if g != key:
                 continue
             seq = s_count
             s_count += 1
-            s_owner[seq] = (info.uid, len(images))
-            info.actions.append((key, len(images), seq))
+            s_owner[seq] = (info.uid, size)
+            info.actions.append((key, size, seq))
             info.action_of[key] = seq
         s_infosets.append(info)
         s_infoset_by_hist[hist] = info
@@ -222,54 +143,48 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
             states_seen += 1
             if states_seen > node_budget:
                 raise BudgetExceededError(f"quotient build exceeded {node_budget} positions")
-            stab_size = len(canon.stab_of_state(alloc, events))
-            assert weight * stab_size == factorial(n), (
+            assert weight * stabilizer_size(relabeling(alloc, events)[2]) == factorial(n), (
                 "orbit weight mismatch: the quotient expansion is inconsistent"
             )
             remaining = list(alloc)
             for doors, o in events:
                 remaining[o] -= 1
-            hist_canon, sigma_h = canon.history(events)
+            (_, hist_canon), sigma_h, cells_h = relabeling(no_counts, events)
             info = s_infoset_by_hist.get(hist_canon)
             if info is None:
                 info = new_s_infoset(hist_canon)
             assert info.parent_seq == s0, (
                 "searcher context mismatch: the quotient expansion is inconsistent"
             )
-            stab_h = canon.stab_of_events(hist_canon)
             for g in guesses:
-                mapped = tuple(sorted(sigma_h[x] for x in g))
-                akey = min(tuple(sorted(p[x] for x in mapped)) for p in stab_h)
-                s1 = info.action_of[akey]
+                s1 = info.action_of[door_set_orbit(cells_h, [sigma_h[x] for x in g])[0]]
                 options = [o for o in g if remaining[o] > 0]
                 if not options:
                     continue  # losing guess, payoff zero
                 if len(options) == 1:
                     transitions = [(options[0], h0)]
                 else:
-                    pending = events + ((g, -1),)
-                    (pstate, _, sigma_p) = canon.full(alloc, pending)
+                    pstate, sigma_p, cells_p = relabeling(alloc, events + ((g, -1),))
                     rinfo = h_reveal_by_state.get(pstate)
                     if rinfo is None:
-                        rinfo = _new_h_infoset(pstate, h0, canon, h_infosets, h_owner)
+                        rinfo = _new_h_infoset(pstate, cells_p, h0, h_infosets, h_owner)
                         h_reveal_by_state[pstate] = rinfo
                     else:
                         assert rinfo.parent_seq == h0, (
                             "hider context mismatch: the quotient expansion is inconsistent"
                         )
-                    stab_p = canon.stab_of_state(*pstate)
                     option_of = {label: seq for label, _, seq in rinfo.actions}
-                    transitions = []
-                    for o in options:
-                        okey = min(p[sigma_p[o]] for p in stab_p)
-                        transitions.append((o, option_of[okey]))
+                    transitions = [
+                        (o, option_of[door_set_orbit(cells_p, (sigma_p[o],))[0][0]])
+                        for o in options
+                    ]
                 for o, h1 in transitions:
                     child_events = events + ((g, o),)
                     if round_idx + 1 == d:
                         pair = (s1, h1)
                         payoff[pair] = payoff.get(pair, 0) + weight
                     else:
-                        (cstate, _, _) = canon.full(alloc, child_events)
+                        cstate = canonical_form(alloc, child_events)
                         entry = next_level.get(cstate)
                         if entry is None:
                             next_level[cstate] = [weight, s1, h1]
@@ -285,7 +200,6 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
 
     return _QuotientGame(
         config=config,
-        canon=canon,
         s_count=s_count,
         h_count=max(h_owner) + 1,
         s_infosets=s_infosets,
@@ -298,26 +212,23 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     )
 
 
-def _new_h_infoset(pstate, parent_seq, canon, h_infosets, h_owner) -> _HInfoset:
+def _new_h_infoset(pstate, cells, parent_seq, h_infosets, h_owner) -> _HInfoset:
     """Create a reveal decision point on the canonical pending state."""
     pmu, pevents = pstate
     remaining = list(pmu)
     for doors, o in pevents[:-1]:
         remaining[o] -= 1
-    pguess = pevents[-1][0]
-    opts = sorted(o for o in pguess if remaining[o] > 0)
-    stab = canon.stab_of_state(pmu, pevents)
+    opts = sorted(o for o in pevents[-1][0] if remaining[o] > 0)
     info = _HInfoset(uid=len(h_infosets), parent_seq=parent_seq, actions=[])
     seq = max(h_owner) + 1
     seen: set[int] = set()
     for o in opts:
-        images = {p[o] for p in stab}
-        label = min(images)
+        (label,), size = door_set_orbit(cells, (o,))
         if label in seen:
             continue
         seen.add(label)
-        h_owner[seq] = (info.uid, len(images))
-        info.actions.append((label, len(images), seq))
+        h_owner[seq] = (info.uid, size)
+        info.actions.append((label, size, seq))
         seq += 1
     h_infosets.append(info)
     return info
@@ -446,8 +357,7 @@ class LiftedPlanStrategy(SearcherStrategy):
         self._plan = list(plan)
 
     def guess_distribution(self, history: History):
-        events = tuple((tuple(sorted(g)), o) for g, o in history)
-        canon_hist, sigma = self._game.canon.history(events)
+        (_, canon_hist), sigma, cells = relabeling((0,) * self.config.n, history)
         info = self._game.s_infoset_by_hist.get(canon_hist)
         if info is None:
             return self._uniform(history)
@@ -457,17 +367,11 @@ class LiftedPlanStrategy(SearcherStrategy):
         inverse = [0] * self.config.n
         for i, image in enumerate(sigma):
             inverse[image] = i
-        stab = self._game.canon.stab_of_events(canon_hist)
         out = []
-        for rep, mult, seq in info.actions:
-            mass = self._plan[seq]
-            if mass == 0:
-                continue
-            images = {tuple(sorted(p[x] for x in rep)) for p in stab}
-            assert len(images) == mult
-            share = mass / parent_mass
-            for img in images:
-                out.append((frozenset(inverse[x] for x in img), share))
+        for g in all_guesses(self.config):  # every member of every action orbit
+            mass = self._plan[info.action_of[door_set_orbit(cells, g)[0]]]
+            if mass != 0:
+                out.append((frozenset(inverse[x] for x in g), mass / parent_mass))
         return out
 
     def _uniform(self, history: History):

@@ -13,12 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable, Mapping
 
 from .combinatorics import SINGLE, Allocation, count_allocations, enumerate_allocations
 from .errors import AdversarialRevealError, BudgetExceededError, DoorBudgetError, ExceedsUnitError
-from .game import ADVERSARIAL, CHANCE_REVEALS, GameConfig, History, all_guesses, chance_reveal
+from .game import (
+    ADVERSARIAL,
+    CHANCE_REVEALS,
+    GameConfig,
+    History,
+    all_guesses,
+    canonical_form,
+    chance_reveal,
+)
 from .strategies import HiderStrategy, SearcherStrategy
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -133,7 +140,7 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         if found == d:
             return one
         if searcher.door_symmetric:
-            key = (reveal, _symmetry_key(history, allocation))
+            key = (reveal, canonical_form(allocation, history))
         else:
             key = (reveal, allocation, history)
         cached = memo.get(key)
@@ -170,57 +177,6 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
 
 def _dec(remaining: tuple[int, ...], door: int) -> tuple[int, ...]:
     return remaining[:door] + (remaining[door] - 1,) + remaining[door + 1:]
-
-
-def _symmetry_key(history: History, allocation: Allocation):
-    """Canonical encoding of (history, allocation) modulo door relabeling.
-
-    Doors are renamed in order of first appearance in the history. New
-    doors inside one guess are ordered by descending treasure count; doors
-    tied there are genuinely ambiguous, so all their orderings are tried
-    and the smallest encoding wins. Unmentioned doors only matter as a
-    multiset of counts. Equal keys therefore always describe relabelings
-    of each other.
-    """
-    events = [(sorted(guess), revealed) for guess, revealed in history]
-    best: list | None = None
-
-    def walk(idx: int, labels: dict[int, int], acc: list) -> None:
-        nonlocal best
-        if best is not None and acc > best[: len(acc)]:
-            return
-        if idx == len(events):
-            tail = sorted(allocation[door] for door in range(len(allocation)) if door not in labels)
-            candidate = acc + [tuple(tail)]
-            if best is None or candidate < best:
-                best = candidate
-            return
-        doors, revealed = events[idx]
-        fresh = [door for door in doors if door not in labels]
-        groups: dict[int, list[int]] = {}
-        for door in fresh:
-            groups.setdefault(allocation[door], []).append(door)
-        orderings = [[]]
-        for count in sorted(groups, reverse=True):
-            extended = []
-            for prefix in orderings:
-                for perm in permutations(groups[count]):
-                    extended.append(prefix + list(perm))
-            orderings = extended
-        for order in orderings:
-            new_labels = dict(labels)
-            for door in order:
-                new_labels[door] = len(new_labels)
-            token = (
-                tuple(sorted(new_labels[door] for door in doors)),
-                new_labels[revealed] if revealed is not None else -1,
-                tuple(allocation[door] for door in order),
-            )
-            walk(idx + 1, new_labels, acc + [token])
-
-    walk(0, {}, [])
-    assert best is not None
-    return tuple(best)
 
 
 # ---------------------------------------------------------------------------

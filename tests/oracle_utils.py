@@ -4,10 +4,12 @@ These deliberately avoid the library's solution paths: the continuation
 oracle expands the sampled-plan searcher literally, and the double oracle
 solves tiny games over pure strategies with best-response certificates.
 They share nothing with the stay-probability formula or the quotient LP.
+The brute-force canonicalizer tries every door permutation, the reference
+for the partition refinement in ``treasurehunt.game``.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from treasurehunt.combinatorics import count_allocations, enumerate_allocations
 from treasurehunt.simplex import EQ, GEQ, LEQ, solve_lp
@@ -44,6 +46,47 @@ def mimic_continuation_oracle(n: int, d: int):
                             entry[1] += share
                 stack.append((tuple(x for x in unvisited if x != door), parts, share))
     return table
+
+
+# ---------------------------------------------------------------------------
+# Brute-force door relabeling (small n only: it tries all n! permutations)
+# ---------------------------------------------------------------------------
+
+def apply_counts(counts, perm):
+    """Counts moved along a relabeling: door i becomes door perm[i]."""
+    out = [0] * len(counts)
+    for i, c in enumerate(counts):
+        out[perm[i]] = c
+    return tuple(out)
+
+
+def apply_events(events, perm):
+    return tuple(
+        (tuple(sorted(perm[x] for x in doors)), perm[o] if o >= 0 else -1)
+        for doors, o in events
+    )
+
+
+def brute_canonical_form(counts, events):
+    """Smallest (counts, events) image over all relabelings, how many
+    relabelings give it, and the first of them in permutation order."""
+    best, best_perm, count = None, None, 0
+    for perm in permutations(range(len(counts))):
+        enc = (apply_counts(counts, perm), apply_events(events, perm))
+        if best is None or enc < best:
+            best, best_perm, count = enc, perm, 1
+        elif enc == best:
+            count += 1
+    return best, count, best_perm
+
+
+def brute_stabilizer(counts, events):
+    """Every relabeling that maps (counts, events) onto itself."""
+    return [
+        perm
+        for perm in permutations(range(len(counts)))
+        if apply_counts(counts, perm) == tuple(counts) and apply_events(events, perm) == events
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,27 @@ def test_sweep_records_errors_and_continues(capsys):
     assert rows[2][-1] == "" and rows[3][-1] == ""
 
 
+def test_sweep_usage_error_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--param", "n", "--start", "4", "--stop", "4",
+        "-d", "2", "-k", "2", "--method", "certify", "--searcher", "ptable-file",
+    )
+    assert code == 2 and out == ""
+    assert "--ptable-file" in err
+
+
+def test_sweep_rejects_searcher_without_certify(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    for method in ("value", "lp"):
+        for flags in (("--searcher", "fresh-k"), ("--ptable-file", str(table))):
+            code, out, err = run_cli(
+                capsys, "sweep", "--param", "n", "--start", "4", "--stop", "4",
+                "-d", "2", "-k", "2", "--method", method, *flags,
+            )
+            assert code == 2 and out == ""
+            assert "takes no searcher" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "value.json"
     code, out, _ = run_cli(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_utils import apply_counts, apply_events, brute_canonical_form, brute_stabilizer
 from treasurehunt.errors import NonMonotoneDiagramError
 from treasurehunt.game import (
     GameConfig,
@@ -11,12 +12,16 @@ from treasurehunt.game import (
     WON,
     all_guesses,
     apply_guess,
+    canonical_form,
+    door_set_orbit,
     history_to_diagram,
     initial_state,
     is_legal_guess,
+    relabeling,
     replay,
     reveal_options,
     reveal_weights,
+    stabilizer_size,
 )
 
 
@@ -142,7 +147,7 @@ def test_door_relabeling_equivariance(data):
     )
     perm = tuple(data.draw(st.permutations(range(n))))
     state = initial_state(cfg, allocation)
-    permuted = initial_state(cfg, _apply(allocation, perm))
+    permuted = initial_state(cfg, apply_counts(allocation, perm))
     for _ in range(d):
         doors = data.draw(
             st.sets(st.integers(0, n - 1), min_size=1, max_size=k)
@@ -157,19 +162,12 @@ def test_door_relabeling_equivariance(data):
         choice = data.draw(st.sampled_from(sorted(options)))
         state = apply_guess(state, doors, choice)
         permuted = apply_guess(permuted, mapped, perm[choice])
-        assert permuted.remaining == _apply(state.remaining, perm)
-        assert permuted.found == _apply(state.found, perm)
+        assert permuted.remaining == apply_counts(state.remaining, perm)
+        assert permuted.found == apply_counts(state.found, perm)
         assert permuted.status == state.status
         if state.status != ONGOING:
             break
     assert sum(state.remaining) + sum(state.found) == d
-
-
-def _apply(counts, perm):
-    out = [0] * len(counts)
-    for i, c in enumerate(counts):
-        out[perm[i]] = c
-    return tuple(out)
 
 
 def test_replay_validates():
@@ -178,3 +176,32 @@ def test_replay_validates():
     assert replay(cfg, (1, 0, 1, 0), history).status == WON
     with pytest.raises(ValueError):
         replay(cfg, (1, 0, 1, 0), ((frozenset({0, 1, 2}), 0),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_relabeling_matches_brute_force(data):
+    n = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        counts = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    else:
+        counts = (0,) * n  # the form of a history alone
+    rounds = data.draw(st.integers(0, 3))
+    events = []
+    for r in range(rounds):
+        doors = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+        reveals = list(doors) + ([-1] if r == rounds - 1 else [])  # -1: a pending guess
+        events.append((doors, data.draw(st.sampled_from(reveals))))
+    events = tuple(events)
+
+    form, sigma, cells = relabeling(counts, events)
+    best, minimizers, _ = brute_canonical_form(counts, events)
+    assert form == best
+    assert canonical_form(counts, events) == best
+    assert canonical_form(counts, tuple((frozenset(g), o) for g, o in events)) == best
+    assert (apply_counts(counts, sigma), apply_events(events, sigma)) == form
+    assert stabilizer_size(cells) == minimizers
+
+    doors = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    images = {tuple(sorted(p[x] for x in doors)) for p in brute_stabilizer(*form)}
+    assert door_set_orbit(cells, doors) == (min(images), len(images))

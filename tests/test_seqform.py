@@ -45,6 +45,13 @@ def test_lp_known_values():
         assert sequence_form_value(cfg).value == counting_upper_bound(cfg)
 
 
+def test_lp_reaches_nine_doors():
+    # Criterion 3's value k^d / C(n+d-1, d) at (9,3,2), by the LP alone.
+    report = sequence_form_value(GameConfig(9, 3, 2))
+    assert report.value == F(8, 165)
+    assert report.tight
+
+
 def test_value_of_3_3_2_is_certified_three_fifths():
     # The LP value, its lifted-plan guarantee, and an independent posterior
     # DP pin the value of the (3,3,2) game at 3/5: the plan guarantees 3/5

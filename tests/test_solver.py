@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from oracle_utils import apply_counts
 from treasurehunt.combinatorics import enumerate_allocations
 from treasurehunt.errors import AdversarialRevealError, BudgetExceededError
 from treasurehunt.game import GameConfig, all_guesses
@@ -88,6 +90,45 @@ def test_evaluate_door_relabeling_invariance():
         assert evaluate_exact(cfg, base, allocation) == evaluate_exact(
             cfg, mapped, tuple(relabeled)
         )
+
+
+class _CountingSearcher(SearcherStrategy):
+    """Counts guess_distribution calls: each is one node the evaluator expands."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config = inner.config
+        self.door_symmetric = inner.door_symmetric
+        self.calls = 0
+
+    def guess_distribution(self, history):
+        self.calls += 1
+        return self.inner.guess_distribution(history)
+
+
+@pytest.mark.parametrize(
+    "cfg, make, nodes",
+    [
+        (GameConfig(9, 3, 2), scaled_searcher, 20),
+        (GameConfig(6, 3, 2, occupancy="single"), fresh_doors_searcher, 6),
+    ],
+)
+def test_evaluator_memo_is_keyed_by_door_relabeling(cfg, make, nodes):
+    searcher = make(cfg)
+    plain = replace(searcher, door_symmetric=False)
+    shared = _CountingSearcher(searcher)
+    memo: dict = {}
+    rng = random.Random(7)
+    for allocation in enumerate_allocations(cfg.n, cfg.d, cfg.occupancy):
+        value = evaluate_exact(cfg, searcher, allocation)
+        assert evaluate_exact(cfg, plain, allocation) == value
+        relabeled = apply_counts(allocation, rng.sample(range(cfg.n), cfg.n))
+        assert evaluate_exact(cfg, shared, allocation, _memo=memo) == value
+        expanded = shared.calls
+        assert evaluate_exact(cfg, shared, relabeled, _memo=memo) == value
+        assert shared.calls == expanded
+    # One memo entry per door-relabeling orbit of the positions reached.
+    assert shared.calls == nodes
 
 
 def test_hider_best_response_scaled():
