@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceededError,
     DoorBudgetError,
     ExceedsUnitError,
+    InternalError,
     InvalidTableError,
     MissingDiagramError,
     NonMonotoneDiagramError,

@@ -3,7 +3,8 @@
 Subcommands: value, ptable, certify, lp, simulate, sweep. Machine output is
 JSON by default (fractions as num/den pairs, never decimals); sweeps print
 CSV. Exit codes are stable: 0 success or tight, 2 usage error, 3 invalid
-table, 4 certification not tight, 5 budget exceeded.
+table, 4 certification not tight, 5 budget exceeded, 6 internal error (a
+self-check failed, which is a bug).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     AdversarialRevealError,
     BudgetExceededError,
     ExceedsUnitError,
+    InternalError,
     InvalidTableError,
     TreasureHuntError,
 )
@@ -51,6 +53,7 @@ EXIT_USAGE = 2
 EXIT_BAD_TABLE = 3
 EXIT_NOT_TIGHT = 4
 EXIT_BUDGET = 5
+EXIT_INTERNAL = 6
 
 _REVEAL_CHOICES = {
     "lowest": LOWEST_INDEX,
@@ -148,6 +151,8 @@ def _config(args, reveal: str = ADVERSARIAL) -> GameConfig:
 
 
 def _resolve_searcher(args, config):
+    if args.ptable_file is not None and args.searcher != "ptable-file":
+        raise UsageError("--ptable-file needs --searcher ptable-file")
     if args.searcher in (None, "ptable-scaled"):
         return scaled_searcher(config)
     if args.searcher == "fresh-k":
@@ -160,6 +165,8 @@ def _resolve_searcher(args, config):
 
 
 def _resolve_hider(args, config):
+    if args.hider_file is not None and args.hider != "file":
+        raise UsageError("--hider-file needs --hider file")
     if args.hider == "uniform":
         return uniform_hider(config)
     if args.hider == "all-in-one":
@@ -371,6 +378,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except AdversarialRevealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

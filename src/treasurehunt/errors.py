@@ -50,3 +50,7 @@ class AdversarialRevealError(TreasureHuntError):
 
 class BudgetExceededError(TreasureHuntError):
     """A node or LP-column budget was exhausted before the computation finished."""
+
+
+class InternalError(TreasureHuntError):
+    """A self-check failed: the program, not its input, is at fault."""

@@ -3,7 +3,12 @@
 The LP follows the standard realization-plan formulation for two-player
 zero-sum games: searcher realization probabilities per sequence, flow
 constraints per information set, and one dual variable block per hider
-decision point. Solving the raw tree would be hopeless at exact arithmetic
+decision point. Only this searcher LP is solved. The duals of its rows
+for the hider's sequences are the hider's realization plan, and both plans
+are then checked apart from the simplex, in exact arithmetic: each is a
+realization plan, and the hider's best response to the searcher's plan
+equals the searcher's best response to the hider's, which proves the value
+by weak duality. Solving the raw tree would be hopeless at exact arithmetic
 scale, so the whole construction lives on the door-relabeling quotient:
 
 Every game here is invariant under permuting door labels, and a finite
@@ -27,13 +32,14 @@ Canonical forms, stabilizers and orbits come from ``game.relabeling``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
 from .combinatorics import SINGLE, enumerate_partitions, partition_weight
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalError
 from .game import (
     Events,
     GameConfig,
@@ -44,7 +50,7 @@ from .game import (
     relabeling,
     stabilizer_size,
 )
-from .simplex import GEQ, LEQ, EQ, OPTIMAL, solve_lp
+from .simplex import LEQ, EQ, OPTIMAL, solve_lp
 from .strategies import SearcherStrategy
 
 
@@ -72,8 +78,6 @@ class _QuotientGame:
     s_infosets: list
     s_infoset_by_hist: dict
     h_infosets: list
-    s_owner: dict  # searcher seq -> (infoset uid or None for root, orbit mult)
-    h_owner: dict  # hider seq -> (infoset uid or None for the norm row, orbit mult)
     payoff: dict  # (searcher seq, hider seq) -> int orbit count of wins
     states: int
 
@@ -86,11 +90,8 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     s_infosets: list[_SInfoset] = []
     s_infoset_by_hist: dict[Events, _SInfoset] = {}
     s_count = 1  # sequence 0 is the searcher's empty sequence
-    s_owner: dict[int, tuple[int | None, int]] = {0: (None, 1)}
 
-    h_infosets: list[_HInfoset] = []
-    h_count = 1  # sequence 0 is the hider's empty sequence
-    h_owner: dict[int, tuple[int | None, int]] = {0: (None, 1)}
+    h_infosets: list[_HInfoset] = []  # hider sequence 0 is the empty sequence
 
     payoff: dict[tuple[int, int], int] = {}
     states_seen = 0
@@ -111,7 +112,6 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
                 continue
             seq = s_count
             s_count += 1
-            s_owner[seq] = (info.uid, size)
             info.actions.append((key, size, seq))
             info.action_of[key] = seq
         s_infosets.append(info)
@@ -126,12 +126,9 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     root = _HInfoset(uid=0, parent_seq=0, actions=[])
     h_infosets.append(root)
     level: dict = {}
-    for shape in shapes:
+    for seq, shape in enumerate(shapes, start=1):
         alloc = shape + (0,) * (n - len(shape))
-        seq = h_count
-        h_count += 1
         mult = partition_weight(shape, n)
-        h_owner[seq] = (0, mult)
         root.actions.append((shape, mult, seq))
         level[(alloc, ())] = [mult, 0, seq]
 
@@ -167,7 +164,7 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
                     pstate, sigma_p, cells_p = relabeling(alloc, events + ((g, -1),))
                     rinfo = h_reveal_by_state.get(pstate)
                     if rinfo is None:
-                        rinfo = _new_h_infoset(pstate, cells_p, h0, h_infosets, h_owner)
+                        rinfo = _new_h_infoset(pstate, cells_p, h0, h_infosets)
                         h_reveal_by_state[pstate] = rinfo
                     else:
                         assert rinfo.parent_seq == h0, (
@@ -201,18 +198,16 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     return _QuotientGame(
         config=config,
         s_count=s_count,
-        h_count=max(h_owner) + 1,
+        h_count=h_infosets[-1].actions[-1][2] + 1,
         s_infosets=s_infosets,
         s_infoset_by_hist=s_infoset_by_hist,
         h_infosets=h_infosets,
-        s_owner=s_owner,
-        h_owner=h_owner,
         payoff=payoff,
         states=states_seen,
     )
 
 
-def _new_h_infoset(pstate, cells, parent_seq, h_infosets, h_owner) -> _HInfoset:
+def _new_h_infoset(pstate, cells, parent_seq, h_infosets) -> _HInfoset:
     """Create a reveal decision point on the canonical pending state."""
     pmu, pevents = pstate
     remaining = list(pmu)
@@ -220,14 +215,13 @@ def _new_h_infoset(pstate, cells, parent_seq, h_infosets, h_owner) -> _HInfoset:
         remaining[o] -= 1
     opts = sorted(o for o in pevents[-1][0] if remaining[o] > 0)
     info = _HInfoset(uid=len(h_infosets), parent_seq=parent_seq, actions=[])
-    seq = max(h_owner) + 1
+    seq = h_infosets[-1].actions[-1][2] + 1  # sequences are numbered in creation order
     seen: set[int] = set()
     for o in opts:
         (label,), size = door_set_orbit(cells, (o,))
         if label in seen:
             continue
         seen.add(label)
-        h_owner[seq] = (info.uid, size)
         info.actions.append((label, size, seq))
         seq += 1
     h_infosets.append(info)
@@ -239,12 +233,14 @@ def _new_h_infoset(pstate, cells, parent_seq, h_infosets, h_owner) -> _HInfoset:
 # ---------------------------------------------------------------------------
 
 def _searcher_lp(game: _QuotientGame):
-    """max q_norm over x >= 0 (flow feasible) and free hider-block duals q."""
+    """max q_norm over x >= 0 (flow feasible) and free hider-block duals q.
+
+    The last h_count rows are those of the hider's sequences, in order.
+    """
     S = game.s_count
-    H = len(game.h_infosets)
     q_norm = S
     q_of = lambda uid: S + 1 + uid  # noqa: E731
-    num_vars = S + 1 + H
+    num_vars = S + 1 + len(game.h_infosets)
 
     objective = {q_norm: Fraction(1)}
     constraints: list = [({0: Fraction(1)}, EQ, Fraction(1))]
@@ -260,9 +256,12 @@ def _searcher_lp(game: _QuotientGame):
     for (s, t), w in game.payoff.items():
         pay_by_h.setdefault(t, []).append((s, w))
 
-    for t in range(game.h_count):
-        owner, mult = game.h_owner[t]
-        row = {q_of(owner) if owner is not None else q_norm: Fraction(mult)}
+    # Sequence t's own block, scaled by its orbit size, in sequence order.
+    owners = [(q_norm, 1)] + [
+        (q_of(info.uid), mult) for info in game.h_infosets for _, mult, _ in info.actions
+    ]
+    for t, (own, mult) in enumerate(owners):
+        row = {own: Fraction(mult)}
         for uid in children.get(t, ()):  # blocks this sequence enables
             col = q_of(uid)
             row[col] = row.get(col, Fraction(0)) - 1
@@ -270,44 +269,54 @@ def _searcher_lp(game: _QuotientGame):
             row[s] = row.get(s, Fraction(0)) - w
         constraints.append((row, LEQ, Fraction(0)))
 
-    free = range(S, num_vars)
-    return num_vars, objective, constraints, free, q_norm
+    return num_vars, objective, constraints, range(S, num_vars)
 
 
-def _hider_lp(game: _QuotientGame):
-    """min p_norm over y >= 0 (hider flow) and free searcher-block duals p."""
-    T = game.h_count
-    J = len(game.s_infosets)
-    p_norm = T
-    p_of = lambda uid: T + 1 + uid  # noqa: E731
-    num_vars = T + 1 + J
+# ---------------------------------------------------------------------------
+# Certificate check: both plans and both best responses, in exact arithmetic
+# ---------------------------------------------------------------------------
 
-    objective = {p_norm: Fraction(1)}
-    constraints: list = [({0: Fraction(1)}, EQ, Fraction(1))]
-    for info in game.h_infosets:
-        row = {seq: Fraction(mult) for _, mult, seq in info.actions}
-        row[info.parent_seq] = row.get(info.parent_seq, Fraction(0)) - 1
-        constraints.append((row, EQ, Fraction(0)))
+def _check_plan(infosets, plan, side: str) -> None:
+    """Raise InternalError unless plan is a realization plan on infosets."""
+    flows = all(
+        sum(mult * plan[seq] for _, mult, seq in info.actions) == plan[info.parent_seq]
+        for info in infosets
+    )
+    if plan[0] != 1 or min(plan) < 0 or not flows:
+        raise InternalError(f"the LP's {side} plan is not a realization plan; this is a bug")
 
-    children: dict[int, list[int]] = {}
-    for info in game.s_infosets:
-        children.setdefault(info.parent_seq, []).append(info.uid)
-    pay_by_s: dict[int, list] = {}
-    for (s, t), w in game.payoff.items():
-        pay_by_s.setdefault(s, []).append((t, w))
 
-    for s in range(game.s_count):
-        owner, mult = game.s_owner[s]
-        row = {p_of(owner) if owner is not None else p_norm: Fraction(mult)}
-        for uid in children.get(s, ()):
-            col = p_of(uid)
-            row[col] = row.get(col, Fraction(0)) - 1
-        for t, w in pay_by_s.get(s, ()):
-            row[t] = row.get(t, Fraction(0)) - w
-        constraints.append((row, GEQ, Fraction(0)))
+def _best_response(infosets, payoff, plan, pick) -> Fraction:
+    """Value of the best reply to the other side's plan, bottom up.
 
-    free = range(T, num_vars)
-    return num_vars, objective, constraints, free, p_norm
+    payoff maps (replying sequence, other sequence) to the win orbit count.
+    A child infoset is created after the infoset of its parent sequence, so
+    reverse creation order visits children first. Moving the parent's mass
+    onto an action orbit gives each of its mult members 1/mult of it.
+    """
+    value: dict[int, Fraction] = defaultdict(Fraction)
+    for (seq, other), w in payoff.items():
+        value[seq] += w * plan[other]
+    for info in reversed(infosets):
+        value[info.parent_seq] += pick(value[seq] / mult for _, mult, seq in info.actions)
+    return value[0]
+
+
+def _certify_plans(game: _QuotientGame, x, y) -> tuple[Fraction, Fraction]:
+    """Searcher guarantee and hider cap of the plans x and y; equal or raise.
+
+    x guarantees the searcher the hider's best-response value against it
+    and y caps the searcher at the searcher's best-response value against
+    it, so equal values prove the game value by weak duality.
+    """
+    _check_plan(game.s_infosets, x, "searcher")
+    _check_plan(game.h_infosets, y, "hider")
+    by_hider = {(t, s): w for (s, t), w in game.payoff.items()}
+    lower = _best_response(game.h_infosets, by_hider, x, min)
+    upper = _best_response(game.s_infosets, game.payoff, y, max)
+    if lower != upper:
+        raise InternalError(f"plans certify only {lower} <= value <= {upper}; this is a bug")
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -381,39 +390,25 @@ class LiftedPlanStrategy(SearcherStrategy):
 
 
 def solve_sequence_form(config: GameConfig, *, node_budget: int, column_budget: int):
-    """Build the quotient, solve both LP sides, and certify the value."""
+    """Build the quotient, solve the searcher LP, and certify both plans."""
     from .solver import LP, ValueReport, counting_upper_bound
 
     game = build_quotient_game(config, node_budget=node_budget, column_budget=column_budget)
-
-    num_vars, objective, constraints, free, q_norm = _searcher_lp(game)
+    num_vars, objective, constraints, free = _searcher_lp(game)
     primal = solve_lp(num_vars, objective, constraints, maximize=True, free_vars=free)
     if primal.status != OPTIMAL:  # pragma: no cover - the game LP is always solvable
-        raise RuntimeError(f"searcher-side LP came back {primal.status}; this is a bug")
-
-    num_vars_d, objective_d, constraints_d, free_d, p_norm = _hider_lp(game)
-    dual = solve_lp(num_vars_d, objective_d, constraints_d, maximize=False, free_vars=free_d)
-    if dual.status != OPTIMAL:  # pragma: no cover
-        raise RuntimeError(f"hider-side LP came back {dual.status}; this is a bug")
-
-    value = primal.x[q_norm]
-    dual_value = dual.x[p_norm]
-    if value != dual_value:  # pragma: no cover - exact strong duality must hold
-        raise RuntimeError(f"strong duality violated: {value} versus {dual_value}; this is a bug")
-
+        raise InternalError(f"searcher-side LP came back {primal.status}; this is a bug")
     plan = list(primal.x[: game.s_count])
-    strategy = LiftedPlanStrategy(config, game, plan)
-    plan_entries = []
-    for info in game.s_infosets:
-        for rep, mult, seq in info.actions:
-            if plan[seq] != 0:
-                plan_entries.append((info.hist, rep, plan[seq]))
-    mixture = []
-    for shape, mult, seq in game.h_infosets[0].actions:
-        y = dual.x[seq]
-        if y != 0:
-            alloc = shape + (0,) * (config.n - len(shape))
-            mixture.append((alloc, mult * y))
+    y = primal.duals[-game.h_count:]  # the hider sequences' rows come last
+    value, dual_value = _certify_plans(game, plan, y)
+    plan_entries = tuple(
+        (info.hist, rep, plan[seq])
+        for info in game.s_infosets for rep, _, seq in info.actions if plan[seq] != 0
+    )
+    mixture = tuple(
+        (shape + (0,) * (config.n - len(shape)), mult * y[seq])
+        for shape, mult, seq in game.h_infosets[0].actions if y[seq] != 0
+    )
     stats = {
         "positions": game.states,
         "searcher_sequences": game.s_count,
@@ -422,9 +417,9 @@ def solve_sequence_form(config: GameConfig, *, node_budget: int, column_budget: 
         "hider_infosets": len(game.h_infosets),
     }
     certificate = SequenceFormCertificate(
-        plan_entries=tuple(plan_entries),
-        searcher_strategy=strategy,
-        hider_mixture=tuple(mixture),
+        plan_entries=plan_entries,
+        searcher_strategy=LiftedPlanStrategy(config, game, plan),
+        hider_mixture=mixture,
         stats=stats,
     )
     bound = counting_upper_bound(config)

@@ -3,7 +3,9 @@
 Entering and leaving variables follow Bland's smallest-index rule, which
 cannot cycle, so termination is guaranteed on the degenerate LPs that
 sequence-form games produce. Rows are sparse dicts of Fraction; problem
-data and solutions are exact, there is no floating point anywhere.
+data and solutions are exact, there is no floating point anywhere. The
+duals of the inequality rows are read from the final reduced costs of
+their slack columns.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ class LPResult:
     status: str
     objective: Fraction | None
     x: tuple[Fraction, ...] | None
+    # Shadow prices d(objective)/d(rhs), one per constraint; None for an
+    # equality row, whose artificial column the tableau drops.
+    duals: tuple[Fraction | None, ...] | None = None
 
 
 class PivotLimitError(BudgetExceededError):
@@ -50,36 +55,28 @@ def solve_lp(
     differences of nonnegative parts.
     """
     if isinstance(objective, Mapping):
-        c = [Fraction(objective.get(j, 0)) for j in range(num_vars)]
-    else:
-        c = [Fraction(v) for v in objective]
-        if len(c) != num_vars:
-            raise ValueError("objective length does not match num_vars")
+        objective = [objective.get(j, 0) for j in range(num_vars)]
+    c = [Fraction(v) for v in objective]
+    if len(c) != num_vars:
+        raise ValueError("objective length does not match num_vars")
     free = set(free_vars)
     if any(j < 0 or j >= num_vars for j in free):
         raise ValueError("free variable index out of range")
 
-    # Column map: each original variable gets a nonnegative column, free
-    # variables get a second, negated column.
-    pos_col = list(range(num_vars))
-    neg_col: dict[int, int] = {}
-    next_col = num_vars
-    for j in sorted(free):
-        neg_col[j] = next_col
-        next_col += 1
-
+    # Variable j keeps column j; a free variable also gets a negated column.
+    neg_col = {j: num_vars + i for i, j in enumerate(sorted(free))}
     sign = 1 if maximize else -1
     obj = {}
-    for j in range(num_vars):
-        cj = sign * c[j]
+    for j, cj in enumerate(c):
         if cj:
-            obj[pos_col[j]] = cj
+            obj[j] = sign * cj
             if j in free:
-                obj[neg_col[j]] = -cj
+                obj[neg_col[j]] = -sign * cj
 
     rows: list[dict[int, Fraction]] = []
     rels: list[str] = []
     rhs: list[Fraction] = []
+    flips: list[int] = []
     for coeffs, rel, b in constraints:
         if rel not in (LEQ, GEQ, EQ):
             raise ValueError(f"unknown relation {rel!r}")
@@ -90,10 +87,11 @@ def solve_lp(
                 continue
             if j < 0 or j >= num_vars:
                 raise ValueError(f"variable index {j} out of range")
-            row[pos_col[j]] = row.get(pos_col[j], Fraction(0)) + a
+            row[j] = row.get(j, Fraction(0)) + a
             if j in free:
                 row[neg_col[j]] = row.get(neg_col[j], Fraction(0)) - a
         b = Fraction(b)
+        flips.append(-1 if b < 0 else 1)
         if b < 0:
             row = {j: -a for j, a in row.items()}
             b = -b
@@ -102,19 +100,17 @@ def solve_lp(
         rels.append(rel)
         rhs.append(b)
 
-    tableau = _Tableau(next_col, rows, rels, rhs, pivot_limit)
+    tableau = _Tableau(num_vars + len(free), rows, rels, rhs, pivot_limit)
     status = tableau.solve(obj)
     if status != OPTIMAL:
         return LPResult(status=status, objective=None, x=None)
     full = tableau.solution()
-    x = []
-    for j in range(num_vars):
-        v = full[pos_col[j]]
-        if j in free:
-            v -= full[neg_col[j]]
-        x.append(v)
-    objective_value = sum(c[j] * x[j] for j in range(num_vars))
-    return LPResult(status=OPTIMAL, objective=objective_value, x=tuple(x))
+    x = tuple(full[j] - (full[neg_col[j]] if j in free else 0) for j in range(num_vars))
+    objective_value = sum(cj * xj for cj, xj in zip(c, x))
+    duals = tuple(
+        None if y is None else sign * flip * y for y, flip in zip(tableau.duals(), flips)
+    )
+    return LPResult(status=OPTIMAL, objective=objective_value, x=x, duals=duals)
 
 
 class _Tableau:
@@ -127,8 +123,10 @@ class _Tableau:
         self.b: list[Fraction] = list(rhs)
         self.basis: list[int] = []
         self.artificial: set[int] = set()
+        self.slack: list[tuple[int, int] | None] = []  # (column, +1 or -1) per row
         col = num_cols
         for i, rel in enumerate(rels):
+            self.slack.append((col, 1 if rel == LEQ else -1) if rel != EQ else None)
             if rel == LEQ:
                 self.rows[i][col] = Fraction(1)
                 self.basis.append(col)
@@ -146,7 +144,6 @@ class _Tableau:
                 self.basis.append(col)
                 col += 1
         self.num_cols = col
-        self.num_structural = num_cols
 
     def solve(self, obj: dict[int, Fraction]) -> str:
         if self.artificial:
@@ -193,6 +190,7 @@ class _Tableau:
                     entering = j
                     break
             if entering is None:
+                self.reduced = improve
                 return OPTIMAL
             leaving_row = None
             best_ratio = None
@@ -273,6 +271,10 @@ class _Tableau:
             for j in list(row):
                 if j in self.artificial:
                     del row[j]
+
+    def duals(self) -> list[Fraction | None]:
+        """Row shadow prices: a slack column's reduced cost is -sign * dual."""
+        return [None if sl is None else -sl[1] * self.reduced.get(sl[0], Fraction(0)) for sl in self.slack]
 
     def solution(self) -> dict[int, Fraction]:
         values: dict[int, Fraction] = {}

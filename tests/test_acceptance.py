@@ -206,6 +206,8 @@ def test_criterion_10_monotonicity():
             for d in range(1, 4):
                 for k in range(1, min(3, n) + 1):
                     values[(n, d, k)] = sequence_form_value(GameConfig(n, d, k)).value
+        # (4,3,3), the largest game of the grid.
+        assert values[(4, 3, 3)] == F(18, 25)
         for (n, d, k), v in values.items():
             if (n + 1, d, k) in values:
                 assert values[(n + 1, d, k)] <= v, ("n", n, d, k)

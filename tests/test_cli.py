@@ -154,6 +154,23 @@ def test_lp_budget_exit_5(capsys):
     assert code == 5
 
 
+def test_lp_failed_certificate_check_exit_6(capsys, monkeypatch):
+    # A best response that overshoots by 1/1000 makes the two-sided check
+    # fail; the CLI reports the internal error on stderr without a traceback.
+    from treasurehunt import seqform
+
+    exact = seqform._best_response
+
+    def skewed(infosets, payoff, plan, pick):
+        return exact(infosets, payoff, plan, pick) + (F(1, 1000) if pick is max else 0)
+
+    monkeypatch.setattr(seqform, "_best_response", skewed)
+    code, out, err = run_cli(capsys, "lp", "-n", "3", "-d", "2", "-k", "2")
+    assert code == 6 and out == ""
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_simulate_with_check(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--variant", "multi", "-n", "4", "-d", "2", "-k", "2",
@@ -269,6 +286,22 @@ def test_sweep_rejects_searcher_without_certify(capsys, tmp_path):
             )
             assert code == 2 and out == ""
             assert "takes no searcher" in err
+
+
+def test_ptable_file_without_ptable_file_searcher_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "certify", "-n", "9", "-d", "3", "-k", "2",
+                             "--ptable-file", missing)
+    assert code == 2 and out == ""
+    assert "--ptable-file needs --searcher ptable-file" in err
+
+
+def test_hider_file_without_file_hider_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "simulate", "-n", "9", "-d", "3", "-k", "2",
+                             "--trials", "10", "--hider-file", missing)
+    assert code == 2 and out == ""
+    assert "--hider-file needs --hider file" in err
 
 
 def test_out_file(tmp_path, capsys):

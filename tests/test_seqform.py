@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from oracle_utils import double_oracle_value
-from treasurehunt.errors import BudgetExceededError
+from treasurehunt.errors import BudgetExceededError, InternalError
 from treasurehunt.game import GameConfig
-from treasurehunt.seqform import build_quotient_game
+from treasurehunt.seqform import _certify_plans, _searcher_lp, build_quotient_game, solve_lp
 from treasurehunt.solver import (
     hider_best_response_value,
     counting_upper_bound,
@@ -79,6 +79,47 @@ def test_strong_duality_reported():
     cfg = GameConfig(3, 3, 2)
     report = sequence_form_value(cfg)
     assert report.details["dual_value"] == report.value
+
+
+def _lp_plans(cfg):
+    game = build_quotient_game(cfg, node_budget=10**6, column_budget=10**5)
+    num_vars, objective, constraints, free = _searcher_lp(game)
+    result = solve_lp(num_vars, objective, constraints, maximize=True, free_vars=free)
+    return game, list(result.x[: game.s_count]), list(result.duals[-game.h_count:])
+
+
+def _scale_hider_subtree(game, y, seq, factor):
+    y[seq] *= factor
+    for info in game.h_infosets:
+        if info.parent_seq == seq:
+            for _, _, child in info.actions:
+                _scale_hider_subtree(game, y, child, factor)
+
+
+def test_certificate_check_accepts_the_lp_plans():
+    game, x, y = _lp_plans(GameConfig(3, 3, 2))
+    assert _certify_plans(game, x, y) == (F(3, 5), F(3, 5))
+
+
+def test_certificate_check_rejects_broken_hider_flow():
+    game, x, y = _lp_plans(GameConfig(3, 3, 2))
+    _, _, seq = game.h_infosets[0].actions[0]
+    y[seq] *= 2  # the root's orbit masses now sum past 1
+    with pytest.raises(InternalError, match="hider plan is not a realization plan"):
+        _certify_plans(game, x, y)
+
+
+def test_certificate_check_rejects_a_suboptimal_hider_plan():
+    # Move the (1,1,1) shape's root mass onto the (3,) shape, scaling both
+    # subtrees: still a realization plan, but the searcher can beat 3/5.
+    game, x, y = _lp_plans(GameConfig(3, 3, 2))
+    (_, m_to, to), _, (_, m_from, src) = game.h_infosets[0].actions
+    moved = m_from * y[src]
+    assert moved > 0
+    _scale_hider_subtree(game, y, to, 1 + moved / (m_to * y[to]))
+    _scale_hider_subtree(game, y, src, F(0))
+    with pytest.raises(InternalError, match="plans certify only 3/5 <= value <= "):
+        _certify_plans(game, x, y)
 
 
 def test_lifted_plan_is_a_proper_strategy():

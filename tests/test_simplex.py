@@ -139,3 +139,40 @@ def test_pivot_limit_is_a_budget_error():
     with pytest.raises(BudgetExceededError):
         solve_lp(1, [F(1)], [({0: F(1)}, LEQ, F(1))], pivot_limit=0)
     assert solve_lp(1, [F(1)], [({0: F(1)}, LEQ, F(1))], pivot_limit=1).objective == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cols=st.integers(1, 3), rows=st.integers(1, 4), maximize=st.booleans())
+def test_inequality_duals_certify_the_optimum(data, cols, rows, maximize):
+    # Every row holds at a drawn point x0, and a box |x| <= 5 bounds the LP,
+    # so it is always optimal. Column 0 may be free. Rows whose left side is
+    # negative at x0 can get a negative right-hand side and reach the tableau
+    # negated, so both sign flips of the dual read-out are exercised.
+    small = st.integers(-4, 4)
+    free = [0] if data.draw(st.booleans()) else []
+    x0 = [data.draw(st.integers(-3 if j in free else 0, 3)) for j in range(cols)]
+    cons = [({j: F(1)}, LEQ, F(5)) for j in range(cols)]
+    cons += [({j: F(1)}, GEQ, F(-5)) for j in free]
+    for _ in range(rows):
+        a = {j: F(data.draw(small)) for j in range(cols)}
+        lhs = sum(a[j] * x0[j] for j in range(cols))
+        if data.draw(st.booleans()):
+            cons.append((a, LEQ, lhs + data.draw(st.integers(0, 2))))
+        else:
+            cons.append((a, GEQ, lhs - data.draw(st.integers(0, 2))))
+    c = [F(data.draw(small), data.draw(st.integers(1, 3))) for _ in range(cols)]
+    res = solve_lp(cols, c, cons, maximize=maximize, free_vars=free)
+    assert res.status == OPTIMAL
+    y = res.duals
+    assert len(y) == len(cons)
+    # Shadow prices: a <= row relaxes as b grows, a >= row tightens.
+    for (_, rel, _), yi in zip(cons, y):
+        grows = (rel == LEQ) == maximize
+        assert (yi >= 0) if grows else (yi <= 0)
+    for j in range(cols):
+        reduced = c[j] - sum(yi * row.get(j, 0) for (row, _, _), yi in zip(cons, y))
+        if j in free:
+            assert reduced == 0
+        else:
+            assert (reduced <= 0) if maximize else (reduced >= 0)
+    assert sum(b * yi for (_, _, b), yi in zip(cons, y)) == res.objective
