@@ -59,6 +59,7 @@ from .solver import (
     evaluate_under_reveal,
     hider_best_response_value,
     counting_upper_bound,
+    per_allocation_values,
     searcher_best_response_value,
     sequence_form_value,
 )
@@ -76,7 +77,6 @@ from .strategies import (
     SearcherStrategy,
     all_in_one_hider,
     fresh_doors_searcher,
-    guess_distribution,
     hider_from_entries,
     load_hider_json,
     mimic_searcher,

@@ -35,6 +35,7 @@ from .solver import (
     closed_form_value,
     evaluate_under_reveal,
     hider_best_response_value,
+    per_allocation_values,
     sequence_form_value,
 )
 from .staytables import StayTable, min_scalable_doors, scaled_stay_table
@@ -265,11 +266,12 @@ def cmd_lp(args) -> int:
     payload["stats"] = report.certificate.stats
     if args.emit_certificate:
         cert = report.certificate.to_json()
-        per_allocation = hider_best_response_value(
+        plan_report = hider_best_response_value(
             config, report.certificate.searcher_strategy, node_budget=args.node_budget
-        ).certificate["per_allocation"]
+        )
         cert["per_allocation"] = [
-            {"allocation": list(a), "value": fraction_to_json(v)} for a, v in per_allocation
+            {"allocation": list(a), "value": fraction_to_json(v)}
+            for a, v in per_allocation_values(plan_report)
         ]
         with open(args.emit_certificate, "w", encoding="utf-8") as handle:
             json.dump(cert, handle, indent=2, sort_keys=True)

@@ -76,6 +76,21 @@ def enumerate_allocations(n: int, d: int, occupancy: str = MULTI) -> list[Alloca
     return list(iter_allocations(n, d, occupancy))
 
 
+def shape_representatives(n: int, d: int, occupancy: str = MULTI) -> list[Allocation]:
+    """One allocation per shape, lexicographically ordered.
+
+    The representative of a shape is its ascending-sorted allocation
+    (0, ..., 0, parts ascending): ``tuple(sorted(a))`` for every
+    allocation ``a`` of that shape, and the lexicographically first of them.
+    """
+    if occupancy not in OCCUPANCIES:
+        raise ValueError(f"unknown occupancy {occupancy!r}")
+    cap = 1 if occupancy == SINGLE else d
+    return sorted(
+        (0,) * (n - len(pi)) + pi[::-1] for pi in enumerate_partitions(d, n) if pi[0] <= cap
+    )
+
+
 def enumerate_partitions(d: int, max_parts: int) -> list[Partition]:
     """All partitions of d into at most max_parts parts, largest part first."""
     if d < 1 or max_parts < 1:

@@ -9,12 +9,10 @@ fraction wins/trials plus a binomial standard error.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import IO, Iterable
 
 from .errors import AdversarialRevealError
 from .game import CHANCE_REVEALS, GameConfig, chance_reveal
@@ -198,10 +196,3 @@ def compare_to_exact(report: McReport, exact: Fraction, sigmas: float = 4.0) -> 
     else:
         z = (report.wins / report.trials - float(exact)) / stderr
     return McCheck(z_score=z, passed=abs(z) <= sigmas, exact=Fraction(exact))
-
-
-def write_csv(reports: Iterable[McReport], handle: IO[str]) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(CSV_HEADER)
-    for report in reports:
-        writer.writerow(report.csv_row())

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .combinatorics import SINGLE, Allocation, count_allocations, enumerate_allocations
+from .combinatorics import (
+    SINGLE,
+    Allocation,
+    count_allocations,
+    enumerate_allocations,
+    shape_representatives,
+)
 from .errors import AdversarialRevealError, BudgetExceededError, DoorBudgetError, ExceedsUnitError
 from .game import (
     ADVERSARIAL,
@@ -193,15 +199,25 @@ def hider_best_response_value(
 
     Values the adversarial game whatever ``config.reveal`` says: each
     allocation is scored by ``evaluate_exact``, where the hider picks the
-    revealed door.
+    revealed door. A door-symmetric searcher wins every relabeling of an
+    allocation equally, so it is scored once per allocation shape, on the
+    shape's ascending-sorted representative; any other searcher is scored
+    on every allocation. The certificate's ``checked`` rows are the scored
+    allocations in lexicographic order, and ``worst_allocation`` is the
+    lexicographically first allocation attaining the minimum.
+    ``per_allocation_values`` expands the rows to every allocation.
     """
+    if searcher.door_symmetric:
+        allocations = shape_representatives(config.n, config.d, config.occupancy)
+    else:
+        allocations = enumerate_allocations(config.n, config.d, config.occupancy)
     memo: dict = {}
-    per: list[tuple[Allocation, Fraction]] = []
+    checked: list[tuple[Allocation, Fraction]] = []
     worst: Fraction | None = None
     argmin: Allocation | None = None
-    for allocation in enumerate_allocations(config.n, config.d, config.occupancy):
+    for allocation in allocations:
         v = evaluate_exact(config, searcher, allocation, node_budget=node_budget, _memo=memo)
-        per.append((allocation, v))
+        checked.append((allocation, v))
         if worst is None or v < worst:
             worst, argmin = v, allocation
     assert worst is not None
@@ -211,9 +227,23 @@ def hider_best_response_value(
         value=worst,
         method=HIDER_BEST_RESPONSE,
         tight=worst == bound,
-        certificate={"worst_allocation": argmin, "per_allocation": tuple(per)},
+        certificate={"worst_allocation": argmin, "checked": tuple(checked)},
         details={"counting_bound": bound},
     )
+
+
+def per_allocation_values(report: ValueReport) -> list[tuple[Allocation, Fraction]]:
+    """Every allocation of a hider-best-response report with its value.
+
+    An allocation the report did not score takes the value of its shape's
+    representative ``tuple(sorted(a))``.
+    """
+    config = report.config
+    value = dict(report.certificate["checked"])
+    return [
+        (a, value[a] if a in value else value[tuple(sorted(a))])
+        for a in enumerate_allocations(config.n, config.d, config.occupancy)
+    ]
 
 
 def searcher_best_response_value(

@@ -186,36 +186,36 @@ def q_one_find(n: int, d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class EqualizingReport:
-    """Outcome of checking that a table strategy wins every allocation equally."""
+    """Outcome of checking that a table strategy wins every allocation equally.
+
+    ``checked`` holds one (allocation, value) row per allocation shape.
+    """
 
     equal: bool
     value: Fraction | None
     counterexample: tuple[int, ...] | None
-    per_allocation: tuple[tuple[tuple[int, ...], Fraction], ...]
+    checked: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
 def verify_equalizing(config, table: StayTable, node_budget: int | None = None) -> EqualizingReport:
     """Exact win probability of the table strategy against every allocation.
 
-    Uses adversarial reveals, the strategy's worst case. equal is True iff
-    all allocations share one value, which is then the certified guarantee.
+    Uses adversarial reveals, the strategy's worst case, and scores one
+    allocation per shape through ``hider_best_response_value``. equal is
+    True iff all shapes share one value, which is then the certified
+    guarantee; otherwise counterexample is the lexicographically first
+    allocation whose value differs from the first allocation's.
     """
-    from .solver import evaluate_exact  # local import avoids a module cycle
+    from .solver import hider_best_response_value  # local import avoids a module cycle
     from .strategies import stay_table_searcher
 
     if config.occupancy != MULTI:
         raise ValueError("stay tables drive the multi-occupancy game")
     searcher = stay_table_searcher(config, table)
-    memo: dict = {}
-    rows: list[tuple[tuple[int, ...], Fraction]] = []
-    from .combinatorics import enumerate_allocations
-
     kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    for allocation in enumerate_allocations(config.n, config.d, config.occupancy):
-        value = evaluate_exact(config, searcher, allocation, _memo=memo, **kwargs)
-        rows.append((allocation, value))
+    rows = hider_best_response_value(config, searcher, **kwargs).certificate["checked"]
     first = rows[0][1]
     for allocation, value in rows:
         if value != first:
-            return EqualizingReport(False, None, allocation, tuple(rows))
-    return EqualizingReport(True, first, None, tuple(rows))
+            return EqualizingReport(False, None, allocation, rows)
+    return EqualizingReport(True, first, None, rows)

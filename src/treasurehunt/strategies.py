@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .combinatorics import MULTI, SINGLE, Allocation, enumerate_allocations
 from .errors import DoorBudgetError, MissingDiagramError
 from .game import GameConfig, History, discovery_counts, guessed_doors
-from .jsonio import fraction_from_json, fraction_to_json
+from .jsonio import fraction_from_json
 from .staytables import StayTable, scaled_stay_table
 
 GuessDistribution = list[tuple[frozenset[int], Fraction]]
@@ -118,16 +118,6 @@ def load_hider_json(config: GameConfig, path) -> HiderStrategy:
     return hider_from_entries(config, entries, name="file")
 
 
-def hider_to_json(hider: HiderStrategy) -> dict:
-    return {
-        "n": hider.config.n,
-        "d": hider.config.d,
-        "entries": [
-            {"allocation": list(a), "p": fraction_to_json(p)} for a, p in hider.distribution
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Searcher side
 # ---------------------------------------------------------------------------
@@ -185,11 +175,6 @@ class _DistributionSampler(SearcherSampler):
 
     def observe(self, guess, revealed):
         self._history = self._history + ((guess, revealed),)
-
-
-def guess_distribution(strategy: SearcherStrategy, history: History) -> GuessDistribution:
-    """Uniform access point for a strategy's exact distribution."""
-    return strategy.guess_distribution(history)
 
 
 @dataclass(frozen=True)

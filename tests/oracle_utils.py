@@ -5,7 +5,9 @@ oracle expands the sampled-plan searcher literally, and the double oracle
 solves tiny games over pure strategies with best-response certificates.
 They share nothing with the stay-probability formula or the quotient LP.
 The brute-force canonicalizer tries every door permutation, the reference
-for the partition refinement in ``treasurehunt.game``.
+for the partition refinement in ``treasurehunt.game``. The full-enumeration
+best response scores every allocation, the reference for the per-shape
+scoring of door-symmetric searchers in ``treasurehunt.solver``.
 """
 
 from fractions import Fraction
@@ -13,6 +15,8 @@ from itertools import combinations, permutations
 
 from treasurehunt.combinatorics import count_allocations, enumerate_allocations
 from treasurehunt.simplex import EQ, GEQ, LEQ, solve_lp
+from treasurehunt.solver import evaluate_exact
+from treasurehunt.strategies import SearcherStrategy
 
 
 def mimic_continuation_oracle(n: int, d: int):
@@ -87,6 +91,32 @@ def brute_stabilizer(counts, events):
         for perm in permutations(range(len(counts)))
         if apply_counts(counts, perm) == tuple(counts) and apply_events(events, perm) == events
     ]
+
+
+class WithoutDoorSymmetry(SearcherStrategy):
+    """The same rule without the door-symmetry flag: the best response then
+    scores every allocation, and the evaluator memo keys raw histories."""
+
+    door_symmetric = False
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config = inner.config
+
+    def guess_distribution(self, history):
+        return self.inner.guess_distribution(history)
+
+
+def full_enumeration_best_response(config, searcher):
+    """Minimum of ``evaluate_exact`` over every allocation, its first
+    minimizer in enumeration order, and the per-allocation rows."""
+    memo: dict = {}
+    rows = [
+        (a, evaluate_exact(config, searcher, a, _memo=memo))
+        for a in enumerate_allocations(config.n, config.d, config.occupancy)
+    ]
+    value = min(v for _, v in rows)
+    return value, next(a for a, v in rows if v == value), rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treasurehunt.combinatorics import (
     MULTI,
@@ -13,7 +14,9 @@ from treasurehunt.combinatorics import (
     enumerate_partitions,
     is_partition,
     partition_weight,
+    shape_representatives,
 )
+from treasurehunt.game import canonical_form, relabeling
 
 
 def test_binomial_values():
@@ -98,3 +101,33 @@ def test_fraction_arithmetic_round_trip(a, b, c, e):
     x, y = Fraction(a, b), Fraction(c, e)
     assert (x + y) - y == x
     assert x.denominator > 0 and (x + y).denominator > 0
+
+
+def test_shape_representatives_one_per_shape_in_order():
+    for occupancy in (SINGLE, MULTI):
+        for n in range(1, 7):
+            for d in range(1, 5):
+                reps = shape_representatives(n, d, occupancy)
+                allocations = enumerate_allocations(n, d, occupancy)
+                assert reps == sorted({tuple(sorted(a)) for a in allocations})
+                assert len(reps) == len({allocation_shape(a) for a in allocations})
+    assert shape_representatives(29, 5, MULTI)[:2] == [(0,) * 28 + (5,), (0,) * 27 + (1, 4)]
+    assert len(shape_representatives(29, 5, MULTI)) == 7
+    assert shape_representatives(12, 4, SINGLE) == [(0,) * 8 + (1,) * 4]
+    with pytest.raises(ValueError):
+        shape_representatives(3, 2, "bag")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shape_representative_is_canonical_and_first_relabeling(data):
+    n = data.draw(st.integers(1, 6))
+    occupancy = data.draw(st.sampled_from((SINGLE, MULTI)))
+    d = data.draw(st.integers(1, n if occupancy == SINGLE else 4))
+    allocations = enumerate_allocations(n, d, occupancy)
+    a = data.draw(st.sampled_from(allocations))
+    rep = tuple(sorted(a))
+    assert rep == canonical_form(a, ())[0] == relabeling(a, ())[0][0]
+    assert rep in shape_representatives(n, d, occupancy)
+    position = {alloc: i for i, alloc in enumerate(allocations)}
+    assert all(position[rep] <= position[p] for p in set(permutations(a)))

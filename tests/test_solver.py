@@ -1,12 +1,18 @@
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracle_utils import apply_counts
-from treasurehunt.combinatorics import enumerate_allocations
-from treasurehunt.errors import AdversarialRevealError, BudgetExceededError
+from oracle_utils import WithoutDoorSymmetry, apply_counts, full_enumeration_best_response
+from treasurehunt.combinatorics import enumerate_allocations, shape_representatives
+from treasurehunt.errors import (
+    AdversarialRevealError,
+    BudgetExceededError,
+    DoorBudgetError,
+    ExceedsUnitError,
+)
 from treasurehunt.game import GameConfig, all_guesses
 from treasurehunt.montecarlo import compare_to_exact, run_mc
 from treasurehunt.solver import (
@@ -17,7 +23,9 @@ from treasurehunt.solver import (
     evaluate_under_reveal,
     hider_best_response_value,
     counting_upper_bound,
+    per_allocation_values,
     searcher_best_response_value,
+    sequence_form_value,
 )
 from treasurehunt.staytables import StayTable
 from treasurehunt.strategies import (
@@ -148,6 +156,117 @@ def test_hider_best_response_custom_table():
     report = hider_best_response_value(cfg, stay_table_searcher(cfg, table))
     assert report.value == F(8, 35)
     assert report.tight is True
+
+
+def _assert_shape_path_matches_full(cfg, searcher):
+    assert searcher.door_symmetric
+    shape = hider_best_response_value(cfg, searcher)
+    full = hider_best_response_value(cfg, WithoutDoorSymmetry(searcher))
+    args = (cfg.n, cfg.d, cfg.occupancy)
+    assert [a for a, _ in shape.certificate["checked"]] == shape_representatives(*args)
+    assert [a for a, _ in full.certificate["checked"]] == enumerate_allocations(*args)
+    assert shape.value == full.value
+    assert shape.tight == full.tight
+    assert shape.certificate["worst_allocation"] == full.certificate["worst_allocation"]
+    assert per_allocation_values(shape) == per_allocation_values(full)
+    assert per_allocation_values(full) == list(full.certificate["checked"])
+
+
+def _small_grid():
+    """Every game with n <= 6, d <= 3 and k <= min(n, 3), both variants."""
+    for occupancy in ("multi", "single"):
+        for n in range(1, 7):
+            for d in range(1, 4):
+                for k in range(1, min(n, 3) + 1):
+                    if occupancy == "multi" or d <= n:
+                        yield GameConfig(n, d, k, occupancy=occupancy)
+
+
+def test_shape_path_matches_full_enumeration_for_table_and_fresh_searchers():
+    covered = 0
+    for cfg in _small_grid():
+        makers = [fresh_doors_searcher] + ([scaled_searcher] if cfg.occupancy == "multi" else [])
+        for make in makers:
+            try:
+                searcher = make(cfg)
+            except (DoorBudgetError, ExceedsUnitError):
+                continue  # this searcher does not exist at this size
+            _assert_shape_path_matches_full(cfg, searcher)
+            covered += 1
+    assert covered == 86
+
+
+# The exact simplex takes 5 to 7 s on each of these games.
+_SLOW_LP_GAMES = {(4, 3, 3, "multi"), (5, 3, 3, "multi"), (6, 3, 3, "multi")}
+
+
+def _lifted_plan(cfg):
+    return sequence_form_value(cfg).certificate.searcher_strategy
+
+
+def test_shape_path_matches_full_enumeration_for_lifted_lp_plans():
+    for cfg in _small_grid():
+        if (cfg.n, cfg.d, cfg.k, cfg.occupancy) not in _SLOW_LP_GAMES:
+            _assert_shape_path_matches_full(cfg, _lifted_plan(cfg))
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TREASUREHUNT_SLOW"),
+    reason="about 20 s of exact simplex; set TREASUREHUNT_SLOW=1 to run",
+)
+def test_shape_path_matches_full_enumeration_for_slow_lifted_lp_plans():
+    for n, d, k, occupancy in sorted(_SLOW_LP_GAMES):
+        cfg = GameConfig(n, d, k, occupancy=occupancy)
+        _assert_shape_path_matches_full(cfg, _lifted_plan(cfg))
+
+
+def test_searcher_without_door_symmetry_is_scored_on_every_allocation():
+    # Digging door 0 twice wins only when both treasures sit there, so the
+    # relabelings of one allocation differ in value.
+    cfg = GameConfig(3, 2, 1)
+    dig = ((frozenset({0}), F(1)),)
+    searcher = TabularSearcher(cfg, {(): dig, ((frozenset({0}), 0),): dig})
+    report = hider_best_response_value(cfg, searcher)
+    assert report.certificate["checked"] == tuple(
+        (a, F(int(a == (2, 0, 0)))) for a in enumerate_allocations(3, 2, "multi")
+    )
+    assert report.value == 0
+    assert report.certificate["worst_allocation"] == (0, 0, 2)
+    assert per_allocation_values(report) == list(report.certificate["checked"])
+
+
+def test_worst_allocation_is_the_lexicographically_first_argmin():
+    # A table that does not equalize: its minimum sits on one shape only.
+    cfg = GameConfig(8, 3, 2)
+    lazy = StayTable(8, 3, 2, {(1,): F(1, 2), (2,): F(1, 2), (1, 1): F(1, 2)})
+    report = hider_best_response_value(cfg, stay_table_searcher(cfg, lazy))
+    assert report.value == F(3, 56)
+    assert report.tight is False
+    assert report.certificate["worst_allocation"] == (0, 0, 0, 0, 0, 0, 1, 2)
+    assert dict(report.certificate["checked"]) == {
+        (0, 0, 0, 0, 0, 0, 0, 3): F(1, 16),
+        (0, 0, 0, 0, 0, 0, 1, 2): F(3, 56),
+        (0, 0, 0, 0, 0, 1, 1, 1): F(9, 112),
+    }
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TREASUREHUNT_SLOW"),
+    reason="about 7 s of full enumeration; set TREASUREHUNT_SLOW=1 to run",
+)
+@pytest.mark.parametrize("n, d, k", [(29, 5, 2), (30, 4, 3)])
+def test_shape_path_matches_full_enumeration_at_benchmark_sizes(n, d, k):
+    # WithoutDoorSymmetry keys the memo by raw history and cannot finish
+    # here (one (29,5,2) allocation passes 3*10^5 nodes), so the reference
+    # scores every allocation with the door-symmetric memo instead.
+    cfg = GameConfig(n, d, k)
+    searcher = scaled_searcher(cfg)
+    report = hider_best_response_value(cfg, searcher)
+    value, worst, rows = full_enumeration_best_response(cfg, searcher)
+    assert report.value == value == counting_upper_bound(cfg)
+    assert report.tight is True
+    assert report.certificate["worst_allocation"] == worst
+    assert per_allocation_values(report) == rows
 
 
 def test_searcher_best_response_values():

@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracle_utils import mimic_continuation_oracle
+from oracle_utils import (
+    WithoutDoorSymmetry,
+    full_enumeration_best_response,
+    mimic_continuation_oracle,
+)
 from treasurehunt.combinatorics import binomial, enumerate_partitions
 from treasurehunt.errors import DoorBudgetError, ExceedsUnitError, TableEntryError
+from treasurehunt.game import GameConfig
 from treasurehunt.staytables import (
     StayTable,
     decision_diagrams,
@@ -13,7 +18,9 @@ from treasurehunt.staytables import (
     q_one_find,
     scaled_stay_table,
     stay_probability,
+    verify_equalizing,
 )
+from treasurehunt.strategies import stay_table_searcher
 
 
 def test_stay_probability_values():
@@ -134,8 +141,42 @@ def test_equalizing_failure_reports_counterexample():
     report = verify_equalizing(cfg, lazy)
     assert report.equal is False
     assert report.counterexample is not None
-    values = {v for _, v in report.per_allocation}
+    values = {v for _, v in report.checked}
     assert len(values) > 1
+
+
+def _lazy(n):
+    return StayTable(n, 3, 2, {(1,): Fraction(1, 2), (2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+
+
+def test_equalizing_counterexample_is_the_first_differing_allocation():
+    assert verify_equalizing(GameConfig(6, 3, 2), _lazy(6)).counterexample == (0, 0, 0, 0, 1, 2)
+    assert verify_equalizing(GameConfig(8, 3, 2), _lazy(8)).counterexample == (
+        0, 0, 0, 0, 0, 0, 1, 2
+    )
+
+
+def test_equalizing_by_shape_matches_every_allocation():
+    tables = [_lazy(6), StayTable(6, 3, 2, {(1,): Fraction(1), (2,): Fraction(3, 7),
+                                            (1, 1): Fraction(4, 7)})]
+    for n in range(1, 7):
+        for d in range(1, 4):
+            for k in range(1, min(n, 3) + 1):
+                try:
+                    tables.append(scaled_stay_table(n, d, k))
+                except (DoorBudgetError, ExceedsUnitError):
+                    pass
+    assert len(tables) == 30
+    for table in tables:
+        cfg = GameConfig(table.n, table.d, table.k)
+        report = verify_equalizing(cfg, table)
+        searcher = WithoutDoorSymmetry(stay_table_searcher(cfg, table))
+        _, _, rows = full_enumeration_best_response(cfg, searcher)
+        first = rows[0][1]
+        counterexample = next((a for a, v in rows if v != first), None)
+        assert report.counterexample == counterexample
+        assert report.equal is (counterexample is None)
+        assert report.value == (first if counterexample is None else None)
 
 
 def test_equalizing_family_found_by_exact_search():

@@ -12,7 +12,6 @@ from treasurehunt.staytables import StayTable, scaled_stay_table, stay_probabili
 from treasurehunt.strategies import (
     all_in_one_hider,
     fresh_doors_searcher,
-    guess_distribution,
     hider_from_entries,
     load_hider_json,
     mimic_searcher,
@@ -173,7 +172,7 @@ def test_distributions_sum_to_one_everywhere():
         seen = 0
         while frontier and seen < 500:
             h = frontier.pop()
-            dist = guess_distribution(strat, h)
+            dist = strat.guess_distribution(h)
             seen += 1
             assert sum(p for _, p in dist) == 1
             assert all(1 <= len(g) <= cfg.k for g, _ in dist)
