@@ -27,7 +27,7 @@ from .errors import (
 )
 from .game import ADVERSARIAL, LOWEST_INDEX, GameConfig
 from .jsonio import fraction_to_json
-from .montecarlo import CSV_HEADER, compare_to_exact, run_mc
+from .montecarlo import CSV_HEADER, MIN_CHECK_TRIALS, compare_to_exact, run_mc
 from .solver import (
     DEFAULT_NODE_BUDGET,
     ValueReport,
@@ -282,6 +282,10 @@ def cmd_lp(args) -> int:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be positive")
+    if args.check_exact and args.trials < MIN_CHECK_TRIALS:
+        raise UsageError(f"--check-exact needs --trials {MIN_CHECK_TRIALS} or more")
+    if args.check_exact and args.format == "csv":
+        raise UsageError("--format csv has no columns for --check-exact; use json or text")
     config = _config(args, _REVEAL_CHOICES[args.reveal])
     searcher = _resolve_searcher(args, config)
     hider = _resolve_hider(args, config)

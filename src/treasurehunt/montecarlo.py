@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .errors import AdversarialRevealError
+from .errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
 from .game import CHANCE_REVEALS, GameConfig, chance_reveal
-from .strategies import HiderStrategy, SearcherStrategy
+from .strategies import HiderStrategy, SearcherStrategy, randbelow
 
 _MASK64 = (1 << 64) - 1
+MIN_CHECK_TRIALS = 100  # fewest trials compare_to_exact accepts
 
 CSV_HEADER = [
     "n", "d", "k", "variant", "reveal", "searcher", "hider",
@@ -90,43 +91,113 @@ def run_mc(
     """Simulate independent games and count wins.
 
     Requires a chance reveal rule; adversarial reveals are resolved only by
-    the solver. The same (seed, config, strategies, trials) always
-    reproduces the same wins within this implementation.
+    the solver. Both strategies must be built for the config's n, d, k and
+    occupancy; their reveal rule does not matter. The same (seed, config,
+    strategies, trials) always reproduces the same wins within this
+    implementation.
+
+    A searcher with a ``fresh_door_stays`` rule is played inline: each
+    trial shuffles one door list partially, Fisher-Yates style, so the
+    first ``live`` entries are the never-guessed doors, and every door
+    index and stay coin is an exact rejection draw from ``getrandbits``.
+    Any other searcher is played through its ``sampler(rng)`` cursor.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if config.reveal not in CHANCE_REVEALS:
         raise AdversarialRevealError("simulation needs a chance reveal rule")
+    game = (config.n, config.d, config.k, config.occupancy)
+    for role, strategy in (("searcher", searcher), ("hider", hider)):
+        built = strategy.config
+        if (built.n, built.d, built.k, built.occupancy) != game:
+            raise ValueError(
+                f"{role} {strategy.name!r} was built for (n={built.n}, d={built.d}, "
+                f"k={built.k}, {built.occupancy}), not (n={config.n}, d={config.d}, "
+                f"k={config.k}, {config.occupancy})"
+            )
     rng = random.Random(seed)
-    hider_sampler = hider.sampler(rng)
-    d = config.d
-    reveal = config.reveal
+    getrandbits = rng.getrandbits
+    sample = hider.sampler(rng).sample
+    n, d, k, reveal = config.n, config.d, config.k, config.reveal
+    # Chosen by attribute, not by type, so a wrapper that forwards
+    # attributes plays the same path and random stream as its searcher.
+    stays = getattr(searcher, "fresh_door_stays", None)
+    inline = stays is not None
+    if inline:
+        # coins[diagram] = (numerator, denominator, bits of a draw below it).
+        coins = {
+            diagram: (p.numerator, p.denominator, (p.denominator - 1).bit_length())
+            for diagram, p in stays.items()
+        }
+        bits_below = [0] + [(live - 1).bit_length() for live in range(1, n + 1)]
+        all_doors = list(range(n))
     wins = 0
     for _ in range(trials):
-        allocation = hider_sampler.sample()
-        remaining = list(allocation)
-        cursor = searcher.sampler(rng)
-        won = True
+        remaining = list(sample())
+        if inline:
+            pool = all_doors[:]
+            live = n
+            diagram = ()
+            current = -1
+        else:
+            cursor = searcher.sampler(rng)
         for _ in range(d):
-            guess = cursor.next_guess()
-            options = sorted(o for o in guess if remaining[o] > 0)
+            if inline:
+                stay = False
+                if diagram:
+                    try:
+                        num, den, bits = coins[diagram]
+                    except KeyError:
+                        raise MissingDiagramError(diagram) from None
+                    r = getrandbits(bits)
+                    while r >= den:
+                        r = getrandbits(bits)
+                    stay = r < num
+                need = k - 1 if stay else k
+                if live < need:
+                    raise DoorBudgetError(
+                        f"{searcher.name!r} needs {need} fresh doors, only {live} left"
+                    )
+                options = [current] if stay and remaining[current] else []
+                stop = live - need
+                while live > stop:
+                    # randbelow(getrandbits, live), inlined: live >= 1 here.
+                    bits = bits_below[live]
+                    i = getrandbits(bits)
+                    while i >= live:
+                        i = getrandbits(bits)
+                    live -= 1
+                    door = pool[i]
+                    pool[i] = pool[live]
+                    pool[live] = door
+                    if remaining[door]:
+                        options.append(door)
+            else:
+                guess = cursor.next_guess()
+                options = [o for o in guess if remaining[o]]
             if not options:
-                won = False
                 break
             door = options[0]
-            # A lone candidate is forced under every rule. Most rounds of the
-            # bundled strategies have one, so the call is skipped there.
             if len(options) > 1:
+                options.sort()
                 doors, weights = chance_reveal(remaining, options, reveal)
+                door = doors[0]
                 if len(doors) > 1:
-                    r = rng.randrange(sum(weights))
+                    r = randbelow(getrandbits, sum(weights))
                     for door, weight in zip(doors, weights):
                         r -= weight
                         if r < 0:
                             break
             remaining[door] -= 1
-            cursor.observe(guess, door)
-        if won:
+            if not inline:
+                cursor.observe(guess, door)
+            elif stays:
+                if door == current:
+                    diagram = diagram[:-1] + (diagram[-1] + 1,)
+                else:
+                    diagram += (1,)
+                    current = door
+        else:
             wins += 1
     return McReport(
         config=config,
@@ -188,8 +259,8 @@ class McCheck:
 
 def compare_to_exact(report: McReport, exact: Fraction, sigmas: float = 4.0) -> McCheck:
     """z-test of the estimate against an exact value; passes within 4 sigma."""
-    if report.trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful z-test")
+    if report.trials < MIN_CHECK_TRIALS:
+        raise ValueError(f"need at least {MIN_CHECK_TRIALS} trials for a meaningful z-test")
     stderr = report.stderr
     if stderr == 0.0:
         z = 0.0 if report.estimate == exact else float("inf")

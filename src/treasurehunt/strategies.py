@@ -1,8 +1,9 @@
 """Hider and searcher strategies as immutable objects.
 
-Searcher strategies expose two faces: an exact action distribution per
-observable history (what the solver consumes) and a cheap seeded sampler
-(what the simulator consumes). Hider strategies are explicit finite
+Searcher strategies expose an exact action distribution per observable
+history, which the solver consumes and the simulator samples. The bundled
+searchers also publish their stay rule (``fresh_door_stays``), which the
+simulator plays directly. Hider strategies are explicit finite
 distributions over allocations.
 """
 
@@ -59,6 +60,22 @@ class HiderStrategy:
         return _HiderSampler(self.distribution, rng)
 
 
+def randbelow(getrandbits, m: int) -> int:
+    """A uniform integer in [0, m), by rejection from ``getrandbits``.
+
+    Exact for every m >= 1; m = 1 consumes no randomness, since
+    ``getrandbits(0)`` returns 0. m = 0 has no value to draw, and the
+    rejection loop would never end, so it is refused.
+    """
+    if m < 1:
+        raise ValueError("nothing to draw below 0")
+    bits = (m - 1).bit_length()
+    r = getrandbits(bits)
+    while r >= m:
+        r = getrandbits(bits)
+    return r
+
+
 class _HiderSampler:
     """Exact integer-arithmetic sampling from a fixed hider distribution."""
 
@@ -76,10 +93,10 @@ class _HiderSampler:
         self._den = denom
         self._bounds = bounds
         self._allocations = allocations
-        self._rng = rng
+        self._getrandbits = rng.getrandbits
 
     def sample(self) -> Allocation:
-        r = self._rng.randrange(self._den)
+        r = randbelow(self._getrandbits, self._den)
         return self._allocations[bisect_right(self._bounds, r)]
 
 
@@ -128,11 +145,21 @@ class SearcherStrategy:
     door_symmetric marks strategies invariant under door relabeling, which
     lets the solver share work across symmetric positions. Set it only when
     the rule genuinely ignores door identities.
+
+    fresh_door_stays is None, or the whole rule of a searcher that plays
+    stay-or-move on fresh doors: round one guesses k never-guessed doors
+    uniformly; after a find whose discovery-order counts are a key of the
+    mapping, it guesses the current door plus k-1 fresh doors with that
+    key's probability, and k fresh doors otherwise. An empty mapping never
+    stays. ``run_mc`` plays such a rule inline; every other searcher is
+    simulated through ``sampler(rng)``, which draws from
+    ``guess_distribution``.
     """
 
     config: GameConfig
     name: str = "searcher"
     door_symmetric: bool = False
+    fresh_door_stays: Mapping[tuple[int, ...], Fraction] | None = None
 
     def guess_distribution(self, history: History) -> GuessDistribution:
         raise NotImplementedError
@@ -152,8 +179,8 @@ class SearcherSampler:
 
 
 class _DistributionSampler(SearcherSampler):
-    """Fallback sampler that draws from the exact distribution. Correct for
-    any strategy, slower than the bespoke samplers below."""
+    """Draws each guess from the exact distribution of the history so far.
+    Correct for any strategy."""
 
     def __init__(self, strategy: SearcherStrategy, rng):
         self._strategy = strategy
@@ -199,24 +226,9 @@ class FreshDoorsSearcher(SearcherStrategy):
         p = Fraction(1, comb(len(fresh), k))
         return [(frozenset(c), p) for c in combinations(fresh, k)]
 
-    def sampler(self, rng) -> SearcherSampler:
-        return _FreshSampler(self.config, rng)
-
-
-class _FreshSampler(SearcherSampler):
-    def __init__(self, config: GameConfig, rng):
-        self._pool = list(range(config.n))
-        self._k = config.k
-        self._rng = rng
-
-    def next_guess(self) -> frozenset[int]:
-        picked = self._rng.sample(self._pool, self._k)
-        for door in picked:
-            self._pool.remove(door)
-        return frozenset(picked)
-
-    def observe(self, guess, revealed):
-        pass
+    @property
+    def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:
+        return {}
 
 
 def fresh_doors_searcher(config: GameConfig) -> FreshDoorsSearcher:
@@ -276,45 +288,9 @@ class StayTableSearcher(SearcherStrategy):
                 entries.append((frozenset(c), share))
         return entries
 
-    def sampler(self, rng) -> SearcherSampler:
-        return _StaySampler(self.config, self.table, rng)
-
-
-class _StaySampler(SearcherSampler):
-    def __init__(self, config: GameConfig, table: StayTable, rng):
-        self._k = config.k
-        self._table = table
-        self._rng = rng
-        self._fresh = list(range(config.n))
-        self._counts: list[int] = []
-        self._doors: list[int] = []
-
-    def next_guess(self) -> frozenset[int]:
-        rng, k = self._rng, self._k
-        if not self._doors:
-            picked = rng.sample(self._fresh, k)
-        else:
-            p = self._table.stay(tuple(self._counts))
-            if p == 1 or (p > 0 and rng.randrange(p.denominator) < p.numerator):
-                picked = rng.sample(self._fresh, k - 1)
-                picked.append(self._doors[-1])
-            else:
-                picked = rng.sample(self._fresh, k)
-        for door in picked:
-            if door in self._fresh:
-                self._fresh.remove(door)
-        return frozenset(picked)
-
-    def observe(self, guess, revealed):
-        if revealed is None:
-            return
-        if self._doors and revealed == self._doors[-1]:
-            self._counts[-1] += 1
-        elif revealed in self._doors:
-            self._counts[self._doors.index(revealed)] += 1
-        else:
-            self._doors.append(revealed)
-            self._counts.append(1)
+    @property
+    def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:
+        return self.table.entries
 
 
 def _validate_reachable(config: GameConfig, table: StayTable) -> None:

@@ -191,6 +191,30 @@ def test_simulate_zero_trials_exit_2(capsys):
     assert code == 2
 
 
+def test_simulate_check_exact_needs_100_trials_before_running(capsys, monkeypatch):
+    import treasurehunt.cli as cli
+
+    def no_run(*args):
+        raise AssertionError("simulated before rejecting --trials")
+
+    monkeypatch.setattr(cli, "run_mc", no_run)
+    code, out, err = run_cli(
+        capsys, "simulate", "-n", "4", "-d", "2", "-k", "2", "--trials", "99", "--check-exact",
+    )
+    assert code == 2 and out == ""
+    assert "--trials 100" in err
+
+
+def test_simulate_csv_rejects_check_exact(capsys):
+    # The CSV columns are fixed and hold no check, so the pair is refused.
+    code, out, err = run_cli(
+        capsys, "simulate", "-n", "4", "-d", "2", "-k", "2", "--trials", "100",
+        "--format", "csv", "--check-exact",
+    )
+    assert code == 2 and out == ""
+    assert "--check-exact" in err
+
+
 def test_simulate_adversarial_exit_2(capsys):
     code, _, _ = run_cli(
         capsys, "simulate", "-n", "4", "-d", "2", "-k", "2",

@@ -1,9 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from treasurehunt.errors import AdversarialRevealError
-from treasurehunt.game import GameConfig
+from oracle_utils import WithoutDoorSymmetry
+from treasurehunt.combinatorics import SINGLE, enumerate_allocations
+from treasurehunt.errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
+from treasurehunt.game import CHANCE_REVEALS, GameConfig
 from treasurehunt.montecarlo import (
     CSV_HEADER,
     McReport,
@@ -14,9 +18,12 @@ from treasurehunt.montecarlo import (
     run_mc_batched,
 )
 from treasurehunt.solver import evaluate_under_reveal
+from treasurehunt.staytables import StayTable
 from treasurehunt.strategies import (
+    fresh_doors_searcher,
     hider_from_entries,
     scaled_searcher,
+    stay_table_searcher,
     uniform_hider,
 )
 
@@ -131,3 +138,78 @@ def test_derive_seed_spread():
     seeds = {derive_seed(123, i) for i in range(100)}
     assert len(seeds) == 100
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_strategies_built_for_another_game_rejected():
+    cfg = GameConfig(9, 3, 2)
+    with pytest.raises(ValueError, match="searcher"):
+        run_mc(cfg, scaled_searcher(GameConfig(10, 3, 2)), uniform_hider(cfg), 10, 1)
+    # A searcher for nine doors in a twelve-door game would never open 9-11.
+    wide = GameConfig(12, 3, 2)
+    with pytest.raises(ValueError, match="searcher"):
+        run_mc(wide, scaled_searcher(cfg), uniform_hider(wide), 10, 1)
+    with pytest.raises(ValueError, match="hider"):
+        run_mc(wide, scaled_searcher(wide), uniform_hider(cfg), 10, 1)
+    single = GameConfig(6, 3, 2, occupancy=SINGLE)
+    with pytest.raises(ValueError, match="searcher"):
+        run_mc(single, fresh_doors_searcher(GameConfig(6, 3, 2)), uniform_hider(single), 10, 1)
+
+
+def test_inline_play_checks_its_rule():
+    cfg = GameConfig(3, 2, 2)
+    hider = hider_from_entries(cfg, [((1, 1, 0), F(1))])
+    # Two fresh doors per round cannot last two rounds behind three doors.
+    short = SimpleNamespace(config=cfg, name="short", fresh_door_stays={})
+    with pytest.raises(DoorBudgetError):
+        run_mc(cfg, short, hider, 100, seed=1)
+    cfg = GameConfig(6, 3, 2)
+    hider = hider_from_entries(cfg, [((2, 1, 0, 0, 0, 0), F(1))])
+    gappy = SimpleNamespace(config=cfg, name="gappy", fresh_door_stays={(1,): F(1)})
+    with pytest.raises(MissingDiagramError):
+        run_mc(cfg, gappy, hider, 100, seed=1)
+
+
+# Stays 1, 3/7 and 4/7: a coin that is neither certain nor one half.
+CUSTOM_TABLE = StayTable(6, 3, 2, {(1,): F(1), (2,): F(3, 7), (1, 1): F(4, 7)})
+POINT_MASS_CASES = [
+    ("fresh-single-6-3-2", GameConfig(6, 3, 2, occupancy=SINGLE), fresh_doors_searcher),
+    ("fresh-multi-4-2-2", GameConfig(4, 2, 2), fresh_doors_searcher),
+    ("scaled-9-3-2", GameConfig(9, 3, 2), scaled_searcher),
+    ("custom-6-3-2", GameConfig(6, 3, 2), lambda cfg: stay_table_searcher(cfg, CUSTOM_TABLE)),
+]
+# The cursor path draws from guess_distribution, about 15 times slower.
+POINT_MASS_TRIALS = {"inline": 400, "cursor": 100}
+
+
+@pytest.mark.parametrize("path", ["inline", "cursor"])
+@pytest.mark.parametrize("name, base, make", POINT_MASS_CASES, ids=[c[0] for c in POINT_MASS_CASES])
+def test_point_mass_runs_match_exact_values(name, base, make, path):
+    # One point-mass hider per allocation, so every reachable stay coin,
+    # fresh-door draw and chance reveal is weighed against the exact value.
+    # A certain outcome must repeat in every trial. The other allocations are
+    # pooled by shape, since the searchers are door-symmetric. Pooling all
+    # allocations would hide a wrong stay coin: the table searchers attain
+    # the counting bound against the uniform mix whatever their stays.
+    trials = POINT_MASS_TRIALS[path]
+    for rule in CHANCE_REVEALS:
+        cfg = replace(base, reveal=rule)
+        searcher = make(cfg)
+        played = searcher if path == "inline" else WithoutDoorSymmetry(searcher)
+        assert (getattr(played, "fresh_door_stays", None) is None) == (path == "cursor")
+        memo: dict = {}
+        shapes: dict = {}
+        allocations = enumerate_allocations(cfg.n, cfg.d, cfg.occupancy)
+        for index, allocation in enumerate(allocations):
+            exact = evaluate_under_reveal(cfg, searcher, allocation, rule, _memo=memo)
+            hider = hider_from_entries(cfg, [(allocation, F(1))])
+            wins = run_mc(cfg, played, hider, trials, seed=derive_seed(2026, index)).wins
+            if exact in (0, 1):
+                assert wins == exact * trials, (rule, allocation, wins, exact)
+            pooled = shapes.setdefault(tuple(sorted(allocation)), [0, 0.0, 0.0])
+            pooled[0] += wins
+            pooled[1] += trials * float(exact)
+            pooled[2] += trials * float(exact * (1 - exact))
+        for shape, (wins, mean, variance) in shapes.items():
+            if variance:
+                z = (wins - mean) / variance**0.5
+                assert abs(z) <= 4, (rule, shape, wins, mean, z)

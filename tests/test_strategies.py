@@ -184,9 +184,10 @@ def test_distributions_sum_to_one_everywhere():
 
 
 def test_samplers_track_distributions():
-    # Fixed-seed frequencies from the fast sampler stay within 5 sigma of
-    # the exact per-guess probabilities, conditioning on the sampler having
-    # opened with the history's first guess.
+    # Fixed-seed frequencies from the cursor sampler (_DistributionSampler,
+    # which run_mc uses for searchers without a fresh_door_stays rule) stay
+    # within 5 sigma of the exact per-guess probabilities, conditioning on
+    # the sampler having opened with the history's first guess.
     cfg = GameConfig(6, 3, 2)
     table = StayTable(6, 3, 2, {(1,): Fraction(1), (2,): Fraction(3, 7), (1, 1): Fraction(4, 7)})
     strat = stay_table_searcher(cfg, table)
