@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     def add_node_budget(p):
-        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+        p.add_argument("--node-budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
 
     def add_searcher(p):
         p.add_argument(
@@ -141,6 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _config(args, reveal: str = ADVERSARIAL) -> GameConfig:
@@ -326,6 +333,8 @@ def cmd_sweep(args) -> int:
     base = {"n": args.n, "d": args.d, "k": args.k}
     if base[args.param] is not None and base[args.param] != args.start:
         raise UsageError(f"-{args.param} conflicts with --param {args.param}; drop the flag")
+    if args.stop < args.start:
+        raise UsageError(f"--stop {args.stop} is below --start {args.start}; the range is empty")
     if args.method != "certify" and (args.searcher or args.ptable_file):
         raise UsageError(f"--method {args.method} takes no searcher; drop --searcher, --ptable-file")
     header = ["n", "d", "k", "variant", "method", "value_num", "value_den", "tight", "error"]

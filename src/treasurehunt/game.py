@@ -300,6 +300,36 @@ def relabeling(
     return (tuple(sorted(counts)), relabeled), tuple(sigma), tuple(map(len, cells))
 
 
+def cell_starts(sigma: Sequence[int], cells: Sequence[int]) -> tuple[int, ...]:
+    """The first label of each door's cell, per door, from the ``sigma``
+    and cell sizes of one ``relabeling`` call: what ``refine`` needs."""
+    first: list[int] = []
+    for size in cells:
+        first.extend([len(first)] * size)
+    return tuple(first[label] for label in sigma)
+
+
+def refine(position: Position, starts: Sequence[int], doors: Collection[int], revealed: int) -> Position:
+    """The canonical form after one more event, in O(k) instead of O(n).
+
+    ``position`` and ``starts`` come from one ``relabeling(counts, events)``
+    call (``starts`` through ``cell_starts``), and ``revealed`` is one of
+    ``doors``. The result equals
+    ``relabeling(counts, events + ((doors, revealed),))[0]``. Splitting a
+    cell by the new event keeps the cell's label range, and every earlier
+    guess is a union of cells and every earlier revealed door a cell of its
+    own, so the earlier events keep their labels. Inside each cell the
+    revealed door takes the cell's first label and the other guessed doors
+    the labels after it, so the guessed doors of a cell take its first
+    labels whichever of them was revealed.
+    """
+    labels: list[int] = []
+    for start in sorted(starts[door] for door in doors):
+        labels.append(start if not labels or start > labels[-1] else labels[-1] + 1)
+    counts, events = position
+    return counts, events + ((tuple(labels), starts[revealed]),)
+
+
 def canonical_form(counts: Sequence[int], events: Events | History) -> Position:
     """The canonical form alone; without events it is the sorted counts."""
     if not events:

@@ -16,7 +16,7 @@ from math import sqrt
 
 from .errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
 from .game import CHANCE_REVEALS, GameConfig, chance_reveal
-from .strategies import HiderStrategy, SearcherStrategy, randbelow
+from .strategies import HiderStrategy, SearcherStrategy, draw_guess, draw_table, randbelow
 
 _MASK64 = (1 << 64) - 1
 MIN_CHECK_TRIALS = 100  # fewest trials compare_to_exact accepts
@@ -100,7 +100,10 @@ def run_mc(
     trial shuffles one door list partially, Fisher-Yates style, so the
     first ``live`` entries are the never-guessed doors, and every door
     index and stay coin is an exact rejection draw from ``getrandbits``.
-    Any other searcher is played through its ``sampler(rng)`` cursor.
+    Any other searcher is played from ``guess_distribution``: each history's
+    ``draw_table`` is built once per call and shared by its trials, and
+    ``draw_guess`` draws as a ``sampler(rng)`` cursor does, so the wins
+    are the same.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -131,6 +134,8 @@ def run_mc(
         }
         bits_below = [0] + [(live - 1).bit_length() for live in range(1, n + 1)]
         all_doors = list(range(n))
+    else:
+        tables: dict = {}  # history -> draw table, shared by this call's trials
     wins = 0
     for _ in range(trials):
         remaining = list(sample())
@@ -140,7 +145,7 @@ def run_mc(
             diagram = ()
             current = -1
         else:
-            cursor = searcher.sampler(rng)
+            history = ()
         for _ in range(d):
             if inline:
                 stay = False
@@ -173,7 +178,10 @@ def run_mc(
                     if remaining[door]:
                         options.append(door)
             else:
-                guess = cursor.next_guess()
+                table = tables.get(history)
+                if table is None:
+                    table = tables[history] = draw_table(searcher.guess_distribution(history))
+                guess = draw_guess(table, rng)
                 options = [o for o in guess if remaining[o]]
             if not options:
                 break
@@ -190,7 +198,7 @@ def run_mc(
                             break
             remaining[door] -= 1
             if not inline:
-                cursor.observe(guess, door)
+                history += ((guess, door),)
             elif stays:
                 if door == current:
                     diagram = diagram[:-1] + (diagram[-1] + 1,)

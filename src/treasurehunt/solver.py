@@ -30,7 +30,10 @@ from .game import (
     History,
     all_guesses,
     canonical_form,
+    cell_starts,
     chance_reveal,
+    refine,
+    relabeling,
 )
 from .strategies import HiderStrategy, SearcherStrategy
 
@@ -111,8 +114,12 @@ def evaluate_exact(
 
     Recursion over observable histories: expectation over the searcher's
     guess distribution, minimum over the reveal options (the hider knows
-    the strategy and the full position). Histories are memoized, modulo
-    door relabeling when the strategy declares door symmetry.
+    the strategy and the full position). Positions are memoized, modulo
+    door relabeling when the strategy declares door symmetry: a position
+    is canonicalized once, by ``relabeling``, when it is expanded, and the
+    memo key of each child comes from one ``refine`` step on it, equal to
+    the child's ``canonical_form``. Other strategies key the memo by the
+    raw history. ``node_budget`` caps the positions one call expands.
     """
     return _evaluate(config, searcher, allocation, ADVERSARIAL, node_budget, _memo)
 
@@ -139,31 +146,41 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
     if memo is None:
         memo = {}
     nodes = [0]
-    d = config.d
-    one = Fraction(1)
+    last = config.d - 1
+    symmetric = searcher.door_symmetric
 
-    def value(history: History, remaining: tuple[int, ...], found: int) -> Fraction:
-        if found == d:
-            return one
-        if searcher.door_symmetric:
-            key = (reveal, canonical_form(allocation, history))
-        else:
-            key = (reveal, allocation, history)
+    def value(key, history: History, remaining: tuple[int, ...], found: int) -> Fraction:
         cached = memo.get(key)
         if cached is not None:
             return cached
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise BudgetExceededError(f"evaluation exceeded {node_budget} nodes")
+        if symmetric:
+            position, sigma, cells = relabeling(allocation, history)
+            starts = cell_starts(sigma, cells)
+
+        def child(guess: frozenset[int], o: int) -> Fraction:
+            history_o = history + ((guess, o),)
+            if symmetric:
+                key_o = (reveal, refine(position, starts, guess, o))
+            else:
+                key_o = (reveal, allocation, history_o)
+            return value(key_o, history_o, _dec(remaining, o), found + 1)
+
+        live = frozenset(door for door, count in enumerate(remaining) if count)
         total = Fraction(0)
         for guess, p in searcher.guess_distribution(history):
-            options = sorted(o for o in guess if remaining[o] > 0)
-            if not options:
+            if live.isdisjoint(guess):
                 continue  # this branch loses, contributes 0
+            if found == last:
+                total += p  # every reveal finds the last treasure
+                continue
+            options = sorted(live.intersection(guess))
             if reveal == ADVERSARIAL:
                 branch = None
                 for o in options:
-                    v = value(history + ((guess, o),), _dec(remaining, o), found + 1)
+                    v = child(guess, o)
                     if branch is None or v < branch:
                         branch = v
                     if branch == 0:
@@ -172,13 +189,14 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
                 doors, weights = chance_reveal(remaining, options, reveal)
                 branch = Fraction(0)
                 for o, w in zip(doors, weights):
-                    branch += w * value(history + ((guess, o),), _dec(remaining, o), found + 1)
+                    branch += w * child(guess, o)
                 branch /= sum(weights)
             total += p * branch
         memo[key] = total
         return total
 
-    return value((), allocation, 0)
+    root = (reveal, canonical_form(allocation, ())) if symmetric else (reveal, allocation, ())
+    return value(root, (), allocation, 0)
 
 
 def _dec(remaining: tuple[int, ...], door: int) -> tuple[int, ...]:

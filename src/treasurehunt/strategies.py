@@ -76,23 +76,31 @@ def randbelow(getrandbits, m: int) -> int:
     return r
 
 
+DrawTable = tuple[int, list[int], list]
+
+
+def draw_table(distribution: Sequence[tuple[object, Fraction]]) -> DrawTable:
+    """A finite distribution as integers, for exact draws: the common
+    denominator of its probabilities, the running sums of the numerators
+    over it, and the outcomes in the same order."""
+    denom = 1
+    for _, p in distribution:
+        denom = denom * p.denominator // gcd(denom, p.denominator)
+    bounds = []
+    running = 0
+    for _, p in distribution:
+        running += p.numerator * (denom // p.denominator)
+        bounds.append(running)
+    if running != denom:
+        raise ValueError("probabilities do not sum to 1")
+    return denom, bounds, [outcome for outcome, _ in distribution]
+
+
 class _HiderSampler:
     """Exact integer-arithmetic sampling from a fixed hider distribution."""
 
     def __init__(self, distribution, rng):
-        denom = 1
-        for _, p in distribution:
-            denom = denom * p.denominator // gcd(denom, p.denominator)
-        bounds = []
-        allocations = []
-        running = 0
-        for allocation, p in distribution:
-            running += p.numerator * (denom // p.denominator)
-            bounds.append(running)
-            allocations.append(allocation)
-        self._den = denom
-        self._bounds = bounds
-        self._allocations = allocations
+        self._den, self._bounds, self._allocations = draw_table(distribution)
         self._getrandbits = rng.getrandbits
 
     def sample(self) -> Allocation:
@@ -152,8 +160,9 @@ class SearcherStrategy:
     mapping, it guesses the current door plus k-1 fresh doors with that
     key's probability, and k fresh doors otherwise. An empty mapping never
     stays. ``run_mc`` plays such a rule inline; every other searcher is
-    simulated through ``sampler(rng)``, which draws from
-    ``guess_distribution``.
+    simulated by exact draws from ``guess_distribution``, through the same
+    ``draw_table`` and ``draw_guess`` as the per-game cursor
+    ``sampler(rng)``.
     """
 
     config: GameConfig
@@ -188,20 +197,17 @@ class _DistributionSampler(SearcherSampler):
         self._history: History = ()
 
     def next_guess(self) -> frozenset[int]:
-        dist = self._strategy.guess_distribution(self._history)
-        denom = 1
-        for _, p in dist:
-            denom = denom * p.denominator // gcd(denom, p.denominator)
-        r = self._rng.randrange(denom)
-        running = 0
-        for guess, p in dist:
-            running += p.numerator * (denom // p.denominator)
-            if r < running:
-                return guess
-        raise AssertionError("distribution does not sum to 1")
+        return draw_guess(draw_table(self._strategy.guess_distribution(self._history)), self._rng)
 
     def observe(self, guess, revealed):
         self._history = self._history + ((guess, revealed),)
+
+
+def draw_guess(table: DrawTable, rng) -> frozenset[int]:
+    """One exact draw from the ``draw_table`` of a guess distribution: the
+    first guess whose running sum exceeds ``rng.randrange(denominator)``."""
+    denom, bounds, guesses = table
+    return guesses[bisect_right(bounds, rng.randrange(denom))]
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,16 @@ They share nothing with the stay-probability formula or the quotient LP.
 The brute-force canonicalizer tries every door permutation, the reference
 for the partition refinement in ``treasurehunt.game``. The full-enumeration
 best response scores every allocation, the reference for the per-shape
-scoring of door-symmetric searchers in ``treasurehunt.solver``.
+scoring of door-symmetric searchers in ``treasurehunt.solver``. The
+canonical-key evaluator builds every memo key with a fresh
+``canonical_form``, the reference for the evaluator's one-step child keys.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from treasurehunt.combinatorics import count_allocations, enumerate_allocations
+from treasurehunt.game import ADVERSARIAL, canonical_form, chance_reveal
 from treasurehunt.simplex import EQ, GEQ, LEQ, solve_lp
 from treasurehunt.solver import evaluate_exact
 from treasurehunt.strategies import SearcherStrategy
@@ -117,6 +120,51 @@ def full_enumeration_best_response(config, searcher):
     ]
     value = min(v for _, v in rows)
     return value, next(a for a, v in rows if v == value), rows
+
+
+def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
+    """``evaluate_exact`` (``reveal`` adversarial) or ``evaluate_under_reveal``
+    with every memo key built from scratch: ``(reveal,
+    canonical_form(allocation, history))`` for a door-symmetric searcher,
+    ``(reveal, allocation, history)`` otherwise."""
+    allocation = tuple(allocation)
+
+    def value(history, remaining, found):
+        if found == config.d:
+            return Fraction(1)
+        if searcher.door_symmetric:
+            key = (reveal, canonical_form(allocation, history))
+        else:
+            key = (reveal, allocation, history)
+        if key in memo:
+            return memo[key]
+        total = Fraction(0)
+        for guess, p in searcher.guess_distribution(history):
+            options = sorted(o for o in guess if remaining[o] > 0)
+            if not options:
+                continue
+
+            def child(o):
+                left = list(remaining)
+                left[o] -= 1
+                return value(history + ((guess, o),), tuple(left), found + 1)
+
+            if reveal == ADVERSARIAL:
+                # The hider's minimum; a 0 ends the search, as in the solver,
+                # so both memos hold the same positions.
+                branch = child(options[0])
+                for o in options[1:]:
+                    if branch == 0:
+                        break
+                    branch = min(branch, child(o))
+            else:
+                doors, weights = chance_reveal(remaining, options, reveal)
+                branch = sum(w * child(o) for o, w in zip(doors, weights)) / sum(weights)
+            total += p * branch
+        memo[key] = total
+        return total
+
+    return value((), allocation, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,16 @@ def test_lp_budget_exit_5(capsys):
     assert code == 5
 
 
+def test_certify_node_budget_boundary_n30_d4_k3(capsys):
+    # The largest single evaluation of the (30,4,3) shape pass expands 31
+    # positions; the budget counts expanded positions, not child keys.
+    argv = ("certify", "-n", "30", "-d", "4", "-k", "3", "--node-budget")
+    code, out, _ = run_cli(capsys, *argv, "31")
+    assert code == 0 and json.loads(out)["tight"] is True
+    code, out, err = run_cli(capsys, *argv, "30")
+    assert code == 5 and out == "" and "exceeded 30 nodes" in err
+
+
 def test_lp_failed_certificate_check_exit_6(capsys, monkeypatch):
     # A best response that overshoots by 1/1000 makes the two-sided check
     # fail; the CLI reports the internal error on stderr without a traceback.
@@ -269,14 +279,40 @@ def test_sweep_k_nondecreasing_single(capsys):
     assert values[0] <= values[1]
 
 
-def test_sweep_empty_range(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep", "--param", "n", "--start", "5", "--stop", "4",
-        "--variant", "multi", "-d", "2", "-k", "1",
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) == 1  # header only
+def test_sweep_empty_range(capsys, tmp_path):
+    # A range with --stop below --start has no rows: a usage error, with no
+    # output file and no header-only CSV.
+    for stop in ("4", "3"):
+        path = tmp_path / f"rows-{stop}.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--param", "n", "--start", "5", "--stop", stop,
+            "--variant", "multi", "-d", "2", "-k", "1", "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert "range is empty" in err
+        assert not path.exists()
+
+
+def test_node_budget_below_one_exit_2(capsys, monkeypatch):
+    # Rejected while the flags are parsed, before any command does work.
+    from treasurehunt import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a command ran with a node budget below 1")
+
+    for name in ("hider_best_response_value", "sequence_form_value", "run_mc", "closed_form_value"):
+        monkeypatch.setattr(cli, name, no_work)
+    commands = [
+        ("certify", "-n", "4", "-d", "2", "-k", "2"),
+        ("lp", "-n", "3", "-d", "2", "-k", "2"),
+        ("simulate", "-n", "4", "-d", "2", "-k", "2", "--trials", "10"),
+        ("sweep", "--param", "n", "--start", "3", "--stop", "4", "-d", "2", "-k", "2"),
+    ]
+    for argv in commands:
+        for budget in ("0", "-5"):
+            code, out, err = run_cli(capsys, *argv, "--node-budget", budget)
+            assert code == 2 and out == "", (argv, budget)
+            assert "--node-budget: must be at least 1" in err
 
 
 def test_sweep_records_errors_and_continues(capsys):

@@ -13,10 +13,12 @@ from treasurehunt.game import (
     all_guesses,
     apply_guess,
     canonical_form,
+    cell_starts,
     door_set_orbit,
     history_to_diagram,
     initial_state,
     is_legal_guess,
+    refine,
     relabeling,
     replay,
     reveal_options,
@@ -205,3 +207,28 @@ def test_relabeling_matches_brute_force(data):
     doors = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
     images = {tuple(sorted(p[x] for x in doors)) for p in brute_stabilizer(*form)}
     assert door_set_orbit(cells, doors) == (min(images), len(images))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_refine_matches_relabeling_and_brute_force(data):
+    # One refinement step from a parent's canonical form gives the child's:
+    # the evaluator's memo key for a child position.
+    n = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        counts = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    else:
+        counts = (0,) * n
+    events = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        doors = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        events.append((doors, data.draw(st.sampled_from(sorted(doors)))))
+    doors = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    revealed = data.draw(st.sampled_from(sorted(doors)))
+    events = tuple(events)
+    child = events + ((doors, revealed),)
+
+    form, sigma, cells = relabeling(counts, events)
+    step = refine(form, cell_starts(sigma, cells), doors, revealed)
+    assert step == relabeling(counts, child)[0]
+    assert step == brute_canonical_form(counts, tuple((tuple(sorted(g)), o) for g, o in child))[0]

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import pytest
 from oracle_utils import WithoutDoorSymmetry
 from treasurehunt.combinatorics import SINGLE, enumerate_allocations
 from treasurehunt.errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
-from treasurehunt.game import CHANCE_REVEALS, GameConfig
+from treasurehunt.game import CHANCE_REVEALS, GameConfig, chance_reveal
 from treasurehunt.montecarlo import (
     CSV_HEADER,
     McReport,
@@ -22,6 +23,7 @@ from treasurehunt.staytables import StayTable
 from treasurehunt.strategies import (
     fresh_doors_searcher,
     hider_from_entries,
+    randbelow,
     scaled_searcher,
     stay_table_searcher,
     uniform_hider,
@@ -177,7 +179,8 @@ POINT_MASS_CASES = [
     ("scaled-9-3-2", GameConfig(9, 3, 2), scaled_searcher),
     ("custom-6-3-2", GameConfig(6, 3, 2), lambda cfg: stay_table_searcher(cfg, CUSTOM_TABLE)),
 ]
-# The cursor path draws from guess_distribution, about 15 times slower.
+# The cursor path builds each history's draw table once per run_mc call,
+# which short runs barely repay, so it plays fewer trials.
 POINT_MASS_TRIALS = {"inline": 400, "cursor": 100}
 
 
@@ -213,3 +216,55 @@ def test_point_mass_runs_match_exact_values(name, base, make, path):
             if variance:
                 z = (wins - mean) / variance**0.5
                 assert abs(z) <= 4, (rule, shape, wins, mean, z)
+
+
+class _RecordingSearcher(WithoutDoorSymmetry):
+    """Records every history whose guess distribution is asked for."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asked = []
+
+    def guess_distribution(self, history):
+        self.asked.append(history)
+        return super().guess_distribution(history)
+
+
+def _cursor_wins(cfg, searcher, hider, trials, seed):
+    """Wins of run_mc's loop with one ``sampler(rng)`` cursor per trial."""
+    rng = random.Random(seed)
+    sample = hider.sampler(rng).sample
+    wins = 0
+    for _ in range(trials):
+        remaining = list(sample())
+        cursor = searcher.sampler(rng)
+        for _ in range(cfg.d):
+            guess = cursor.next_guess()
+            options = sorted(o for o in guess if remaining[o])
+            if not options:
+                break
+            doors, weights = chance_reveal(remaining, options, cfg.reveal)
+            door = doors[0]
+            if len(doors) > 1:
+                r = randbelow(rng.getrandbits, sum(weights))
+                for door, weight in zip(doors, weights):
+                    r -= weight
+                    if r < 0:
+                        break
+            remaining[door] -= 1
+            cursor.observe(guess, door)
+        else:
+            wins += 1
+    return wins
+
+
+def test_distribution_path_draws_like_a_cursor_and_asks_once_per_history():
+    # run_mc builds each history's draw table once per call and shares it
+    # across trials; the draws stay those of a per-trial cursor.
+    for rule in CHANCE_REVEALS:
+        cfg = GameConfig(6, 3, 2, reveal=rule)
+        searcher = _RecordingSearcher(stay_table_searcher(cfg, CUSTOM_TABLE))
+        hider = uniform_hider(cfg)
+        report = run_mc(cfg, searcher, hider, 2000, seed=31)
+        assert len(searcher.asked) == len(set(searcher.asked)) < 2000
+        assert report.wins == _cursor_wins(cfg, searcher, hider, 2000, seed=31)

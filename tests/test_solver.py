@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracle_utils import WithoutDoorSymmetry, apply_counts, full_enumeration_best_response
+from oracle_utils import (
+    WithoutDoorSymmetry,
+    apply_counts,
+    canonical_key_evaluate,
+    full_enumeration_best_response,
+)
 from treasurehunt.combinatorics import enumerate_allocations, shape_representatives
 from treasurehunt.errors import (
     AdversarialRevealError,
@@ -13,7 +18,7 @@ from treasurehunt.errors import (
     DoorBudgetError,
     ExceedsUnitError,
 )
-from treasurehunt.game import GameConfig, all_guesses
+from treasurehunt.game import CHANCE_REVEALS, GameConfig, all_guesses
 from treasurehunt.montecarlo import compare_to_exact, run_mc
 from treasurehunt.solver import (
     all_in_one_bound,
@@ -27,7 +32,7 @@ from treasurehunt.solver import (
     searcher_best_response_value,
     sequence_form_value,
 )
-from treasurehunt.staytables import StayTable
+from treasurehunt.staytables import StayTable, decision_diagrams
 from treasurehunt.strategies import (
     HiderStrategy,
     SearcherStrategy,
@@ -415,3 +420,56 @@ def test_reveal_rules_give_different_values():
             if other != exact:
                 assert not compare_to_exact(report, other).passed
         assert searcher_best_response_value(cfg, uniform_hider(cfg)).value == caps[rule]
+
+
+def _memo_grid_searchers(cfg):
+    """fresh-k where it fits, and in the multi game the scaled table, or
+    else a custom table that stays half the time, or else always."""
+    searchers = []
+    try:
+        searchers.append(fresh_doors_searcher(cfg))
+    except DoorBudgetError:
+        pass
+    if cfg.occupancy == "multi":
+        try:
+            searchers.append(scaled_searcher(cfg))
+        except (DoorBudgetError, ExceedsUnitError):
+            for p in (F(1, 2), F(1)):
+                table = StayTable(cfg.n, cfg.d, cfg.k, {lam: p for lam in decision_diagrams(cfg.n, cfg.d)})
+                try:
+                    searchers.append(stay_table_searcher(cfg, table))
+                    break
+                except DoorBudgetError:
+                    pass
+    return searchers
+
+
+def test_evaluator_memo_matches_canonical_form_keys_on_small_grid():
+    # Child keys come from one refinement step of the parent's relabeling;
+    # the shared memo must hold exactly the keys and values that keying
+    # every position by canonical_form(allocation, history) gives, over the
+    # adversarial rule and the three chance rules.
+    games = 0
+    for n in range(1, 8):
+        for d in range(1, 4):
+            for k in range(1, min(3, n) + 1):
+                for occupancy in ("multi", "single"):
+                    if occupancy == "single" and d > n:
+                        continue
+                    cfg = GameConfig(n, d, k, occupancy=occupancy)
+                    searchers = _memo_grid_searchers(cfg)
+                    if n <= 5:  # raw history keys, for searchers without the flag
+                        searchers += [WithoutDoorSymmetry(s) for s in searchers]
+                    for searcher in searchers:
+                        games += 1
+                        memo: dict = {}
+                        reference: dict = {}
+                        for allocation in enumerate_allocations(n, d, occupancy):
+                            for reveal in ("adversarial",) + CHANCE_REVEALS:
+                                if reveal == "adversarial":
+                                    v = evaluate_exact(cfg, searcher, allocation, _memo=memo)
+                                else:
+                                    v = evaluate_under_reveal(cfg, searcher, allocation, reveal, _memo=memo)
+                                assert v == canonical_key_evaluate(cfg, searcher, allocation, reveal, reference)
+                        assert memo == reference, (cfg, searcher.name)
+    assert games > 50
