@@ -25,7 +25,6 @@ from .errors import (
     InternalError,
     InvalidTableError,
     MissingDiagramError,
-    NonMonotoneDiagramError,
     TreasureHuntError,
 )
 from .game import (
@@ -34,12 +33,6 @@ from .game import (
     UNIFORM_DOORS,
     UNIFORM_TREASURES,
     GameConfig,
-    GameState,
-    apply_guess,
-    history_to_diagram,
-    initial_state,
-    reveal_options,
-    reveal_weights,
 )
 from .montecarlo import (
     McReport,

@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reveal", choices=sorted(_REVEAL_CHOICES), default="lowest")
     p_sim.add_argument("--hider", choices=["uniform", "all-in-one", "file"], default="uniform")
     p_sim.add_argument("--hider-file", default=None)
-    p_sim.add_argument("--trials", type=int, default=10000)
+    p_sim.add_argument("--trials", type=positive_int, default=10000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--check-exact", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
@@ -232,6 +232,7 @@ def cmd_ptable(args) -> int:
         return EXIT_OK
     if args.n is None or args.d is None or args.k is None:
         raise UsageError("ptable needs -n, -d and -k")
+    _config(args)  # a usage error for n, d or k outside the game's ranges
     if args.variant != MULTI:
         raise UsageError("stay tables belong to the multi-occupancy game")
     try:
@@ -287,8 +288,6 @@ def cmd_lp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be positive")
     if args.check_exact and args.trials < MIN_CHECK_TRIALS:
         raise UsageError(f"--check-exact needs --trials {MIN_CHECK_TRIALS} or more")
     if args.check_exact and args.format == "csv":

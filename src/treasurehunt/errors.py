@@ -36,14 +36,6 @@ class DoorBudgetError(InvalidTableError):
     """A reachable branch of the strategy needs more fresh doors than exist."""
 
 
-class NonMonotoneDiagramError(TreasureHuntError):
-    """Found-treasure counts in discovery order are not nonincreasing."""
-
-    def __init__(self, counts):
-        self.counts = tuple(counts)
-        super().__init__(f"discovery-order counts {self.counts} are not nonincreasing")
-
-
 class AdversarialRevealError(TreasureHuntError):
     """The requested computation cannot resolve adversarial reveals."""
 

@@ -1,4 +1,4 @@
-"""Rules engine for the treasure-hunt games.
+"""Game parameters and the rules every solver shares.
 
 A hider places d treasures behind n doors (one per door in the single
 occupancy variant, repeats allowed in the multi variant). Each round the
@@ -8,18 +8,22 @@ is revealed. The searcher wins when all d treasures are revealed, which
 takes exactly d rounds. Who picks the revealed door is the reveal rule:
 the hider (adversarial), chance (uniform over candidate doors or over
 candidate treasures), or the deterministic lowest-index door.
+
+The evaluator, the best responses, the simulator and the LP build each
+step a game on their own tuple of remaining counts; this module holds
+what they share: the configuration, the guess set, the chance reveal,
+history summaries and door relabeling. The step-by-step rules engine
+that checks them lives in the tests (``oracle_utils``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, prod
 from typing import Collection, Sequence
 
-from .combinatorics import MULTI, OCCUPANCIES, SINGLE, Allocation, Partition, count_allocations
-from .errors import NonMonotoneDiagramError
+from .combinatorics import MULTI, OCCUPANCIES, SINGLE, Allocation
 
 ADVERSARIAL = "adversarial"
 UNIFORM_DOORS = "uniform-doors"
@@ -27,10 +31,6 @@ UNIFORM_TREASURES = "uniform-treasures"
 LOWEST_INDEX = "lowest-index"
 REVEAL_RULES = (ADVERSARIAL, UNIFORM_DOORS, UNIFORM_TREASURES, LOWEST_INDEX)
 CHANCE_REVEALS = (UNIFORM_DOORS, UNIFORM_TREASURES, LOWEST_INDEX)
-
-ONGOING = "ongoing"
-WON = "won"
-LOST = "lost"
 
 # One round of observable play: the guessed doors and the door a treasure
 # was revealed from, or None when the guess revealed nothing (the loss).
@@ -66,10 +66,6 @@ class GameConfig:
         if self.occupancy == SINGLE and self.d > self.n:
             raise ValueError("single occupancy needs d <= n")
 
-    @property
-    def allocation_count(self) -> int:
-        return count_allocations(self.n, self.d, self.occupancy)
-
     def is_valid_allocation(self, allocation: Allocation) -> bool:
         counts = tuple(allocation)
         if len(counts) != self.n or any(c < 0 for c in counts):
@@ -81,50 +77,10 @@ class GameConfig:
         return True
 
 
-@dataclass(frozen=True)
-class GameState:
-    """Immutable snapshot of one game against a fixed allocation."""
-
-    remaining: tuple[int, ...]
-    found: tuple[int, ...]
-    discovery_order: tuple[int, ...]
-    round: int
-    status: str
-
-    @property
-    def found_total(self) -> int:
-        return sum(self.found)
-
-
-def initial_state(config: GameConfig, allocation: Allocation) -> GameState:
-    """Fresh game state with all treasures hidden per the allocation."""
-    if not config.is_valid_allocation(allocation):
-        raise ValueError(f"allocation {tuple(allocation)} invalid for {config}")
-    return GameState(
-        remaining=tuple(allocation),
-        found=(0,) * config.n,
-        discovery_order=(),
-        round=0,
-        status=ONGOING,
-    )
-
-
-def is_legal_guess(config: GameConfig, guess) -> bool:
-    doors = frozenset(guess)
-    return 1 <= len(doors) <= config.k and all(0 <= o < config.n for o in doors)
-
-
 def all_guesses(config: GameConfig) -> list[tuple[int, ...]]:
     """Every legal guess as a sorted door tuple: sizes 1 to k, each size in
     lexicographic order. The LP's column order follows this order."""
     return [g for size in range(1, config.k + 1) for g in combinations(range(config.n), size)]
-
-
-def reveal_options(state: GameState, guess) -> frozenset[int]:
-    """Guessed doors that still hide a treasure; empty means immediate loss."""
-    if state.status != ONGOING:
-        raise ValueError("game is over")
-    return frozenset(o for o in guess if state.remaining[o] > 0)
 
 
 def chance_reveal(
@@ -151,73 +107,8 @@ def chance_reveal(
     raise ValueError(f"{rule!r} is not a chance reveal rule")
 
 
-def reveal_weights(state: GameState, guess, rule: str) -> list[tuple[int, Fraction]]:
-    """Chance distribution over the revealed door under a chance reveal rule.
-
-    Empty list signals that the guess loses. An adversarial reveal with a
-    real choice is not a chance move and is rejected here; resolving it
-    needs the solver.
-    """
-    options = sorted(reveal_options(state, guess))
-    if not options:
-        return []
-    doors, weights = chance_reveal(state.remaining, options, rule)
-    total = sum(weights)
-    return [(o, Fraction(w, total)) for o, w in zip(doors, weights)]
-
-
-def apply_guess(state: GameState, guess, revealed_door: int | None) -> GameState:
-    """Advance the game by one round.
-
-    revealed_door must come from reveal_options; pass None only when the
-    options are empty, which records the loss.
-    """
-    options = reveal_options(state, guess)
-    if revealed_door is None:
-        if options:
-            raise ValueError("guess covers a treasure, a door must be revealed")
-        return replace(state, round=state.round + 1, status=LOST)
-    if revealed_door not in options:
-        raise ValueError(f"door {revealed_door} is not a legal reveal for this guess")
-    remaining = list(state.remaining)
-    found = list(state.found)
-    remaining[revealed_door] -= 1
-    found[revealed_door] += 1
-    order = state.discovery_order
-    if revealed_door not in order:
-        order = order + (revealed_door,)
-    # Each round reveals exactly one treasure, so emptying `remaining` means
-    # all d treasures were found with d guesses: the win condition.
-    status = WON if sum(remaining) == 0 else ONGOING
-    return GameState(
-        remaining=tuple(remaining),
-        found=tuple(found),
-        discovery_order=order,
-        round=state.round + 1,
-        status=status,
-    )
-
-
-def history_to_diagram(history: History) -> tuple[Partition, int]:
-    """Found-treasure counts per door in discovery order, plus the current door.
-
-    The counts form a Young diagram (a nonincreasing sequence) under the
-    strategies built in this package; foreign strategies can break the
-    monotonicity, which raises NonMonotoneDiagramError so callers can
-    bypass diagram logic.
-    """
-    counts = discovery_counts(history)
-    if not counts:
-        raise ValueError("history contains no reveal")
-    for i in range(len(counts) - 1):
-        if counts[i] < counts[i + 1]:
-            raise NonMonotoneDiagramError(counts)
-    current = _current_door(history)
-    return counts, current
-
-
 def discovery_counts(history: History) -> tuple[int, ...]:
-    """Per-door reveal counts in order of first discovery (no monotonicity check)."""
+    """Per-door reveal counts in order of first discovery."""
     order: list[int] = []
     counts: dict[int, int] = {}
     for _, revealed in history:
@@ -230,28 +121,11 @@ def discovery_counts(history: History) -> tuple[int, ...]:
     return tuple(counts[door] for door in order)
 
 
-def _current_door(history: History) -> int:
-    for _, revealed in reversed(history):
-        if revealed is not None:
-            return revealed
-    raise ValueError("history contains no reveal")
-
-
 def guessed_doors(history: History) -> frozenset[int]:
     doors: set[int] = set()
     for guess, _ in history:
         doors |= guess
     return frozenset(doors)
-
-
-def replay(config: GameConfig, allocation: Allocation, history: History) -> GameState:
-    """Run a recorded history against an allocation, validating every step."""
-    state = initial_state(config, allocation)
-    for guess, revealed in history:
-        if not is_legal_guess(config, guess):
-            raise ValueError(f"illegal guess {sorted(guess)}")
-        state = apply_guess(state, guess, revealed)
-    return state
 
 
 # ---------------------------------------------------------------------------

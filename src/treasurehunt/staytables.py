@@ -126,16 +126,18 @@ class StayTable:
         except (KeyError, TypeError, ValueError) as exc:
             raise TableEntryError(f"malformed table document: {exc}") from exc
         entries: dict[Partition, Fraction] = {}
-        for item in raw_entries:
-            diagram = tuple(item["diagram"])
-            if not all(isinstance(part, int) for part in diagram):
-                raise TableEntryError(f"diagram {diagram} must hold integers")
-            if diagram in entries:
-                raise TableEntryError(f"duplicate entry for diagram {diagram}")
-            try:
+        try:
+            for item in raw_entries:
+                diagram = tuple(item["diagram"])
+                if not all(isinstance(part, int) for part in diagram):
+                    raise TableEntryError(f"diagram {diagram} must hold integers")
+                if diagram in entries:
+                    raise TableEntryError(f"duplicate entry for diagram {diagram}")
                 entries[diagram] = fraction_from_json(item["p"])
-            except ValueError as exc:
-                raise TableEntryError(str(exc)) from exc
+        except (KeyError, TypeError) as exc:
+            raise TableEntryError(f"malformed table entries: {type(exc).__name__}: {exc}") from exc
+        except ValueError as exc:
+            raise TableEntryError(str(exc)) from exc
         return cls(n=n, d=d, k=k, entries=entries)
 
     @classmethod

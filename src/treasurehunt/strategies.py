@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -52,9 +52,6 @@ class HiderStrategy:
             total += p
         if total != 1:
             raise ValueError(f"hider probabilities sum to {total}, not 1")
-
-    def support(self) -> list[Allocation]:
-        return [allocation for allocation, _ in self.distribution]
 
     def sampler(self, rng) -> "_HiderSampler":
         return _HiderSampler(self.distribution, rng)
@@ -137,10 +134,13 @@ def load_hider_json(config: GameConfig, path) -> HiderStrategy:
     """Read a hider file: n, d, and entries of allocation plus exact p."""
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
-    if int(obj.get("n", config.n)) != config.n or int(obj.get("d", config.d)) != config.d:
-        raise ValueError("hider file was written for a different game size")
-    entries = [(tuple(item["allocation"]), fraction_from_json(item["p"])) for item in obj["entries"]]
-    return hider_from_entries(config, entries, name="file")
+    try:
+        if int(obj.get("n", config.n)) != config.n or int(obj.get("d", config.d)) != config.d:
+            raise ValueError("hider file was written for a different game size")
+        entries = [(tuple(item["allocation"]), fraction_from_json(item["p"])) for item in obj["entries"]]
+        return hider_from_entries(config, entries, name="file")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed hider file: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +173,14 @@ class SearcherStrategy:
     def guess_distribution(self, history: History) -> GuessDistribution:
         raise NotImplementedError
 
-    def sampler(self, rng) -> "SearcherSampler":
+    def sampler(self, rng) -> "_DistributionSampler":
         return _DistributionSampler(self, rng)
 
 
-class SearcherSampler:
-    """Per-game cursor: alternate next_guess() and observe()."""
-
-    def next_guess(self) -> frozenset[int]:
-        raise NotImplementedError
-
-    def observe(self, guess: frozenset[int], revealed: int | None) -> None:
-        raise NotImplementedError
-
-
-class _DistributionSampler(SearcherSampler):
-    """Draws each guess from the exact distribution of the history so far.
-    Correct for any strategy."""
+class _DistributionSampler:
+    """Per-game cursor: alternate next_guess() and observe(). Draws each
+    guess from the exact distribution of the history so far, which is
+    correct for any strategy."""
 
     def __init__(self, strategy: SearcherStrategy, rng):
         self._strategy = strategy
@@ -365,19 +356,3 @@ def mimic_searcher(config: GameConfig) -> StayTableSearcher:
         raise ValueError("the mimic strategy is defined for the multi-occupancy game")
     table = scaled_stay_table(config.n, config.d, 1)
     return StayTableSearcher(config, table, name="mu-mimic")
-
-
-@dataclass(frozen=True)
-class TabularSearcher(SearcherStrategy):
-    """Explicit per-history distributions, for tests and custom play."""
-
-    config: GameConfig
-    rules: Mapping[History, tuple[tuple[frozenset[int], Fraction], ...]]
-    name: str = "tabular"
-    door_symmetric: bool = field(default=False)
-
-    def guess_distribution(self, history: History) -> GuessDistribution:
-        try:
-            return list(self.rules[history])
-        except KeyError:
-            raise ValueError(f"no rule for history {history}") from None

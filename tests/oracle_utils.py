@@ -4,22 +4,144 @@ These deliberately avoid the library's solution paths: the continuation
 oracle expands the sampled-plan searcher literally, and the double oracle
 solves tiny games over pure strategies with best-response certificates.
 They share nothing with the stay-probability formula or the quotient LP.
-The brute-force canonicalizer tries every door permutation, the reference
-for the partition refinement in ``treasurehunt.game``. The full-enumeration
-best response scores every allocation, the reference for the per-shape
-scoring of door-symmetric searchers in ``treasurehunt.solver``. The
-canonical-key evaluator builds every memo key with a fresh
-``canonical_form``, the reference for the evaluator's one-step child keys.
+The rules engine (``GameState``, ``initial_state``, ``reveal_options``,
+``reveal_weights``, ``apply_guess``, ``replay``) plays one game step by
+step against a fixed allocation and is the rules reference: the
+canonical-key evaluator steps through it. The brute-force canonicalizer
+tries every door permutation, the reference for the partition refinement
+in ``treasurehunt.game``. The full-enumeration best response scores every
+allocation, the reference for the per-shape scoring of door-symmetric
+searchers in ``treasurehunt.solver``. The canonical-key evaluator builds
+every memo key with a fresh ``canonical_form``, the reference for the
+evaluator's one-step child keys.
 """
 
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Mapping
 
 from treasurehunt.combinatorics import count_allocations, enumerate_allocations
-from treasurehunt.game import ADVERSARIAL, canonical_form, chance_reveal
+from treasurehunt.game import ADVERSARIAL, GameConfig, History, canonical_form, chance_reveal
 from treasurehunt.simplex import EQ, GEQ, LEQ, solve_lp
 from treasurehunt.solver import evaluate_exact
 from treasurehunt.strategies import SearcherStrategy
+
+ONGOING = "ongoing"
+WON = "won"
+LOST = "lost"
+
+
+# ---------------------------------------------------------------------------
+# Rules engine: one game, step by step, against a fixed allocation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GameState:
+    """Immutable snapshot of one game against a fixed allocation."""
+
+    remaining: tuple[int, ...]
+    found: tuple[int, ...]
+    discovery_order: tuple[int, ...]
+    round: int
+    status: str
+
+
+def initial_state(config: GameConfig, allocation) -> GameState:
+    """Fresh game state with all treasures hidden per the allocation."""
+    if not config.is_valid_allocation(allocation):
+        raise ValueError(f"allocation {tuple(allocation)} invalid for {config}")
+    return GameState(
+        remaining=tuple(allocation),
+        found=(0,) * config.n,
+        discovery_order=(),
+        round=0,
+        status=ONGOING,
+    )
+
+
+def is_legal_guess(config: GameConfig, guess) -> bool:
+    doors = frozenset(guess)
+    return 1 <= len(doors) <= config.k and all(0 <= o < config.n for o in doors)
+
+
+def reveal_options(state: GameState, guess) -> frozenset[int]:
+    """Guessed doors that still hide a treasure; empty means immediate loss."""
+    if state.status != ONGOING:
+        raise ValueError("game is over")
+    return frozenset(o for o in guess if state.remaining[o] > 0)
+
+
+def reveal_weights(state: GameState, guess, rule: str) -> list[tuple[int, Fraction]]:
+    """Chance distribution over the revealed door under a chance reveal rule.
+
+    Empty list signals that the guess loses. An adversarial reveal with a
+    real choice is not a chance move and is rejected here.
+    """
+    options = sorted(reveal_options(state, guess))
+    if not options:
+        return []
+    doors, weights = chance_reveal(state.remaining, options, rule)
+    total = sum(weights)
+    return [(o, Fraction(w, total)) for o, w in zip(doors, weights)]
+
+
+def apply_guess(state: GameState, guess, revealed_door: int | None) -> GameState:
+    """Advance the game by one round.
+
+    revealed_door must come from reveal_options; pass None only when the
+    options are empty, which records the loss.
+    """
+    options = reveal_options(state, guess)
+    if revealed_door is None:
+        if options:
+            raise ValueError("guess covers a treasure, a door must be revealed")
+        return replace(state, round=state.round + 1, status=LOST)
+    if revealed_door not in options:
+        raise ValueError(f"door {revealed_door} is not a legal reveal for this guess")
+    remaining = list(state.remaining)
+    found = list(state.found)
+    remaining[revealed_door] -= 1
+    found[revealed_door] += 1
+    order = state.discovery_order
+    if revealed_door not in order:
+        order = order + (revealed_door,)
+    # Each round reveals exactly one treasure, so emptying `remaining` means
+    # all d treasures were found with d guesses: the win condition.
+    status = WON if sum(remaining) == 0 else ONGOING
+    return GameState(
+        remaining=tuple(remaining),
+        found=tuple(found),
+        discovery_order=order,
+        round=state.round + 1,
+        status=status,
+    )
+
+
+def replay(config: GameConfig, allocation, history: History) -> GameState:
+    """Run a recorded history against an allocation, validating every step."""
+    state = initial_state(config, allocation)
+    for guess, revealed in history:
+        if not is_legal_guess(config, guess):
+            raise ValueError(f"illegal guess {sorted(guess)}")
+        state = apply_guess(state, guess, revealed)
+    return state
+
+
+@dataclass(frozen=True)
+class TabularSearcher(SearcherStrategy):
+    """Explicit per-history distributions: a searcher written out by hand."""
+
+    config: GameConfig
+    rules: Mapping[History, tuple[tuple[frozenset[int], Fraction], ...]]
+    name: str = "tabular"
+    door_symmetric: bool = False
+
+    def guess_distribution(self, history):
+        try:
+            return list(self.rules[history])
+        except KeyError:
+            raise ValueError(f"no rule for history {history}") from None
 
 
 def mimic_continuation_oracle(n: int, d: int):
@@ -124,13 +246,13 @@ def full_enumeration_best_response(config, searcher):
 
 def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
     """``evaluate_exact`` (``reveal`` adversarial) or ``evaluate_under_reveal``
-    with every memo key built from scratch: ``(reveal,
-    canonical_form(allocation, history))`` for a door-symmetric searcher,
-    ``(reveal, allocation, history)`` otherwise."""
+    stepped through the rules engine, with every memo key built from
+    scratch: ``(reveal, canonical_form(allocation, history))`` for a
+    door-symmetric searcher, ``(reveal, allocation, history)`` otherwise."""
     allocation = tuple(allocation)
 
-    def value(history, remaining, found):
-        if found == config.d:
+    def value(history, state):
+        if state.status == WON:
             return Fraction(1)
         if searcher.door_symmetric:
             key = (reveal, canonical_form(allocation, history))
@@ -140,14 +262,12 @@ def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
             return memo[key]
         total = Fraction(0)
         for guess, p in searcher.guess_distribution(history):
-            options = sorted(o for o in guess if remaining[o] > 0)
+            options = sorted(reveal_options(state, guess))
             if not options:
-                continue
+                continue  # the guess loses
 
             def child(o):
-                left = list(remaining)
-                left[o] -= 1
-                return value(history + ((guess, o),), tuple(left), found + 1)
+                return value(history + ((guess, o),), apply_guess(state, guess, o))
 
             if reveal == ADVERSARIAL:
                 # The hider's minimum; a 0 ends the search, as in the solver,
@@ -158,13 +278,12 @@ def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
                         break
                     branch = min(branch, child(o))
             else:
-                doors, weights = chance_reveal(remaining, options, reveal)
-                branch = sum(w * child(o) for o, w in zip(doors, weights)) / sum(weights)
+                branch = sum(q * child(o) for o, q in reveal_weights(state, guess, reveal))
             total += p * branch
         memo[key] = total
         return total
 
-    return value((), allocation, 0)
+    return value((), initial_state(config, allocation))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from treasurehunt.cli import main
 
 F = Fraction
@@ -62,6 +64,16 @@ def test_ptable_exceeds_unit_exit_3(capsys):
     assert doc["error"] == "exceeds-unit"
     assert doc["diagram"] == [1]
     assert F(doc["p"]["num"], doc["p"]["den"]) == F(36, 28)
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(("-n", "5", "-d", "2", "-k", "0"), "guess size k must satisfy 1 <= k <= n", id="k0"),
+    pytest.param(("-n", "5", "-d", "0", "-k", "2"), "need at least one treasure", id="d0"),
+    pytest.param(("-n", "-3", "-d", "1", "-k", "0"), "need at least one door", id="n-3"),
+])
+def test_ptable_invalid_game_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "ptable", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_ptable_min_valid_n(capsys):
@@ -362,6 +374,35 @@ def test_hider_file_without_file_hider_exit_2(capsys, tmp_path):
                              "--trials", "10", "--hider-file", missing)
     assert code == 2 and out == ""
     assert "--hider-file needs --hider file" in err
+
+
+_SIMULATE = ("simulate", "-n", "3", "-d", "2", "-k", "1", "--trials", "10", "--hider", "file", "--hider-file")
+_CERTIFY = ("certify", "-n", "9", "-d", "3", "-k", "2", "--searcher", "ptable-file", "--ptable-file")
+
+
+@pytest.mark.parametrize("argv, doc, code, line", [
+    pytest.param(_SIMULATE, {"n": 3, "d": 2}, 2,
+                 "error: malformed hider file: KeyError: 'entries'", id="hider-without-entries"),
+    pytest.param(_SIMULATE, [1, 2], 2,
+                 "error: malformed hider file: AttributeError: 'list' object has no attribute 'get'",
+                 id="hider-list"),
+    pytest.param(_SIMULATE, {"n": 3, "d": 2, "entries": [{"p": 1}]}, 2,
+                 "error: malformed hider file: KeyError: 'allocation'", id="hider-entry-without-allocation"),
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": [{"p": 1}]}, 3,
+                 "invalid table: malformed table entries: KeyError: 'diagram'", id="table-entry-without-diagram"),
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": [[1]]}, 3,
+                 "invalid table: malformed table entries: TypeError: list indices must be integers or slices, not str",
+                 id="table-entry-list"),
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": 5}, 3,
+                 "invalid table: malformed table entries: TypeError: 'int' object is not iterable",
+                 id="table-entries-number"),
+])
+def test_malformed_input_file_exits_without_traceback(capsys, tmp_path, argv, doc, code, line):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, *argv, str(path))
+    assert (got, out, err) == (code, "", line + "\n")
+    assert "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys):

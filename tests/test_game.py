@@ -3,26 +3,30 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_utils import apply_counts, apply_events, brute_canonical_form, brute_stabilizer
-from treasurehunt.errors import NonMonotoneDiagramError
-from treasurehunt.game import (
-    GameConfig,
+from oracle_utils import (
     LOST,
     ONGOING,
     WON,
-    all_guesses,
+    apply_counts,
+    apply_events,
     apply_guess,
-    canonical_form,
-    cell_starts,
-    door_set_orbit,
-    history_to_diagram,
+    brute_canonical_form,
+    brute_stabilizer,
     initial_state,
     is_legal_guess,
-    refine,
-    relabeling,
     replay,
     reveal_options,
     reveal_weights,
+)
+from treasurehunt.game import (
+    GameConfig,
+    all_guesses,
+    canonical_form,
+    cell_starts,
+    discovery_counts,
+    door_set_orbit,
+    refine,
+    relabeling,
     stabilizer_size,
 )
 
@@ -111,17 +115,9 @@ def test_win_requires_exactly_d_reveals():
     assert state.status == WON and state.round == cfg.d
 
 
-def test_history_to_diagram():
+def test_discovery_counts():
     h = ((frozenset({5}), 5), (frozenset({5}), 5), (frozenset({1}), 1))
-    diagram, current = history_to_diagram(h)
-    assert diagram == (2, 1) and current == 1
-
-    single = ((frozenset({0, 2}), 0),)
-    assert history_to_diagram(single) == ((1,), 0)
-
-    foreign = ((frozenset({2}), 2), (frozenset({4}), 4), (frozenset({4}), 4))
-    with pytest.raises(NonMonotoneDiagramError):
-        history_to_diagram(foreign)
+    assert discovery_counts(h) == (2, 1)
 
 
 def test_legal_guess():

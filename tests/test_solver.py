@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracle_utils import (
+    TabularSearcher,
     WithoutDoorSymmetry,
     apply_counts,
     canonical_key_evaluate,
@@ -36,7 +37,6 @@ from treasurehunt.staytables import StayTable, decision_diagrams
 from treasurehunt.strategies import (
     HiderStrategy,
     SearcherStrategy,
-    TabularSearcher,
     all_in_one_hider,
     fresh_doors_searcher,
     scaled_searcher,
@@ -317,6 +317,13 @@ def test_deterministic_win_sets():
     tiny = GameConfig(3, 1, 1)
     ws3 = deterministic_win_set(tiny, lambda h: frozenset({0}))
     assert ws3.allocations == {(1, 0, 0)}
+
+
+def test_deterministic_win_set_rejects_illegal_guesses():
+    cfg = GameConfig(4, 2, 2)
+    for guess in (frozenset(), frozenset({0, 1, 2}), frozenset({4})):
+        with pytest.raises(ValueError, match="illegal guess"):
+            deterministic_win_set(cfg, lambda history, guess=guess: guess)
 
 
 def test_random_win_sets_respect_counting_bound():
