@@ -415,6 +415,7 @@ def solve_sequence_form(config: GameConfig, *, node_budget: int, column_budget: 
         "hider_sequences": game.h_count,
         "searcher_infosets": len(game.s_infosets),
         "hider_infosets": len(game.h_infosets),
+        "pivots": primal.pivots,
     }
     certificate = SequenceFormCertificate(
         plan_entries=plan_entries,

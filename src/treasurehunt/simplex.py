@@ -1,17 +1,23 @@
-"""Two-phase primal simplex over exact rationals.
+"""Two-phase primal simplex over exact rationals, pivoting on integers.
 
 Entering and leaving variables follow Bland's smallest-index rule, which
 cannot cycle, so termination is guaranteed on the degenerate LPs that
-sequence-form games produce. Rows are sparse dicts of Fraction; problem
-data and solutions are exact, there is no floating point anywhere. The
-duals of the inequality rows are read from the final reduced costs of
-their slack columns.
+sequence-form games produce. Each tableau row is a sparse dict of integer
+numerators and an integer right-hand side over one positive row
+denominator; the objective row has its own denominator. Every row is kept
+divided by the gcd of its entries, so no Fraction is built while pivoting:
+Bland's rule reads only signs, and the ratio test compares b_i/a_i by
+cross-multiplying numerators, since a row's denominator cancels. Problem
+data and solutions are exact rationals, there is no floating point
+anywhere. The duals of the inequality rows are read from the final reduced
+costs of their slack columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError
@@ -33,6 +39,7 @@ class LPResult:
     # Shadow prices d(objective)/d(rhs), one per constraint; None for an
     # equality row, whose artificial column the tableau drops.
     duals: tuple[Fraction | None, ...] | None = None
+    pivots: int = 0  # over both phases
 
 
 class PivotLimitError(BudgetExceededError):
@@ -103,169 +110,187 @@ def solve_lp(
     tableau = _Tableau(num_vars + len(free), rows, rels, rhs, pivot_limit)
     status = tableau.solve(obj)
     if status != OPTIMAL:
-        return LPResult(status=status, objective=None, x=None)
+        return LPResult(status=status, objective=None, x=None, pivots=tableau.pivots)
     full = tableau.solution()
     x = tuple(full[j] - (full[neg_col[j]] if j in free else 0) for j in range(num_vars))
     objective_value = sum(cj * xj for cj, xj in zip(c, x))
     duals = tuple(
         None if y is None else sign * flip * y for y, flip in zip(tableau.duals(), flips)
     )
-    return LPResult(status=OPTIMAL, objective=objective_value, x=x, duals=duals)
+    return LPResult(
+        status=OPTIMAL, objective=objective_value, x=x, duals=duals, pivots=tableau.pivots
+    )
+
+
+def _reduced(row: dict[int, int], b: int, den: int) -> tuple[dict[int, int], int, int]:
+    """Divide a row, its right-hand side and its denominator by their gcd."""
+    g = gcd(den, b, *row.values())
+    if g == 1:
+        return row, b, den
+    return {j: a // g for j, a in row.items()}, b // g, den // g
+
+
+def _eliminate(row, b, den, f, prow_items, pb, p):
+    """Clear column c from a row that holds f there: (row*p - f*prow) / (den*p).
+
+    prow is the pivot row over its denominator p = prow[c], so its value
+    at c is 1. A common factor of p and f is cancelled first, entries that
+    cancel are deleted, and the result is gcd-reduced. When p divides f the
+    row is updated in place.
+    """
+    h = gcd(p, f)
+    if h != 1:
+        p, f = p // h, f // h
+    if p != 1:
+        row = {j: a * p for j, a in row.items()}
+    get = row.get
+    for j, a in prow_items:
+        v = get(j, 0) - f * a
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return _reduced(row, b * p - f * pb, den * p)
 
 
 class _Tableau:
-    """Sparse simplex tableau with explicit slack and artificial columns."""
+    """Sparse integer simplex tableau with explicit slack and artificial columns.
+
+    Row i stands for rows[i][j] / den[i] with right-hand side b[i] / den[i],
+    and den[i] > 0, so signs read off the numerators. The objective row
+    holds improvement coefficients obj[j] / obj_den. A basic column's entry
+    in its own row equals the row's denominator.
+    """
 
     def __init__(self, num_cols, rows, rels, rhs, pivot_limit):
         self.pivot_limit = pivot_limit
         self.pivots = 0
-        self.rows: list[dict[int, Fraction]] = [dict(r) for r in rows]
-        self.b: list[Fraction] = list(rhs)
+        self.rows: list[dict[int, int]] = []
+        self.b: list[int] = []
+        self.den: list[int] = []
         self.basis: list[int] = []
         self.artificial: set[int] = set()
         self.slack: list[tuple[int, int] | None] = []  # (column, +1 or -1) per row
+        self.obj: dict[int, int] = {}
+        self.obj_den = 1
         col = num_cols
-        for i, rel in enumerate(rels):
+        for coeffs, rel, bi in zip(rows, rels, rhs):
+            # Numerators over the lcm of the row's denominators.
+            den = lcm(bi.denominator, *(a.denominator for a in coeffs.values()))
+            row = {j: a.numerator * (den // a.denominator) for j, a in coeffs.items()}
+            b = bi.numerator * (den // bi.denominator)
             self.slack.append((col, 1 if rel == LEQ else -1) if rel != EQ else None)
-            if rel == LEQ:
-                self.rows[i][col] = Fraction(1)
-                self.basis.append(col)
+            if rel == GEQ:
+                row[col] = -den
                 col += 1
-            elif rel == GEQ:
-                self.rows[i][col] = Fraction(-1)
-                col += 1
-                self.rows[i][col] = Fraction(1)
+            if rel != LEQ:
                 self.artificial.add(col)
-                self.basis.append(col)
-                col += 1
-            else:
-                self.rows[i][col] = Fraction(1)
-                self.artificial.add(col)
-                self.basis.append(col)
-                col += 1
+            row[col] = den
+            self.basis.append(col)
+            col += 1
+            row, b, den = _reduced(row, b, den)
+            self.rows.append(row)
+            self.b.append(b)
+            self.den.append(den)
         self.num_cols = col
 
     def solve(self, obj: dict[int, Fraction]) -> str:
         if self.artificial:
             # Phase 1: minimize the artificial sum, written as reduced costs
             # over the starting basis (artificial columns come out at zero).
-            phase_obj: dict[int, Fraction] = {}
-            for i, bi in enumerate(self.basis):
-                if bi in self.artificial:
-                    for j, a in self.rows[i].items():
-                        if j not in self.artificial:
-                            phase_obj[j] = phase_obj.get(j, Fraction(0)) + a
-            status = self._optimize(phase_obj)
+            starts = [i for i, bi in enumerate(self.basis) if bi in self.artificial]
+            den = lcm(*(self.den[i] for i in starts))
+            phase_obj: dict[int, int] = {}
+            for i in starts:
+                scale = den // self.den[i]
+                for j, a in self.rows[i].items():
+                    if j not in self.artificial:
+                        phase_obj[j] = phase_obj.get(j, 0) + a * scale
+            self.obj, _, self.obj_den = _reduced({j: v for j, v in phase_obj.items() if v}, 0, den)
+            status = self._optimize()
             if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
                 return status
-            residual = sum(self.b[i] for i, bi in enumerate(self.basis) if bi in self.artificial)
-            if residual != 0:
+            # Right-hand sides stay nonnegative, so the artificial sum is
+            # zero exactly when each basic artificial is.
+            if any(self.b[i] for i, bi in enumerate(self.basis) if bi in self.artificial):
                 return INFEASIBLE
             self._drive_out_artificials()
-        reduced = self._reduced_costs(obj)
-        return self._optimize(reduced, forbid=self.artificial)
+        self._set_reduced_costs(obj)
+        return self._optimize()
 
-    def _reduced_costs(self, obj: dict[int, Fraction]) -> dict[int, Fraction]:
+    def _set_reduced_costs(self, obj: dict[int, Fraction]) -> None:
         """Express the objective over nonbasic columns given the current basis."""
-        reduced = dict(obj)
+        den = lcm(*(v.denominator for v in obj.values()))
+        reduced = {j: v.numerator * (den // v.denominator) for j, v in obj.items()}
         for i, bi in enumerate(self.basis):
-            coef = reduced.get(bi)
-            if coef:
-                for j, a in self.rows[i].items():
-                    if j == bi:
-                        continue
-                    reduced[j] = reduced.get(j, Fraction(0)) - coef * a
-                del reduced[bi]
-        return {j: v for j, v in reduced.items() if v}
+            f = reduced.get(bi)
+            if f:
+                reduced, _, den = _eliminate(reduced, 0, den, f, list(self.rows[i].items()), 0, self.den[i])
+        self.obj, _, self.obj_den = _reduced(reduced, 0, den)
 
-    def _optimize(self, improve: dict[int, Fraction], forbid: set[int] = frozenset()) -> str:
-        """Maximize; improve maps columns to improvement coefficients."""
-        improve = {j: v for j, v in improve.items() if v}
+    def _optimize(self) -> str:
+        """Maximize; the objective row holds improvement coefficients."""
         while True:
-            entering = None
-            for j in sorted(improve):
-                if j in forbid:
-                    continue
-                if improve[j] > 0:
-                    entering = j
-                    break
+            entering = min((j for j, v in self.obj.items() if v > 0), default=None)
             if entering is None:
-                self.reduced = improve
                 return OPTIMAL
             leaving_row = None
-            best_ratio = None
-            leaving_var = None
             for i, row in enumerate(self.rows):
                 a = row.get(entering)
                 if a is None or a <= 0:
                     continue
-                ratio = self.b[i] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self.basis[i] < leaving_var)
-                ):
-                    best_ratio = ratio
-                    leaving_row = i
-                    leaving_var = self.basis[i]
+                if leaving_row is not None:
+                    # b_i/a_i against the best b/a: both a > 0, and a row's
+                    # denominator cancels from its own ratio.
+                    lhs, rhs = self.b[i] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[leaving_row]):
+                        continue
+                leaving_row, best_a, best_b = i, a, self.b[i]
             if leaving_row is None:
                 return UNBOUNDED
-            self._pivot(leaving_row, entering, improve)
+            self._pivot(leaving_row, entering)
 
-    def _pivot(self, row_idx: int, col: int, improve: dict[int, Fraction]) -> None:
+    def _pivot(self, row_idx: int, col: int) -> None:
         self.pivots += 1
         if self.pivots > self.pivot_limit:
             raise PivotLimitError(f"exceeded {self.pivot_limit} pivots")
-        row = self.rows[row_idx]
-        pivot = row[col]
-        if pivot != 1:
-            new_row = {j: a / pivot for j, a in row.items()}
-            self.rows[row_idx] = row = new_row
-            self.b[row_idx] /= pivot
-        prow_items = list(row.items())
-        pb = self.b[row_idx]
+        prow, pb = self.rows[row_idx], self.b[row_idx]
+        p = prow[col]
+        if p < 0:  # _drive_out_artificials may pivot on a negative entry
+            prow = {j: -a for j, a in prow.items()}
+            pb, p = -pb, -p
+        # Divided by its pivot entry, the row is prow / p.
+        prow, pb, p = _reduced(prow, pb, p)
+        self.rows[row_idx], self.b[row_idx], self.den[row_idx] = prow, pb, p
+        prow_items = list(prow.items())
         for i, other in enumerate(self.rows):
-            if i == row_idx:
+            f = other.get(col)
+            if f is None or i == row_idx:
                 continue
-            factor = other.get(col)
-            if not factor:
-                continue
-            for j, a in prow_items:
-                val = other.get(j, Fraction(0)) - factor * a
-                if val:
-                    other[j] = val
-                elif j in other:
-                    del other[j]
-            self.b[i] -= factor * pb
-        factor = improve.get(col)
-        if factor:
-            for j, a in prow_items:
-                val = improve.get(j, Fraction(0)) - factor * a
-                if val:
-                    improve[j] = val
-                elif j in improve:
-                    del improve[j]
+            self.rows[i], self.b[i], self.den[i] = _eliminate(
+                other, self.b[i], self.den[i], f, prow_items, pb, p
+            )
+        f = self.obj.get(col)
+        if f:
+            self.obj, _, self.obj_den = _eliminate(self.obj, 0, self.obj_den, f, prow_items, 0, p)
         self.basis[row_idx] = col
 
     def _drive_out_artificials(self) -> None:
         """Pivot basic artificials onto structural columns; drop empty rows."""
+        self.obj = {}  # phase 2 builds its own objective row
         for i in range(len(self.rows)):
-            bi = self.basis[i]
-            if bi not in self.artificial:
+            if self.basis[i] not in self.artificial:
                 continue
-            target = None
-            for j in sorted(self.rows[i]):
-                if j not in self.artificial and j != bi:
-                    target = j
-                    break
+            target = min((j for j in self.rows[i] if j not in self.artificial), default=None)
             if target is not None:
-                self._pivot(i, target, {})
+                self._pivot(i, target)
         keep = [i for i, bi in enumerate(self.basis) if bi not in self.artificial]
         if len(keep) != len(self.rows):
             # Redundant original constraints: their rows are zero over the
             # structural columns once phase 1 ends at zero.
             self.rows = [self.rows[i] for i in keep]
             self.b = [self.b[i] for i in keep]
+            self.den = [self.den[i] for i in keep]
             self.basis = [self.basis[i] for i in keep]
         for row in self.rows:
             for j in list(row):
@@ -274,10 +299,11 @@ class _Tableau:
 
     def duals(self) -> list[Fraction | None]:
         """Row shadow prices: a slack column's reduced cost is -sign * dual."""
-        return [None if sl is None else -sl[1] * self.reduced.get(sl[0], Fraction(0)) for sl in self.slack]
+        return [
+            None if sl is None else Fraction(-sl[1] * self.obj.get(sl[0], 0), self.obj_den)
+            for sl in self.slack
+        ]
 
     def solution(self) -> dict[int, Fraction]:
-        values: dict[int, Fraction] = {}
-        for i, bi in enumerate(self.basis):
-            values[bi] = self.b[i]
+        values = {bi: Fraction(self.b[i], self.den[i]) for i, bi in enumerate(self.basis)}
         return {j: values.get(j, Fraction(0)) for j in range(self.num_cols)}

@@ -18,7 +18,7 @@ from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import MULTI, SINGLE, Allocation, enumerate_allocations
-from .errors import DoorBudgetError, MissingDiagramError
+from .errors import DoorBudgetError, InvalidTableError, MissingDiagramError
 from .game import GameConfig, History, discovery_counts, guessed_doors
 from .jsonio import fraction_from_json
 from .staytables import StayTable, scaled_stay_table
@@ -251,7 +251,7 @@ class StayTableSearcher(SearcherStrategy):
         if self.config.occupancy != MULTI:
             raise ValueError("stay-table play is defined for the multi-occupancy game")
         if (self.table.n, self.table.d, self.table.k) != (self.config.n, self.config.d, self.config.k):
-            raise ValueError(
+            raise InvalidTableError(
                 f"table built for (n={self.table.n}, d={self.table.d}, k={self.table.k}), "
                 f"config wants (n={self.config.n}, d={self.config.d}, k={self.config.k})"
             )

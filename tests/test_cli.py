@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from treasurehunt.cli import main
+from treasurehunt.staytables import scaled_stay_table
 
 F = Fraction
 
@@ -143,6 +144,21 @@ def test_certify_invalid_table_exit_3(capsys):
     assert "1" in err
 
 
+@pytest.mark.parametrize("command", [
+    pytest.param(("certify",), id="certify"),
+    pytest.param(("simulate", "--trials", "10"), id="simulate"),
+])
+def test_ptable_file_for_another_game_exit_3(capsys, tmp_path, command):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(scaled_stay_table(10, 3, 2).to_json()))
+    code, out, err = run_cli(
+        capsys, *command, "-n", "9", "-d", "3", "-k", "2",
+        "--searcher", "ptable-file", "--ptable-file", str(path),
+    )
+    assert (code, out) == (3, "")
+    assert err == "invalid table: table built for (n=10, d=3, k=2), config wants (n=9, d=3, k=2)\n"
+
+
 def test_lp_value_and_certificate(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     code, out, _ = run_cli(
@@ -151,6 +167,7 @@ def test_lp_value_and_certificate(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["value"] == {"num": 2, "den": 3}
+    assert json.loads(out)["stats"]["pivots"] == 13
     doc = json.loads(cert.read_text())
     assert doc["realization_plan"]
     assert len(doc["per_allocation"]) == 6

@@ -81,6 +81,23 @@ def test_strong_duality_reported():
     assert report.details["dual_value"] == report.value
 
 
+@pytest.mark.parametrize("n,d,k,occupancy,value,pivots", [
+    (3, 3, 2, "multi", F(3, 5), 64),
+    (5, 3, 2, "multi", F(8, 35), 66),
+    (7, 2, 2, "multi", F(1, 7), 12),
+    (7, 3, 2, "single", F(8, 35), 44),
+    (9, 3, 2, "multi", F(8, 165), 69),
+    (4, 3, 3, "multi", F(18, 25), 434),
+])
+def test_searcher_lp_pivot_counts_are_pinned(n, d, k, occupancy, value, pivots):
+    # Bland's rule makes every entering and leaving choice a function of
+    # the LP's exact values, so the pivot count over both phases pins the
+    # path: arithmetic that changed a single choice would change the count.
+    report = sequence_form_value(GameConfig(n, d, k, occupancy=occupancy))
+    assert report.value == value
+    assert report.certificate.stats["pivots"] == pivots
+
+
 def _lp_plans(cfg):
     game = build_quotient_game(cfg, node_budget=10**6, column_budget=10**5)
     num_vars, objective, constraints, free = _searcher_lp(game)

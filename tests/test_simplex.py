@@ -176,3 +176,78 @@ def test_inequality_duals_certify_the_optimum(data, cols, rows, maximize):
         else:
             assert (reduced <= 0) if maximize else (reduced >= 0)
     assert sum(b * yi for (_, _, b), yi in zip(cons, y)) == res.objective
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cols=st.integers(1, 3), eqs=st.integers(1, 2), rows=st.integers(0, 3),
+       maximize=st.booleans())
+def test_rational_lps_with_equality_rows_are_solved_exactly(data, cols, eqs, rows, maximize):
+    # Coefficients, right-hand sides and a point x0 that meets every row
+    # have denominators up to 7, so tableau rows start over different
+    # denominators. The first equality row comes back scaled by a nonzero
+    # rational: phase 1 leaves the copy redundant and the tableau drops it.
+    # Rows whose value at x0 is negative get a negative right-hand side and
+    # reach the tableau negated. A box |x| <= 6 keeps the LP bounded, and
+    # Bland's rule cannot cycle, so a few hundred pivots are plenty.
+    frac = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+    free = [0] if data.draw(st.booleans()) else []
+    x0 = [data.draw(frac) for _ in range(cols)]
+    x0 = [v if j in free else abs(v) for j, v in enumerate(x0)]
+    cons = [({j: F(1)}, LEQ, F(6)) for j in range(cols)]
+    cons += [({j: F(1)}, GEQ, F(-6)) for j in free]
+
+    def drawn_row():
+        a = {j: data.draw(frac) for j in range(cols)}
+        return a, sum(a[j] * x0[j] for j in range(cols))
+
+    for e in range(eqs):
+        a, lhs = drawn_row()
+        cons.append((a, EQ, lhs))
+        if e == 0:
+            t = data.draw(frac.filter(bool))
+            cons.append(({j: t * v for j, v in a.items()}, EQ, t * lhs))
+    for _ in range(rows):
+        a, lhs = drawn_row()
+        if data.draw(st.booleans()):
+            cons.append((a, LEQ, lhs + abs(data.draw(frac))))
+        else:
+            cons.append((a, GEQ, lhs - abs(data.draw(frac))))
+    c = [data.draw(frac) for _ in range(cols)]
+    res = solve_lp(cols, c, cons, maximize=maximize, free_vars=free, pivot_limit=300)
+    assert res.status == OPTIMAL
+
+    x = res.x
+    assert all(x[j] >= 0 for j in range(cols) if j not in free)
+    for row, rel, b in cons:
+        lhs = sum(a * x[j] for j, a in row.items())
+        assert {LEQ: lhs <= b, GEQ: lhs >= b, EQ: lhs == b}[rel]
+    assert sum(cj * xj for cj, xj in zip(c, x)) == res.objective
+
+    y = res.duals
+    assert [yi is None for yi in y] == [rel == EQ for _, rel, _ in cons]
+    for (_, rel, _), yi in zip(cons, y):
+        if rel != EQ:
+            grows = (rel == LEQ) == maximize
+            assert (yi >= 0) if grows else (yi <= 0)
+
+    # Equality rows report no dual. Multipliers z for them that complete y
+    # to a dual solution worth the objective prove it optimal by weak
+    # duality; they come from a small LP and are checked here exactly.
+    eq_rows = [(row, b) for row, rel, b in cons if rel == EQ]
+    residual = [c[j] - sum(yi * row.get(j, 0) for (row, _, _), yi in zip(cons, y) if yi is not None)
+                for j in range(cols)]
+    open_rel = GEQ if maximize else LEQ
+    z_cons = [({e: row.get(j, 0) for e, (row, _) in enumerate(eq_rows)},
+               EQ if j in free else open_rel, residual[j]) for j in range(cols)]
+    z_res = solve_lp(len(eq_rows), [b for _, b in eq_rows], z_cons, maximize=not maximize,
+                     free_vars=range(len(eq_rows)), pivot_limit=300)
+    assert z_res.status == OPTIMAL
+    z = z_res.x
+    for j in range(cols):
+        reduced = residual[j] - sum(ze * row.get(j, 0) for ze, (row, _) in zip(z, eq_rows))
+        if j in free:
+            assert reduced == 0
+        else:
+            assert (reduced <= 0) if maximize else (reduced >= 0)
+    b_dot_y = sum(b * yi for (_, _, b), yi in zip(cons, y) if yi is not None)
+    assert b_dot_y + sum(b * ze for (_, b), ze in zip(eq_rows, z)) == res.objective

@@ -201,7 +201,9 @@ def test_shape_path_matches_full_enumeration_for_table_and_fresh_searchers():
     assert covered == 86
 
 
-# The exact simplex takes 5 to 7 s on each of these games.
+# The exact simplex takes about 0.5 s on each of these games; the slow test
+# below spends most of its time comparing their lifted plans with full
+# enumeration.
 _SLOW_LP_GAMES = {(4, 3, 3, "multi"), (5, 3, 3, "multi"), (6, 3, 3, "multi")}
 
 
@@ -217,7 +219,7 @@ def test_shape_path_matches_full_enumeration_for_lifted_lp_plans():
 
 @pytest.mark.skipif(
     not os.environ.get("TREASUREHUNT_SLOW"),
-    reason="about 20 s of exact simplex; set TREASUREHUNT_SLOW=1 to run",
+    reason="about 9 s, 1.5 s of it exact simplex; set TREASUREHUNT_SLOW=1 to run",
 )
 def test_shape_path_matches_full_enumeration_for_slow_lifted_lp_plans():
     for n, d, k, occupancy in sorted(_SLOW_LP_GAMES):
