@@ -94,9 +94,9 @@ def solve_lp(
                 continue
             if j < 0 or j >= num_vars:
                 raise ValueError(f"variable index {j} out of range")
-            row[j] = row.get(j, Fraction(0)) + a
+            row[j] = a
             if j in free:
-                row[neg_col[j]] = row.get(neg_col[j], Fraction(0)) - a
+                row[neg_col[j]] = -a
         b = Fraction(b)
         flips.append(-1 if b < 0 else 1)
         if b < 0:
@@ -112,8 +112,8 @@ def solve_lp(
     if status != OPTIMAL:
         return LPResult(status=status, objective=None, x=None, pivots=tableau.pivots)
     full = tableau.solution()
-    x = tuple(full[j] - (full[neg_col[j]] if j in free else 0) for j in range(num_vars))
-    objective_value = sum(cj * xj for cj, xj in zip(c, x))
+    x = tuple(full[j] - full[neg_col[j]] if j in free else full[j] for j in range(num_vars))
+    objective_value = sum((cj * xj for cj, xj in zip(c, x) if cj), Fraction(0))
     duals = tuple(
         None if y is None else sign * flip * y for y, flip in zip(tableau.duals(), flips)
     )
@@ -163,6 +163,7 @@ class _Tableau:
     """
 
     def __init__(self, num_cols, rows, rels, rhs, pivot_limit):
+        self.num_cols = num_cols  # structural columns, before slacks and artificials
         self.pivot_limit = pivot_limit
         self.pivots = 0
         self.rows: list[dict[int, int]] = []
@@ -192,7 +193,6 @@ class _Tableau:
             self.rows.append(row)
             self.b.append(b)
             self.den.append(den)
-        self.num_cols = col
 
     def solve(self, obj: dict[int, Fraction]) -> str:
         if self.artificial:
@@ -305,5 +305,6 @@ class _Tableau:
         ]
 
     def solution(self) -> dict[int, Fraction]:
+        """Values of the structural columns."""
         values = {bi: Fraction(self.b[i], self.den[i]) for i, bi in enumerate(self.basis)}
         return {j: values.get(j, Fraction(0)) for j in range(self.num_cols)}
