@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from treasurehunt.errors import BudgetExceededError
 from treasurehunt.simplex import EQ, GEQ, LEQ, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
@@ -178,7 +178,10 @@ def test_inequality_duals_certify_the_optimum(data, cols, rows, maximize):
     assert sum(b * yi for (_, _, b), yi in zip(cons, y)) == res.objective
 
 
-@settings(max_examples=200, deadline=None)
+# Hypothesis's explain phase would replay a failure once per drawn value,
+# for minutes; shrinking alone reports a small failing LP in seconds.
+@settings(max_examples=200, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
 @given(data=st.data(), cols=st.integers(1, 3), eqs=st.integers(1, 2), rows=st.integers(0, 3),
        maximize=st.booleans())
 def test_rational_lps_with_equality_rows_are_solved_exactly(data, cols, eqs, rows, maximize):
