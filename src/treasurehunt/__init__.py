@@ -11,7 +11,6 @@ from .combinatorics import (
     MULTI,
     SINGLE,
     allocation_shape,
-    binomial,
     count_allocations,
     enumerate_allocations,
     enumerate_partitions,
@@ -44,7 +43,6 @@ from .montecarlo import (
 )
 from .solver import (
     ValueReport,
-    WinSet,
     all_in_one_bound,
     closed_form_value,
     deterministic_win_set,
@@ -70,7 +68,6 @@ from .strategies import (
     SearcherStrategy,
     all_in_one_hider,
     fresh_doors_searcher,
-    hider_from_entries,
     load_hider_json,
     mimic_searcher,
     scaled_searcher,

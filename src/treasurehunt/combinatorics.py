@@ -20,13 +20,6 @@ Partition = tuple[int, ...]
 Allocation = tuple[int, ...]
 
 
-def binomial(n: int, r: int) -> int:
-    """C(n, r); zero when r exceeds n."""
-    if n < 0 or r < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return comb(n, r)
-
-
 def count_allocations(n: int, d: int, occupancy: str = MULTI) -> int:
     """Number of ways to place d treasures behind n doors.
 

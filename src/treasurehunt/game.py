@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Collection, Sequence
 
 from .combinatorics import MULTI, OCCUPANCIES, SINGLE, Allocation
@@ -183,6 +183,23 @@ def cell_starts(sigma: Sequence[int], cells: Sequence[int]) -> tuple[int, ...]:
     return tuple(first[label] for label in sigma)
 
 
+def orbit_key(starts: Sequence[int], doors: Collection[int]) -> tuple[int, ...]:
+    """Orbit representative of a door set: the smallest image of its
+    relabeling onto the canonical form under the relabelings that fix it.
+
+    ``starts`` gives each door's cell start (``cell_starts``). Those
+    relabelings move doors only inside their cells, so the smallest image
+    takes the first c_j labels of each cell j that c_j of the doors lie in.
+    Door sets share a key exactly when they lie in one orbit. On the
+    canonical form itself the key is its orbit's first member in
+    ``all_guesses`` order.
+    """
+    labels: list[int] = []
+    for start in sorted(starts[door] for door in doors):
+        labels.append(start if not labels or start > labels[-1] else labels[-1] + 1)
+    return tuple(labels)
+
+
 def refine(position: Position, starts: Sequence[int], doors: Collection[int], revealed: int) -> Position:
     """The canonical form after one more event, in O(k) instead of O(n).
 
@@ -194,14 +211,11 @@ def refine(position: Position, starts: Sequence[int], doors: Collection[int], re
     guess is a union of cells and every earlier revealed door a cell of its
     own, so the earlier events keep their labels. Inside each cell the
     revealed door takes the cell's first label and the other guessed doors
-    the labels after it, so the guessed doors of a cell take its first
-    labels whichever of them was revealed.
+    the labels after it, so the guessed doors take ``orbit_key(starts,
+    doors)`` whichever of them was revealed.
     """
-    labels: list[int] = []
-    for start in sorted(starts[door] for door in doors):
-        labels.append(start if not labels or start > labels[-1] else labels[-1] + 1)
     counts, events = position
-    return counts, events + ((tuple(labels), starts[revealed]),)
+    return counts, events + ((orbit_key(starts, doors), starts[revealed]),)
 
 
 def canonical_form(counts: Sequence[int], events: Events | History) -> Position:
@@ -214,21 +228,3 @@ def canonical_form(counts: Sequence[int], events: Events | History) -> Position:
 def stabilizer_size(cells: Sequence[int]) -> int:
     """Relabelings that fix a position with these cell sizes."""
     return prod(factorial(size) for size in cells)
-
-
-def door_set_orbit(cells: Sequence[int], doors: Collection[int]) -> tuple[tuple[int, ...], int]:
-    """Orbit representative and orbit size of a door set on a canonical form.
-
-    The stabilizer moves doors only inside their cells, so the smallest
-    image takes the first c_j labels of each cell j, where c_j doors of the
-    set lie in it, and the orbit has the product of C(|cell j|, c_j) sets.
-    """
-    rep: list[int] = []
-    size = 1
-    start = 0
-    for cell in cells:
-        inside = sum(start <= x < start + cell for x in doors)
-        rep.extend(range(start, start + inside))
-        size *= comb(cell, inside)
-        start += cell
-    return tuple(rep), size

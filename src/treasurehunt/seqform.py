@@ -27,12 +27,14 @@ children counts each concrete terminal exactly once: a child orbit that is
 m times larger than its parent's is entered by exactly m concrete edges
 from the representative. As a whole-construction check, the accumulated
 weight of every position is asserted to equal its orbit size n!/|stab|.
-Canonical forms, stabilizers and orbits come from ``game.relabeling``.
+Each position is canonicalized once, by ``game.relabeling``; its children
+and reveal points are stepped from that form by ``game.refine``, and the
+orbits of guesses and revealed doors are keyed by ``game.orbit_key``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -45,8 +47,9 @@ from .game import (
     GameConfig,
     History,
     all_guesses,
-    canonical_form,
-    door_set_orbit,
+    cell_starts,
+    orbit_key,
+    refine,
     relabeling,
     stabilizer_size,
 )
@@ -100,20 +103,19 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
         nonlocal s_count
         if hist:
             (_, prev), sigma, prev_cells = relabeling(no_counts, hist[:-1])
-            mapped = [sigma[x] for x in hist[-1][0]]
-            parent_seq = s_infoset_by_hist[prev].action_of[door_set_orbit(prev_cells, mapped)[0]]
+            key = orbit_key(cell_starts(sigma, prev_cells), hist[-1][0])
+            parent_seq = s_infoset_by_hist[prev].action_of[key]
         else:
             parent_seq = 0
-        cells = relabeling(no_counts, hist)[2]
+        _, sigma, cells = relabeling(no_counts, hist)
+        starts = cell_starts(sigma, cells)
         info = _SInfoset(uid=len(s_infosets), hist=hist, parent_seq=parent_seq, actions=[], action_of={})
-        for g in guesses:
-            key, size = door_set_orbit(cells, g)
-            if g != key:
-                continue
-            seq = s_count
+        # hist is canonical, so each key is its orbit's first guess and the
+        # counts keep the actions in all_guesses order.
+        for key, size in Counter(orbit_key(starts, g) for g in guesses).items():
+            info.actions.append((key, size, s_count))
+            info.action_of[key] = s_count
             s_count += 1
-            info.actions.append((key, size, seq))
-            info.action_of[key] = seq
         s_infosets.append(info)
         s_infoset_by_hist[hist] = info
         return info
@@ -140,13 +142,16 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
             states_seen += 1
             if states_seen > node_budget:
                 raise BudgetExceededError(f"quotient build exceeded {node_budget} positions")
-            assert weight * stabilizer_size(relabeling(alloc, events)[2]) == factorial(n), (
+            position, sigma, cells = relabeling(alloc, events)
+            assert weight * stabilizer_size(cells) == factorial(n), (
                 "orbit weight mismatch: the quotient expansion is inconsistent"
             )
+            starts = cell_starts(sigma, cells)
             remaining = list(alloc)
             for doors, o in events:
                 remaining[o] -= 1
             (_, hist_canon), sigma_h, cells_h = relabeling(no_counts, events)
+            starts_h = cell_starts(sigma_h, cells_h)
             info = s_infoset_by_hist.get(hist_canon)
             if info is None:
                 info = new_s_infoset(hist_canon)
@@ -154,34 +159,30 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
                 "searcher context mismatch: the quotient expansion is inconsistent"
             )
             for g in guesses:
-                s1 = info.action_of[door_set_orbit(cells_h, [sigma_h[x] for x in g])[0]]
                 options = [o for o in g if remaining[o] > 0]
                 if not options:
                     continue  # losing guess, payoff zero
+                s1 = info.action_of[orbit_key(starts_h, g)]
                 if len(options) == 1:
                     transitions = [(options[0], h0)]
                 else:
-                    pstate, sigma_p, cells_p = relabeling(alloc, events + ((g, -1),))
-                    rinfo = h_reveal_by_state.get(pstate)
+                    pending, labels = _reveal_point(position, starts, g, options)
+                    rinfo = h_reveal_by_state.get(pending)
                     if rinfo is None:
-                        rinfo = _new_h_infoset(pstate, cells_p, h0, h_infosets)
-                        h_reveal_by_state[pstate] = rinfo
+                        rinfo = _new_h_infoset(labels, h0, h_infosets)
+                        h_reveal_by_state[pending] = rinfo
                     else:
                         assert rinfo.parent_seq == h0, (
                             "hider context mismatch: the quotient expansion is inconsistent"
                         )
                     option_of = {label: seq for label, _, seq in rinfo.actions}
-                    transitions = [
-                        (o, option_of[door_set_orbit(cells_p, (sigma_p[o],))[0][0]])
-                        for o in options
-                    ]
+                    transitions = [(o, option_of[label]) for o, label in zip(options, labels)]
                 for o, h1 in transitions:
-                    child_events = events + ((g, o),)
                     if round_idx + 1 == d:
                         pair = (s1, h1)
                         payoff[pair] = payoff.get(pair, 0) + weight
                     else:
-                        cstate = canonical_form(alloc, child_events)
+                        cstate = refine(position, starts, g, o)
                         entry = next_level.get(cstate)
                         if entry is None:
                             next_level[cstate] = [weight, s1, h1]
@@ -207,21 +208,24 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     )
 
 
-def _new_h_infoset(pstate, cells, parent_seq, h_infosets) -> _HInfoset:
-    """Create a reveal decision point on the canonical pending state."""
-    pmu, pevents = pstate
-    remaining = list(pmu)
-    for doors, o in pevents[:-1]:
-        remaining[o] -= 1
-    opts = sorted(o for o in pevents[-1][0] if remaining[o] > 0)
+def _reveal_point(position, starts, guess, options):
+    """The key of the hider's choice of reveal after ``guess``, and the label
+    of each option's orbit, from the position's canonical form and starts.
+
+    The key stands for the pending form
+    ``relabeling(counts, events + ((guess, -1),))[0]``, in which the guessed
+    doors take ``orbit_key(starts, guess)``. An option's orbit is the
+    guessed part of its cell, labelled by the cell's first label.
+    """
+    return (position, orbit_key(starts, guess)), [starts[o] for o in options]
+
+
+def _new_h_infoset(labels, parent_seq, h_infosets) -> _HInfoset:
+    """Create a reveal decision point: one action per option orbit, in label
+    order, sized by the options that carry its label."""
     info = _HInfoset(uid=len(h_infosets), parent_seq=parent_seq, actions=[])
     seq = h_infosets[-1].actions[-1][2] + 1  # sequences are numbered in creation order
-    seen: set[int] = set()
-    for o in opts:
-        (label,), size = door_set_orbit(cells, (o,))
-        if label in seen:
-            continue
-        seen.add(label)
+    for label, size in sorted(Counter(labels).items()):
         info.actions.append((label, size, seq))
         seq += 1
     h_infosets.append(info)
@@ -352,9 +356,10 @@ class LiftedPlanStrategy(SearcherStrategy):
     """Behavioral strategy induced by a quotient realization plan.
 
     A raw history is canonicalized, the plan supplies orbit realization
-    probabilities, and each orbit spreads uniformly over its members mapped
-    back through the relabeling. Unreached histories fall back to a uniform
-    legal guess, which cannot affect the certified value.
+    probabilities, and each orbit spreads uniformly over its members: the
+    guesses whose ``orbit_key`` on the history is the orbit's. Unreached
+    histories fall back to a uniform legal guess, which cannot affect the
+    certified value.
     """
 
     door_symmetric = True
@@ -373,14 +378,12 @@ class LiftedPlanStrategy(SearcherStrategy):
         parent_mass = self._plan[info.parent_seq]
         if parent_mass == 0:
             return self._uniform(history)
-        inverse = [0] * self.config.n
-        for i, image in enumerate(sigma):
-            inverse[image] = i
+        starts = cell_starts(sigma, cells)
         out = []
         for g in all_guesses(self.config):  # every member of every action orbit
-            mass = self._plan[info.action_of[door_set_orbit(cells, g)[0]]]
+            mass = self._plan[info.action_of[orbit_key(starts, g)]]
             if mass != 0:
-                out.append((frozenset(inverse[x] for x in g), mass / parent_mass))
+                out.append((frozenset(g), mass / parent_mass))
         return out
 
     def _uniform(self, history: History):

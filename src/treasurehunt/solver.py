@@ -77,17 +77,6 @@ class ValueReport:
         return out
 
 
-@dataclass(frozen=True)
-class WinSet:
-    """Allocations a deterministic strategy finds under adversarial reveals."""
-
-    strategy: str
-    allocations: frozenset[Allocation]
-
-    def __len__(self) -> int:
-        return len(self.allocations)
-
-
 def counting_upper_bound(config: GameConfig) -> Fraction:
     """Counting bound: k^d outcomes cover all hiding possibilities."""
     return Fraction(config.k ** config.d, count_allocations(config.n, config.d, config.occupancy))
@@ -335,8 +324,7 @@ def searcher_best_response_value(
 def deterministic_win_set(
     config: GameConfig,
     strategy: Mapping[History, frozenset[int]] | Callable[[History], frozenset[int]],
-    name: str = "deterministic",
-) -> WinSet:
+) -> frozenset[Allocation]:
     """Allocations the deterministic strategy finds whatever is revealed.
 
     An allocation counts as won only when every reveal branch reaches a
@@ -359,10 +347,9 @@ def deterministic_win_set(
             return False
         return all(wins(history + ((guess, o),), _dec(remaining, o), found + 1) for o in options)
 
-    won = frozenset(
+    return frozenset(
         a for a in enumerate_allocations(config.n, config.d, config.occupancy) if wins((), a, 0)
     )
-    return WinSet(strategy=name, allocations=won)
 
 
 # ---------------------------------------------------------------------------

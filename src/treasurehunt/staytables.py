@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .combinatorics import (
     MULTI,
     Partition,
-    binomial,
     enumerate_partitions,
     is_partition,
     partition_weight,
@@ -183,7 +183,7 @@ def min_scalable_doors(d: int, k: int) -> int:
 
 def q_one_find(n: int, d: int) -> Fraction:
     """Move-on probability after the very first find, in closed form."""
-    return Fraction(binomial(n, d), binomial(n + d - 1, d))
+    return Fraction(comb(n, d), comb(n + d - 1, d))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .combinatorics import MULTI, SINGLE, Allocation, enumerate_allocations
 from .errors import DoorBudgetError, InvalidTableError, MissingDiagramError
@@ -125,11 +125,6 @@ def all_in_one_hider(config: GameConfig) -> HiderStrategy:
     return HiderStrategy(config, tuple(allocations), name="all-in-one")
 
 
-def hider_from_entries(config: GameConfig, entries: Iterable[tuple[Sequence[int], Fraction]],
-                       name: str = "custom") -> HiderStrategy:
-    return HiderStrategy(config, tuple((tuple(a), Fraction(p)) for a, p in entries), name=name)
-
-
 def load_hider_json(config: GameConfig, path) -> HiderStrategy:
     """Read a hider file: n, d, and entries of allocation plus exact p."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -137,8 +132,8 @@ def load_hider_json(config: GameConfig, path) -> HiderStrategy:
     try:
         if int(obj.get("n", config.n)) != config.n or int(obj.get("d", config.d)) != config.d:
             raise ValueError("hider file was written for a different game size")
-        entries = [(tuple(item["allocation"]), fraction_from_json(item["p"])) for item in obj["entries"]]
-        return hider_from_entries(config, entries, name="file")
+        entries = tuple((tuple(item["allocation"]), fraction_from_json(item["p"])) for item in obj["entries"])
+        return HiderStrategy(config, entries, name="file")
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed hider file: {type(exc).__name__}: {exc}") from exc
 
@@ -156,12 +151,13 @@ class SearcherStrategy:
 
     fresh_door_stays is None, or the whole rule of a searcher that plays
     stay-or-move on fresh doors: round one guesses k never-guessed doors
-    uniformly; after a find whose discovery-order counts are a key of the
-    mapping, it guesses the current door plus k-1 fresh doors with that
-    key's probability, and k fresh doors otherwise. An empty mapping never
-    stays. ``run_mc`` plays such a rule inline; every other searcher is
-    simulated by exact draws from ``guess_distribution``, through the same
-    ``draw_table`` and ``draw_guess`` as the per-game cursor
+    uniformly; after a find with discovery-order counts c, it guesses the
+    current door plus k-1 fresh doors with probability ``mapping[c]``, and
+    k fresh doors otherwise. An empty mapping never stays; a nonempty one
+    must hold every diagram that play reaches, or ``run_mc`` raises
+    ``MissingDiagramError``. ``run_mc`` plays such a rule inline; every
+    other searcher is simulated by exact draws from ``guess_distribution``,
+    through the same ``draw_table`` and ``draw_guess`` as the per-game cursor
     ``sampler(rng)``.
     """
 

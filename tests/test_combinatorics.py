@@ -8,7 +8,6 @@ from treasurehunt.combinatorics import (
     MULTI,
     SINGLE,
     allocation_shape,
-    binomial,
     count_allocations,
     enumerate_allocations,
     enumerate_partitions,
@@ -17,15 +16,6 @@ from treasurehunt.combinatorics import (
     shape_representatives,
 )
 from treasurehunt.game import canonical_form, relabeling
-
-
-def test_binomial_values():
-    assert binomial(10, 3) == 120
-    assert binomial(5, 0) == 1
-    assert binomial(8, 3) == 56
-    assert binomial(3, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_count_allocations():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from treasurehunt.game import (
     canonical_form,
     cell_starts,
     discovery_counts,
-    door_set_orbit,
+    orbit_key,
     refine,
     relabeling,
     stabilizer_size,
@@ -200,9 +201,16 @@ def test_relabeling_matches_brute_force(data):
     assert (apply_counts(counts, sigma), apply_events(events, sigma)) == form
     assert stabilizer_size(cells) == minimizers
 
+    # The orbit of a door set on the form: its key is the smallest image,
+    # and the build's orbit size (the door sets of its size that share the
+    # key) is the number of images.
     doors = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
     images = {tuple(sorted(p[x] for x in doors)) for p in brute_stabilizer(*form)}
-    assert door_set_orbit(cells, doors) == (min(images), len(images))
+    starts = cell_starts(range(n), cells)
+    key = orbit_key(starts, doors)
+    assert key == min(images)
+    same_size = combinations(range(n), len(doors))
+    assert sum(orbit_key(starts, other) == key for other in same_size) == len(images)
 
 
 @settings(max_examples=150, deadline=None)

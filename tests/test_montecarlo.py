@@ -21,8 +21,8 @@ from treasurehunt.montecarlo import (
 from treasurehunt.solver import evaluate_under_reveal
 from treasurehunt.staytables import StayTable
 from treasurehunt.strategies import (
+    HiderStrategy,
     fresh_doors_searcher,
-    hider_from_entries,
     randbelow,
     scaled_searcher,
     stay_table_searcher,
@@ -50,7 +50,7 @@ def test_adversarial_rejected():
 
 def test_single_trial_concentrated_hider():
     cfg = GameConfig(4, 2, 2)
-    hider = hider_from_entries(cfg, [((2, 0, 0, 0), F(1))])
+    hider = HiderStrategy(cfg, (((2, 0, 0, 0), F(1)),))
     report = run_mc(cfg, scaled_searcher(cfg), hider, 1, seed=5)
     assert report.wins in (0, 1) and report.trials == 1
 
@@ -159,13 +159,13 @@ def test_strategies_built_for_another_game_rejected():
 
 def test_inline_play_checks_its_rule():
     cfg = GameConfig(3, 2, 2)
-    hider = hider_from_entries(cfg, [((1, 1, 0), F(1))])
+    hider = HiderStrategy(cfg, (((1, 1, 0), F(1)),))
     # Two fresh doors per round cannot last two rounds behind three doors.
     short = SimpleNamespace(config=cfg, name="short", fresh_door_stays={})
     with pytest.raises(DoorBudgetError):
         run_mc(cfg, short, hider, 100, seed=1)
     cfg = GameConfig(6, 3, 2)
-    hider = hider_from_entries(cfg, [((2, 1, 0, 0, 0, 0), F(1))])
+    hider = HiderStrategy(cfg, (((2, 1, 0, 0, 0, 0), F(1)),))
     gappy = SimpleNamespace(config=cfg, name="gappy", fresh_door_stays={(1,): F(1)})
     with pytest.raises(MissingDiagramError):
         run_mc(cfg, gappy, hider, 100, seed=1)
@@ -204,7 +204,7 @@ def test_point_mass_runs_match_exact_values(name, base, make, path):
         allocations = enumerate_allocations(cfg.n, cfg.d, cfg.occupancy)
         for index, allocation in enumerate(allocations):
             exact = evaluate_under_reveal(cfg, searcher, allocation, rule, _memo=memo)
-            hider = hider_from_entries(cfg, [(allocation, F(1))])
+            hider = HiderStrategy(cfg, ((allocation, F(1)),))
             wins = run_mc(cfg, played, hider, trials, seed=derive_seed(2026, index)).wins
             if exact in (0, 1):
                 assert wins == exact * trials, (rule, allocation, wins, exact)

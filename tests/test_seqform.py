@@ -2,11 +2,18 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracle_utils import double_oracle_value
+from oracle_utils import apply_counts, apply_events, double_oracle_value
 from treasurehunt.errors import BudgetExceededError, InternalError
-from treasurehunt.game import GameConfig
-from treasurehunt.seqform import _certify_plans, _searcher_lp, build_quotient_game, solve_lp
+from treasurehunt.game import GameConfig, cell_starts, relabeling
+from treasurehunt.seqform import (
+    _certify_plans,
+    _reveal_point,
+    _searcher_lp,
+    build_quotient_game,
+    solve_lp,
+)
 from treasurehunt.solver import (
     hider_best_response_value,
     counting_upper_bound,
@@ -81,21 +88,25 @@ def test_strong_duality_reported():
     assert report.details["dual_value"] == report.value
 
 
-@pytest.mark.parametrize("n,d,k,occupancy,value,pivots", [
-    (3, 3, 2, "multi", F(3, 5), 64),
-    (5, 3, 2, "multi", F(8, 35), 66),
-    (7, 2, 2, "multi", F(1, 7), 12),
-    (7, 3, 2, "single", F(8, 35), 44),
-    (9, 3, 2, "multi", F(8, 165), 69),
-    (4, 3, 3, "multi", F(18, 25), 434),
+@pytest.mark.parametrize("n,d,k,occupancy,value,pivots,s_seqs,h_seqs,positions", [
+    pytest.param(3, 3, 2, "multi", F(3, 5), 64, 95, 16, 54, id="3-3-2-multi-value0-64"),
+    pytest.param(5, 3, 2, "multi", F(8, 35), 66, 148, 17, 66, id="5-3-2-multi-value1-66"),
+    pytest.param(7, 2, 2, "multi", F(1, 7), 12, 14, 4, 7, id="7-2-2-multi-value2-12"),
+    pytest.param(7, 3, 2, "single", F(8, 35), 44, 113, 7, 21, id="7-3-2-single-value3-44"),
+    pytest.param(9, 3, 2, "multi", F(8, 165), 69, 149, 17, 66, id="9-3-2-multi-value4-69"),
+    pytest.param(4, 3, 3, "multi", F(18, 25), 434, 542, 56, 170, id="4-3-3-multi-value5-434"),
 ])
-def test_searcher_lp_pivot_counts_are_pinned(n, d, k, occupancy, value, pivots):
+def test_searcher_lp_pivot_counts_are_pinned(n, d, k, occupancy, value, pivots, s_seqs, h_seqs, positions):
     # Bland's rule makes every entering and leaving choice a function of
     # the LP's exact values, so the pivot count over both phases pins the
     # path: arithmetic that changed a single choice would change the count.
+    # The quotient's sizes pin the build that the LP comes from.
     report = sequence_form_value(GameConfig(n, d, k, occupancy=occupancy))
     assert report.value == value
-    assert report.certificate.stats["pivots"] == pivots
+    stats = report.certificate.stats
+    assert stats["pivots"] == pivots
+    assert (stats["searcher_sequences"], stats["hider_sequences"]) == (s_seqs, h_seqs)
+    assert stats["positions"] == positions
 
 
 def _lp_plans(cfg):
@@ -206,3 +217,59 @@ def test_certificate_json_round_trip():
     for entry in parsed["realization_plan"]:
         assert set(entry) == {"history", "guess", "probability"}
         assert set(entry["probability"]) == {"num", "den"}
+
+
+def _draw_position(data, n):
+    """Treasure counts and events of a position reached by play."""
+    counts = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    remaining = list(counts)
+    events = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        live = [door for door in range(n) if remaining[door] > 0]
+        if not live:
+            break
+        revealed = data.draw(st.sampled_from(live))
+        doors = data.draw(st.sets(st.integers(0, n - 1), max_size=n)) | {revealed}
+        events.append((tuple(sorted(doors)), revealed))
+        remaining[revealed] -= 1
+    return counts, tuple(events), remaining
+
+
+def _draw_reveal_point(data, counts, events, remaining):
+    """A guess with two or more live doors at the position, the build's key
+    and labels for it, and its pending form with that form's cell starts."""
+    n = len(counts)
+    live = [door for door in range(n) if remaining[door] > 0]
+    assume(len(live) >= 2)
+    options = sorted(data.draw(st.sets(st.sampled_from(live), min_size=2)))
+    extra = data.draw(st.sets(st.integers(0, n - 1)))
+    guess = tuple(sorted(set(options) | {door for door in extra if remaining[door] == 0}))
+    position, sigma, cells = relabeling(counts, events)
+    key, labels = _reveal_point(position, cell_starts(sigma, cells), guess, options)
+    pending, sigma_p, cells_p = relabeling(counts, events + ((guess, -1),))
+    return key, dict(zip(options, labels)), pending, cell_starts(sigma_p, cells_p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reveal_points_are_keyed_by_pending_forms(data):
+    # The build keys the hider's reveal decision and labels its options from
+    # the position's one relabeling, never from the pending form itself.
+    # Two guesses, at a relabeled copy of one position (the identity
+    # included) or at two positions, meet at one reveal point exactly when
+    # their pending forms agree, and two options share a label exactly when
+    # the pending form puts them in one cell.
+    n = data.draw(st.integers(2, 5))
+    counts, events, remaining = _draw_position(data, n)
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        other = apply_counts(counts, perm), apply_events(events, perm), apply_counts(remaining, perm)
+    else:
+        other = _draw_position(data, n)
+    key_a, labels_a, pending_a, starts_a = _draw_reveal_point(data, counts, events, remaining)
+    key_b, labels_b, pending_b, starts_b = _draw_reveal_point(data, *other)
+    assert (key_a == key_b) == (pending_a == pending_b)
+    for labels, starts_p in ((labels_a, starts_a), (labels_b, starts_b)):
+        for a in labels:
+            for b in labels:
+                assert (labels[a] == labels[b]) == (starts_p[a] == starts_p[b])

@@ -8,6 +8,10 @@ from treasurehunt.simplex import EQ, GEQ, LEQ, INFEASIBLE, OPTIMAL, UNBOUNDED, s
 
 F = Fraction
 
+# Hypothesis's explain phase would replay a failure once per drawn value,
+# for minutes; shrinking alone reports a small failing LP in seconds.
+NO_EXPLAIN = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink]
+
 
 def test_basic_maximization():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6
@@ -112,7 +116,7 @@ def _matrix_game_values(A):
     return row_side.objective, col_side.objective
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_EXPLAIN)
 @given(
     data=st.data(),
     rows=st.integers(1, 4),
@@ -141,7 +145,7 @@ def test_pivot_limit_is_a_budget_error():
     assert solve_lp(1, [F(1)], [({0: F(1)}, LEQ, F(1))], pivot_limit=1).objective == 1
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
 @given(data=st.data(), cols=st.integers(1, 3), rows=st.integers(1, 4), maximize=st.booleans())
 def test_inequality_duals_certify_the_optimum(data, cols, rows, maximize):
     # Every row holds at a drawn point x0, and a box |x| <= 5 bounds the LP,
@@ -178,10 +182,7 @@ def test_inequality_duals_certify_the_optimum(data, cols, rows, maximize):
     assert sum(b * yi for (_, _, b), yi in zip(cons, y)) == res.objective
 
 
-# Hypothesis's explain phase would replay a failure once per drawn value,
-# for minutes; shrinking alone reports a small failing LP in seconds.
-@settings(max_examples=200, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@settings(max_examples=200, deadline=None, phases=NO_EXPLAIN)
 @given(data=st.data(), cols=st.integers(1, 3), eqs=st.integers(1, 2), rows=st.integers(0, 3),
        maximize=st.booleans())
 def test_rational_lps_with_equality_rows_are_solved_exactly(data, cols, eqs, rows, maximize):

@@ -301,8 +301,8 @@ def test_deterministic_win_sets():
     def fresh_strategy(history):
         return fresh[()] if not history else frozenset({2, 3})
 
-    ws = deterministic_win_set(cfg, fresh_strategy, name="fresh-pairs")
-    assert ws.allocations == {
+    ws = deterministic_win_set(cfg, fresh_strategy)
+    assert ws == {
         (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1),
     }
     assert len(ws) == 4 == cfg.k ** cfg.d
@@ -318,7 +318,7 @@ def test_deterministic_win_sets():
 
     tiny = GameConfig(3, 1, 1)
     ws3 = deterministic_win_set(tiny, lambda h: frozenset({0}))
-    assert ws3.allocations == {(1, 0, 0)}
+    assert ws3 == {(1, 0, 0)}
 
 
 def test_deterministic_win_set_rejects_illegal_guesses():

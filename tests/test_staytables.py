@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,7 +9,7 @@ from oracle_utils import (
     full_enumeration_best_response,
     mimic_continuation_oracle,
 )
-from treasurehunt.combinatorics import binomial, enumerate_partitions
+from treasurehunt.combinatorics import enumerate_partitions
 from treasurehunt.errors import DoorBudgetError, ExceedsUnitError, TableEntryError
 from treasurehunt.game import GameConfig
 from treasurehunt.staytables import (
@@ -191,7 +192,7 @@ def test_equalizing_family_found_by_exact_search():
     for k in (1, 2, 3, 4):
         n = 3 * k - 1
         cfg = GameConfig(n, 3, k)
-        p_two = Fraction(n * k * k, binomial(n + 2, 3))
+        p_two = Fraction(n * k * k, comb(n + 2, 3))
 
         def value_at(p_flat, allocation, n=n, k=k, cfg=cfg, p_two=p_two):
             table = StayTable(
@@ -213,7 +214,7 @@ def test_equalizing_family_found_by_exact_search():
         table = StayTable(n, 3, k, {(1,): Fraction(1), (2,): p_two, (1, 1): p_flat})
         report = verify_equalizing(cfg, table)
         assert report.equal is True
-        assert report.value == Fraction(k**3, binomial(n + 2, 3))
+        assert report.value == Fraction(k**3, comb(n + 2, 3))
 
 
 def test_table_validation():

@@ -10,9 +10,9 @@ from treasurehunt.errors import DoorBudgetError, MissingDiagramError
 from treasurehunt.game import GameConfig
 from treasurehunt.staytables import StayTable, scaled_stay_table, stay_probability
 from treasurehunt.strategies import (
+    HiderStrategy,
     all_in_one_hider,
     fresh_doors_searcher,
-    hider_from_entries,
     load_hider_json,
     mimic_searcher,
     scaled_searcher,
@@ -43,9 +43,9 @@ def test_all_in_one_hider():
 def test_custom_hider_validation():
     cfg = GameConfig(2, 2, 1)
     with pytest.raises(ValueError):
-        hider_from_entries(cfg, [((2, 0), Fraction(1, 2))])  # sums to 1/2
+        HiderStrategy(cfg, (((2, 0), Fraction(1, 2)),))  # sums to 1/2
     with pytest.raises(ValueError):
-        hider_from_entries(cfg, [((3, -1), Fraction(1))])
+        HiderStrategy(cfg, (((3, -1), Fraction(1)),))
 
 
 def test_fresh_doors_searcher():
