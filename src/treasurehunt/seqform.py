@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from .combinatorics import SINGLE, enumerate_partitions, partition_weight
@@ -357,9 +357,10 @@ class LiftedPlanStrategy(SearcherStrategy):
 
     A raw history is canonicalized, the plan supplies orbit realization
     probabilities, and each orbit spreads uniformly over its members: the
-    guesses whose ``orbit_key`` on the history is the orbit's. Unreached
-    histories fall back to a uniform legal guess, which cannot affect the
-    certified value.
+    guesses whose ``orbit_key`` on the history is the orbit's, which take
+    as many doors from each of the history's cells as the orbit's key.
+    Unreached histories fall back to a uniform legal guess, which cannot
+    affect the certified value.
     """
 
     door_symmetric = True
@@ -370,26 +371,31 @@ class LiftedPlanStrategy(SearcherStrategy):
         self._game = game
         self._plan = list(plan)
 
-    def guess_distribution(self, history: History):
-        (_, canon_hist), sigma, cells = relabeling((0,) * self.config.n, history)
+    def guess_orbits(self, history: History):
+        n = self.config.n
+        (_, canon_hist), sigma, cells = relabeling((0,) * n, history)
         info = self._game.s_infoset_by_hist.get(canon_hist)
-        if info is None:
-            return self._uniform(history)
-        parent_mass = self._plan[info.parent_seq]
+        parent_mass = 0 if info is None else self._plan[info.parent_seq]
         if parent_mass == 0:
-            return self._uniform(history)
-        starts = cell_starts(sigma, cells)
+            doors = tuple(range(n))
+            share = Fraction(1, sum(comb(n, size) for size in range(1, self.config.k + 1)))
+            return [(((doors, size),), share) for size in range(1, self.config.k + 1)]
+        by_label = sorted(range(n), key=sigma.__getitem__)  # ascending inside each cell
+        pools: list[tuple[int, ...]] = []
+        cell_of: list[int] = []  # label -> index of its cell
+        start = 0
+        for j, size in enumerate(cells):
+            pools.append(tuple(by_label[start:start + size]))
+            cell_of.extend([j] * size)
+            start += size
         out = []
-        for g in all_guesses(self.config):  # every member of every action orbit
-            mass = self._plan[info.action_of[orbit_key(starts, g)]]
+        for key, _, seq in info.actions:
+            mass = self._plan[seq]
             if mass != 0:
-                out.append((frozenset(g), mass / parent_mass))
+                taken = Counter(cell_of[label] for label in key)
+                parts = tuple((pools[j], m) for j, m in sorted(taken.items()))
+                out.append((parts, mass / parent_mass))
         return out
-
-    def _uniform(self, history: History):
-        legal = all_guesses(self.config)
-        share = Fraction(1, len(legal))
-        return [(frozenset(g), share) for g in legal]
 
 
 def solve_sequence_form(config: GameConfig, *, node_budget: int, column_budget: int):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping
 
 from .combinatorics import (
@@ -26,6 +27,7 @@ from .errors import AdversarialRevealError, BudgetExceededError, DoorBudgetError
 from .game import (
     ADVERSARIAL,
     CHANCE_REVEALS,
+    LOWEST_INDEX,
     GameConfig,
     History,
     all_guesses,
@@ -102,13 +104,18 @@ def evaluate_exact(
     """Exact win probability against one allocation, adversarial reveals.
 
     Recursion over observable histories: expectation over the searcher's
-    guess distribution, minimum over the reveal options (the hider knows
-    the strategy and the full position). Positions are memoized, modulo
-    door relabeling when the strategy declares door symmetry: a position
-    is canonicalized once, by ``relabeling``, when it is expanded, and the
-    memo key of each child comes from one ``refine`` step on it, equal to
-    the child's ``canonical_form``. Other strategies key the memo by the
-    raw history. ``node_budget`` caps the positions one call expands.
+    guesses, minimum over the reveal options (the hider knows the strategy
+    and the full position). Positions are memoized, modulo door relabeling
+    when the strategy declares door symmetry: a position is canonicalized
+    once, by ``relabeling``, when it is expanded, and the memo key of each
+    child comes from one ``refine`` step on it, equal to the child's
+    ``canonical_form``. Other strategies key the memo by the raw history.
+    A door-symmetric strategy with ``guess_orbits`` is scored by orbits:
+    each of its pools is split by the position's cells, and one guess per
+    orbit of the position's stabilizer is expanded, weighted by the orbit's
+    size times its members' probability; every other strategy is scored
+    guess by guess from ``guess_distribution``. ``node_budget`` caps the
+    positions one call expands.
     """
     return _evaluate(config, searcher, allocation, ADVERSARIAL, node_budget, _memo)
 
@@ -122,10 +129,22 @@ def evaluate_under_reveal(
     node_budget: int = DEFAULT_NODE_BUDGET,
     _memo: dict | None = None,
 ) -> Fraction:
-    """Exact win probability with a chance reveal rule instead of the minimum."""
+    """Exact win probability with a chance reveal rule instead of the minimum.
+
+    ``lowest-index`` reveals by door label, so a door-symmetric strategy is
+    scored guess by guess there, and every option of a guess with several
+    is scored: the canonical memo keys stand only while those values agree,
+    and the allocation is scored again with raw-history keys where they do
+    not.
+    """
     if reveal not in CHANCE_REVEALS:
         raise ValueError(f"{reveal!r} is not a chance reveal rule")
     return _evaluate(config, searcher, allocation, reveal, node_budget, _memo)
+
+
+class _LabelDependent(Exception):
+    """Two reveal options of one guess differ in value under ``lowest-index``,
+    so which one the rule picks depends on door labels."""
 
 
 def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fraction:
@@ -136,7 +155,9 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         memo = {}
     nodes = [0]
     last = config.d - 1
-    symmetric = searcher.door_symmetric
+    canonical = searcher.door_symmetric
+    # Orbits need a reveal rule as blind to labels as the memo keys.
+    orbits = searcher.guess_orbits if canonical and reveal != LOWEST_INDEX else None
 
     def value(key, history: History, remaining: tuple[int, ...], found: int) -> Fraction:
         cached = memo.get(key)
@@ -145,21 +166,25 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise BudgetExceededError(f"evaluation exceeded {node_budget} nodes")
-        if symmetric:
+        if canonical:
             position, sigma, cells = relabeling(allocation, history)
             starts = cell_starts(sigma, cells)
 
         def child(guess: frozenset[int], o: int) -> Fraction:
             history_o = history + ((guess, o),)
-            if symmetric:
+            if canonical:
                 key_o = (reveal, refine(position, starts, guess, o))
             else:
                 key_o = (reveal, allocation, history_o)
             return value(key_o, history_o, _dec(remaining, o), found + 1)
 
+        if orbits is None:
+            guesses = searcher.guess_distribution(history)
+        else:
+            guesses = _orbit_representatives(orbits(history), starts)
         live = frozenset(door for door, count in enumerate(remaining) if count)
         total = Fraction(0)
-        for guess, p in searcher.guess_distribution(history):
+        for guess, p in guesses:
             if live.isdisjoint(guess):
                 continue  # this branch loses, contributes 0
             if found == last:
@@ -174,6 +199,10 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
                         branch = v
                     if branch == 0:
                         break
+            elif reveal == LOWEST_INDEX and canonical:
+                branch = child(guess, options[0])
+                if any(child(guess, o) != branch for o in options[1:]):
+                    raise _LabelDependent
             else:
                 doors, weights = chance_reveal(remaining, options, reveal)
                 branch = Fraction(0)
@@ -184,8 +213,50 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         memo[key] = total
         return total
 
-    root = (reveal, canonical_form(allocation, ())) if symmetric else (reveal, allocation, ())
-    return value(root, (), allocation, 0)
+    if canonical:
+        try:
+            return value((reveal, canonical_form(allocation, ())), (), allocation, 0)
+        except _LabelDependent:
+            canonical = False  # value() reads it: score this allocation by raw history
+    return value((reveal, allocation, ()), (), allocation, 0)
+
+
+def _orbit_representatives(orbits, starts):
+    """One guess per orbit of a position's stabilizer, with the orbit's mass.
+
+    ``orbits`` is a ``guess_orbits`` list and ``starts`` the position's
+    ``cell_starts``. The stabilizer permutes doors inside the position's
+    cells, so splitting each pool by cell, the guesses that take c_j doors
+    from the j-th part of every pool form one orbit, of size the product of
+    the C(|part|, c_j). Its representative takes the first c_j doors of each
+    part: the orbit's lexicographically first member.
+    """
+    for parts, each in orbits:
+        reps = [((), each)]
+        for pool, m in parts:
+            cells: dict[int, list[int]] = {}
+            for door in pool:
+                cells.setdefault(starts[door], []).append(door)
+            reps = [
+                (doors + more, mass * size)
+                for doors, mass in reps
+                for more, size in _splits(list(cells.values()), m)
+            ]
+        for doors, mass in reps:
+            yield frozenset(doors), mass
+
+
+def _splits(cells: list[list[int]], m: int):
+    """Every way to take m doors from the cells, c_j from cell j: the first
+    c_j doors of each cell and the number of such choices."""
+    if not cells:
+        if m == 0:
+            yield (), 1
+        return
+    head, rest = cells[0], cells[1:]
+    for c in range(min(m, len(head)) + 1):
+        for more, size in _splits(rest, m - c):
+            yield tuple(head[:c]) + more, comb(len(head), c) * size
 
 
 def _dec(remaining: tuple[int, ...], door: int) -> tuple[int, ...]:

@@ -13,9 +13,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb, gcd
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .combinatorics import MULTI, SINGLE, Allocation, enumerate_allocations
 from .errors import DoorBudgetError, InvalidTableError, MissingDiagramError
@@ -24,6 +24,8 @@ from .jsonio import fraction_from_json
 from .staytables import StayTable, scaled_stay_table
 
 GuessDistribution = list[tuple[frozenset[int], Fraction]]
+# Guesses taking m doors from each (pool, m) part, each with one probability.
+GuessOrbit = tuple[tuple[tuple[tuple[int, ...], int], ...], Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +147,26 @@ def load_hider_json(config: GameConfig, path) -> HiderStrategy:
 class SearcherStrategy:
     """Base class: a behavioral rule over observable histories.
 
-    door_symmetric marks strategies invariant under door relabeling, which
-    lets the solver share work across symmetric positions. Set it only when
-    the rule genuinely ignores door identities.
+    ``guess_distribution(history)`` lists every guess with its exact
+    probability; ``run_mc`` draws from it and the exact evaluator scores it.
+
+    door_symmetric promises that the rule ignores door identities: relabeling
+    the doors of a history relabels its guess distribution the same way. The
+    evaluator then keys its memo by canonical position, so positions that
+    differ by a relabeling are scored once. Under the ``lowest-index`` reveal
+    the revealed door depends on labels even when the rule does not, so
+    there the evaluator also scores every option of a multi-option guess
+    and falls back to raw-history keys where their values differ.
+
+    guess_orbits is None, or the same rule by orbits: ``guess_orbits(history)``
+    returns ``(parts, each)`` pairs, where ``parts`` holds ``(pool, m)``
+    pairs of disjoint door pools, each sorted ascending, and every guess
+    that takes ``m`` doors from each pool has probability ``each``. A pool
+    must be a union of the history's relabeling cells, so the guesses of
+    one pair form a union of orbits of the history's stabilizer. The base
+    ``guess_distribution`` expands it guess by guess, so a rule with orbits
+    is written once; a door-symmetric evaluator scores one representative
+    per orbit of the position's stabilizer instead.
 
     fresh_door_stays is None, or the whole rule of a searcher that plays
     stay-or-move on fresh doors: round one guesses k never-guessed doors
@@ -164,10 +183,17 @@ class SearcherStrategy:
     config: GameConfig
     name: str = "searcher"
     door_symmetric: bool = False
+    guess_orbits: Callable[[History], list[GuessOrbit]] | None = None
     fresh_door_stays: Mapping[tuple[int, ...], Fraction] | None = None
 
     def guess_distribution(self, history: History) -> GuessDistribution:
-        raise NotImplementedError
+        if self.guess_orbits is None:
+            raise NotImplementedError
+        return [
+            (frozenset(chain.from_iterable(choice)), each)
+            for parts, each in self.guess_orbits(history)
+            for choice in product(*(combinations(pool, m) for pool, m in parts))
+        ]
 
     def sampler(self, rng) -> "_DistributionSampler":
         return _DistributionSampler(self, rng)
@@ -211,17 +237,22 @@ class FreshDoorsSearcher(SearcherStrategy):
                 f"fresh-door play needs n >= d*k, got n={self.config.n} < {self.config.d * self.config.k}"
             )
 
-    def guess_distribution(self, history: History) -> GuessDistribution:
+    def guess_orbits(self, history: History) -> list[GuessOrbit]:
         k = self.config.k
-        fresh = sorted(set(range(self.config.n)) - guessed_doors(history))
+        fresh = _fresh_doors(self.config, history)
         if len(fresh) < k:
             raise DoorBudgetError("ran out of fresh doors")
-        p = Fraction(1, comb(len(fresh), k))
-        return [(frozenset(c), p) for c in combinations(fresh, k)]
+        return [(((fresh, k),), Fraction(1, comb(len(fresh), k)))]
 
     @property
     def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:
         return {}
+
+
+def _fresh_doors(config: GameConfig, history: History) -> tuple[int, ...]:
+    """The doors no round of the history guessed, ascending."""
+    guessed = guessed_doors(history)
+    return tuple(door for door in range(config.n) if door not in guessed)
 
 
 def fresh_doors_searcher(config: GameConfig) -> FreshDoorsSearcher:
@@ -253,11 +284,10 @@ class StayTableSearcher(SearcherStrategy):
             )
         _validate_reachable(self.config, self.table)
 
-    def guess_distribution(self, history: History) -> GuessDistribution:
+    def guess_orbits(self, history: History) -> list[GuessOrbit]:
         n, k = self.config.n, self.config.k
         if not history:
-            p = Fraction(1, comb(n, k))
-            return [(frozenset(c), p) for c in combinations(range(n), k)]
+            return [(((tuple(range(n)), k),), Fraction(1, comb(n, k)))]
         counts = discovery_counts(history)
         if sum(counts) >= self.config.d:
             raise ValueError("game already won, no further guess")
@@ -265,21 +295,17 @@ class StayTableSearcher(SearcherStrategy):
             raise ValueError("game already lost, no further guess")
         current = next(r for _, r in reversed(history) if r is not None)
         stay = self.table.stay(counts)
-        fresh = sorted(set(range(n)) - guessed_doors(history))
-        entries: GuessDistribution = []
+        fresh = _fresh_doors(self.config, history)
+        orbits: list[GuessOrbit] = []
         if stay > 0:
             if len(fresh) < k - 1:
                 raise DoorBudgetError("ran out of fresh doors on the stay branch")
-            share = stay / comb(len(fresh), k - 1)
-            for c in combinations(fresh, k - 1):
-                entries.append((frozenset((current,) + c), share))
+            orbits.append(((((current,), 1), (fresh, k - 1)), stay / comb(len(fresh), k - 1)))
         if stay < 1:
             if len(fresh) < k:
                 raise DoorBudgetError("ran out of fresh doors on the move branch")
-            share = (1 - stay) / comb(len(fresh), k)
-            for c in combinations(fresh, k):
-                entries.append((frozenset(c), share))
-        return entries
+            orbits.append((((fresh, k),), (1 - stay) / comb(len(fresh), k)))
+        return orbits
 
     @property
     def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:

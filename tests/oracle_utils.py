@@ -12,8 +12,9 @@ tries every door permutation, the reference for the partition refinement
 in ``treasurehunt.game``. The full-enumeration best response scores every
 allocation, the reference for the per-shape scoring of door-symmetric
 searchers in ``treasurehunt.solver``. The canonical-key evaluator builds
-every memo key with a fresh ``canonical_form``, the reference for the
-evaluator's one-step child keys.
+every memo key with a fresh ``canonical_form`` and scores guess by guess
+from ``guess_distribution``, the reference for the evaluator's one-step
+child keys and for its scoring by guess orbits.
 """
 
 from dataclasses import dataclass, replace
@@ -246,9 +247,11 @@ def full_enumeration_best_response(config, searcher):
 
 def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
     """``evaluate_exact`` (``reveal`` adversarial) or ``evaluate_under_reveal``
-    stepped through the rules engine, with every memo key built from
-    scratch: ``(reveal, canonical_form(allocation, history))`` for a
-    door-symmetric searcher, ``(reveal, allocation, history)`` otherwise."""
+    stepped through the rules engine guess by guess, with every memo key
+    built from scratch: ``(reveal, canonical_form(allocation, history))``
+    for a door-symmetric searcher, ``(reveal, allocation, history)``
+    otherwise. The label-blind keys are no reference under lowest-index,
+    whose reveal follows door labels; pass ``WithoutDoorSymmetry`` there."""
     allocation = tuple(allocation)
 
     def value(history, state):

@@ -94,6 +94,21 @@ def test_certify_scaled_tight(capsys):
     assert doc["tight"] is True
 
 
+@pytest.mark.parametrize("n, d, k, value", [
+    (50, 5, 3, F(9, 117130)),
+    (42, 4, 4, F(256, 148995)),
+    (60, 4, 3, F(9, 66185)),
+])
+def test_certify_scaled_tight_at_large_sizes(capsys, n, d, k, value):
+    # Scored by guess orbits, each certifies in hundredths of a second; the
+    # scaled table walked up to C(n, k) guesses per position before.
+    code, out, _ = run_cli(capsys, "certify", "-n", str(n), "-d", str(d), "-k", str(k))
+    assert code == 0
+    doc = json.loads(out)
+    assert F(doc["value"]["num"], doc["value"]["den"]) == value
+    assert doc["tight"] is True
+
+
 def test_certify_custom_table_file(capsys, tmp_path):
     table = {
         "n": 5, "d": 3, "k": 2,

@@ -2,6 +2,7 @@ import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,9 +20,18 @@ from treasurehunt.errors import (
     DoorBudgetError,
     ExceedsUnitError,
 )
-from treasurehunt.game import CHANCE_REVEALS, GameConfig, all_guesses
+from treasurehunt.game import (
+    CHANCE_REVEALS,
+    LOWEST_INDEX,
+    GameConfig,
+    all_guesses,
+    cell_starts,
+    orbit_key,
+    relabeling,
+)
 from treasurehunt.montecarlo import compare_to_exact, run_mc
 from treasurehunt.solver import (
+    _orbit_representatives,
     all_in_one_bound,
     closed_form_value,
     deterministic_win_set,
@@ -431,6 +441,80 @@ def test_reveal_rules_give_different_values():
         assert searcher_best_response_value(cfg, uniform_hider(cfg)).value == caps[rule]
 
 
+class _RepeatPair(SearcherStrategy):
+    """Guess a uniform pair, then the same pair, then the door revealed in
+    round two. The rule is door-symmetric, but under lowest-index reveals
+    its value depends on which door of a pair has the lower label."""
+
+    name = "repeat-pair"
+    door_symmetric = True
+
+    def __init__(self, config):
+        self.config = config
+
+    def guess_distribution(self, history):
+        if not history:
+            pairs = list(combinations(range(self.config.n), 2))
+            return [(frozenset(pair), F(1, len(pairs))) for pair in pairs]
+        if len(history) == 1:
+            return [(history[0][0], F(1))]
+        return [(frozenset({history[1][1]}), F(1))]
+
+
+def test_lowest_index_value_does_not_follow_a_relabeling():
+    # (2,1,0) and (1,2,0) share a canonical form, yet lowest-index reveals
+    # door 0 first from {0, 1} in both: the searcher loses every line of
+    # (2,1,0) and wins the {0, 1} line of (1,2,0). A memo shared across
+    # allocations, as simulate --check-exact keeps, must not carry the 0 over.
+    cfg = GameConfig(3, 3, 2)
+    searcher = _RepeatPair(cfg)
+    memo: dict = {}
+    assert evaluate_under_reveal(cfg, searcher, (2, 1, 0), LOWEST_INDEX, _memo=memo) == 0
+    assert evaluate_under_reveal(cfg, searcher, (1, 2, 0), LOWEST_INDEX, _memo=memo) == F(1, 3)
+    plain = WithoutDoorSymmetry(searcher)
+    for allocation in enumerate_allocations(3, 3, "multi"):
+        exact = evaluate_under_reveal(cfg, plain, allocation, LOWEST_INDEX)
+        assert evaluate_under_reveal(cfg, searcher, allocation, LOWEST_INDEX, _memo=memo) == exact
+        assert evaluate_under_reveal(cfg, searcher, allocation, LOWEST_INDEX) == exact
+    # The other rules ignore labels, so label-blind keys stay sound there.
+    for rule in ("uniform-doors", "uniform-treasures"):
+        assert evaluate_under_reveal(cfg, searcher, (2, 1, 0), rule) == evaluate_under_reveal(
+            cfg, searcher, (1, 2, 0), rule
+        )
+
+
+def test_orbit_representatives_cover_each_stabilizer_orbit_once():
+    # Grouping the expanded guesses by their orbit under the position's
+    # stabilizer (orbit_key on its starts) gives the representatives' orbits
+    # and masses, with every representative a member of its own orbit.
+    cfg = GameConfig(15, 3, 3)
+    searcher = scaled_searcher(cfg)
+    rng = random.Random(3)
+    positions = 0
+    for allocation in rng.sample(enumerate_allocations(15, 3, "multi"), 40):
+        history = ()
+        remaining = list(allocation)
+        for _ in range(cfg.d - 1):
+            _, sigma, cells = relabeling(allocation, history)
+            starts = cell_starts(sigma, cells)
+            grouped: dict = {}
+            for guess, p in searcher.guess_distribution(history):
+                key = orbit_key(starts, guess)
+                grouped[key] = grouped.get(key, 0) + p
+            reps = list(_orbit_representatives(searcher.guess_orbits(history), starts))
+            assert {orbit_key(starts, g): mass for g, mass in reps} == grouped
+            assert len(reps) == len(grouped)
+            positions += 1
+            live = [g for g, _ in searcher.guess_distribution(history) if any(remaining[o] for o in g)]
+            if not live:
+                break
+            guess = rng.choice(live)
+            o = rng.choice([o for o in sorted(guess) if remaining[o]])
+            remaining[o] -= 1
+            history += ((guess, o),)
+    assert positions > 60
+
+
 def _memo_grid_searchers(cfg):
     """fresh-k where it fits, and in the multi game the scaled table, or
     else a custom table that stays half the time, or else always."""
@@ -454,10 +538,15 @@ def _memo_grid_searchers(cfg):
 
 
 def test_evaluator_memo_matches_canonical_form_keys_on_small_grid():
-    # Child keys come from one refinement step of the parent's relabeling;
+    # Child keys come from one refinement step of the parent's relabeling,
+    # and the bundled door-symmetric searchers are scored by guess orbits;
     # the shared memo must hold exactly the keys and values that keying
-    # every position by canonical_form(allocation, history) gives, over the
-    # adversarial rule and the three chance rules.
+    # every position by canonical_form(allocation, history), guess by guess,
+    # gives, over the adversarial rule and the two door-symmetric chance
+    # rules. Lowest-index reveals by door label, so there the evaluator
+    # scores every option of a guess and label-blind keys are no reference:
+    # every value is checked against raw-history keys instead, and so is
+    # every raw-key memo entry; a searcher without the flag keeps them all.
     games = 0
     for n in range(1, 8):
         for d in range(1, 4):
@@ -471,14 +560,25 @@ def test_evaluator_memo_matches_canonical_form_keys_on_small_grid():
                         searchers += [WithoutDoorSymmetry(s) for s in searchers]
                     for searcher in searchers:
                         games += 1
+                        plain = WithoutDoorSymmetry(searcher) if searcher.door_symmetric else searcher
                         memo: dict = {}
                         reference: dict = {}
+                        raw: dict = {}
                         for allocation in enumerate_allocations(n, d, occupancy):
                             for reveal in ("adversarial",) + CHANCE_REVEALS:
                                 if reveal == "adversarial":
                                     v = evaluate_exact(cfg, searcher, allocation, _memo=memo)
                                 else:
                                     v = evaluate_under_reveal(cfg, searcher, allocation, reveal, _memo=memo)
-                                assert v == canonical_key_evaluate(cfg, searcher, allocation, reveal, reference)
-                        assert memo == reference, (cfg, searcher.name)
+                                if reveal == LOWEST_INDEX:
+                                    assert v == canonical_key_evaluate(cfg, plain, allocation, reveal, raw)
+                                else:
+                                    assert v == canonical_key_evaluate(cfg, searcher, allocation, reveal, reference)
+                        lowest = {key: v for key, v in memo.items() if key[0] == LOWEST_INDEX}
+                        assert {key: v for key, v in memo.items() if key[0] != LOWEST_INDEX} == reference
+                        if searcher.door_symmetric:
+                            fallback = {key: v for key, v in lowest.items() if len(key) == 3}
+                            assert fallback.items() <= raw.items(), (cfg, searcher.name)
+                        else:
+                            assert lowest == raw, (cfg, searcher.name)
     assert games > 50

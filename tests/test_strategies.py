@@ -2,14 +2,26 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from treasurehunt.combinatorics import count_allocations
 from treasurehunt.errors import DoorBudgetError, MissingDiagramError
-from treasurehunt.game import GameConfig
+from treasurehunt.game import (
+    GameConfig,
+    all_guesses,
+    cell_starts,
+    discovery_counts,
+    guessed_doors,
+    orbit_key,
+    relabeling,
+)
+from treasurehunt.seqform import LiftedPlanStrategy
+from treasurehunt.solver import sequence_form_value
 from treasurehunt.staytables import StayTable, scaled_stay_table, stay_probability
 from treasurehunt.strategies import (
+    FreshDoorsSearcher,
     HiderStrategy,
     all_in_one_hider,
     fresh_doors_searcher,
@@ -254,3 +266,104 @@ def test_scaled_searcher_counts(subtests=None):
     assert stay_mass == Fraction(4, 5)
     assert stay_mass == 2 * stay_probability(4, 2, (1,))
     assert count_allocations(4, 2) == 10
+
+
+def _reachable_histories(searcher, every_guess=False):
+    """Every history with fewer than d rounds that play can reach: guesses
+    of positive probability, or every legal guess with ``every_guess``,
+    each revealing any door it holds that can still hide a treasure."""
+    cfg = searcher.config
+    frontier = [()]
+    while frontier:
+        history = frontier.pop()
+        yield history
+        if len(history) + 1 == cfg.d:
+            continue
+        spent = {o for _, o in history} if cfg.occupancy == "single" else set()
+        if every_guess:
+            guesses = [frozenset(g) for g in all_guesses(cfg)]
+        else:
+            guesses = [g for g, p in searcher.guess_distribution(history) if p > 0]
+        for guess in guesses:
+            frontier.extend(history + ((guess, o),) for o in sorted(guess - spent))
+
+
+def _rule_read_guess_by_guess(searcher, history):
+    """The searcher's rule read off guess by guess over ``all_guesses``."""
+    cfg = searcher.config
+    n, k = cfg.n, cfg.k
+    fresh = frozenset(range(n)) - guessed_doors(history)
+    if isinstance(searcher, LiftedPlanStrategy):
+        (_, canon), sigma, cells = relabeling((0,) * n, history)
+        info = searcher._game.s_infoset_by_hist.get(canon)
+        parent = 0 if info is None else searcher._plan[info.parent_seq]
+        starts = cell_starts(sigma, cells)
+    rule = {}
+    for doors in all_guesses(cfg):
+        g = frozenset(doors)
+        if isinstance(searcher, LiftedPlanStrategy):
+            if parent == 0:
+                p = Fraction(1, len(all_guesses(cfg)))
+            else:
+                p = searcher._plan[info.action_of[orbit_key(starts, g)]] / parent
+        elif isinstance(searcher, FreshDoorsSearcher) or not history:
+            p = Fraction(len(g) == k and g <= fresh, comb(len(fresh), k))
+        else:
+            current = history[-1][1]
+            stay = searcher.table.stay(discovery_counts(history))
+            if len(g) == k and current in g and g - {current} <= fresh:
+                p = stay / comb(len(fresh), k - 1)
+            else:
+                p = (1 - stay) * Fraction(len(g) == k and g <= fresh, comb(len(fresh), k))
+        if p:
+            rule[g] = p
+    return rule
+
+
+def _orbit_searchers():
+    tables = {
+        (5, 3, 2): {(1,): Fraction(1), (2,): Fraction(4, 7), (1, 1): Fraction(6, 7)},
+        (6, 3, 2): {(1,): Fraction(1), (2,): Fraction(3, 7), (1, 1): Fraction(4, 7)},
+        (7, 2, 3): {(1,): Fraction(1, 2)},
+    }
+    for (n, d, k), entries in tables.items():
+        yield stay_table_searcher(GameConfig(n, d, k), StayTable(n, d, k, entries))
+    yield scaled_searcher(GameConfig(9, 3, 2))
+    yield scaled_searcher(GameConfig(12, 4, 1))
+    yield mimic_searcher(GameConfig(6, 4, 1))
+    yield fresh_doors_searcher(GameConfig(6, 3, 2, occupancy="single"))
+    yield fresh_doors_searcher(GameConfig(7, 2, 3))
+    yield fresh_doors_searcher(GameConfig(6, 2, 3, occupancy="single"))
+    for n, d, k, occupancy in [(3, 3, 2, "multi"), (4, 2, 3, "multi"), (4, 3, 2, "single")]:
+        yield sequence_form_value(GameConfig(n, d, k, occupancy=occupancy)).certificate.searcher_strategy
+
+
+def test_guess_orbits_expand_to_the_rule_read_guess_by_guess():
+    # On every reachable history of small games, each bundled door-symmetric
+    # searcher's orbits expand to exactly its rule read guess by guess, with
+    # masses summing to 1, and every pool is a union of the history's
+    # relabeling cells, so each (parts, each) pair is a union of orbits of
+    # the history's stabilizer. Lifted LP plans are also read off the plan,
+    # on the histories it never reaches, where they guess uniformly.
+    histories = 0
+    for searcher in _orbit_searchers():
+        assert searcher.door_symmetric and searcher.guess_orbits is not None
+        n = searcher.config.n
+        every_guess = isinstance(searcher, LiftedPlanStrategy)
+        for history in _reachable_histories(searcher, every_guess):
+            histories += 1
+            _, sigma, cells = relabeling((0,) * n, history)
+            starts = cell_starts(sigma, cells)
+            for parts, each in searcher.guess_orbits(history):
+                assert each > 0
+                pooled = [door for pool, _ in parts for door in pool]
+                assert len(set(pooled)) == len(pooled)
+                for pool, m in parts:
+                    assert list(pool) == sorted(pool) and 0 <= m <= len(pool)
+                    inside = {starts[door] for door in pool}
+                    assert sum(starts.count(start) for start in inside) == len(pool)
+            expanded = searcher.guess_distribution(history)
+            assert sum(p for _, p in expanded) == 1
+            assert len({g for g, _ in expanded}) == len(expanded)
+            assert dict(expanded) == _rule_read_guess_by_guess(searcher, history), history
+    assert histories > 1000
