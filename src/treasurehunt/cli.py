@@ -76,12 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_nd=True):
+    def add_common(p, need_nd=True, formats=("json", "text")):
         p.add_argument("--variant", choices=[SINGLE, MULTI], default=MULTI)
         p.add_argument("-n", type=int, required=need_nd, help="number of doors")
         p.add_argument("-d", type=int, required=need_nd, help="number of treasures")
         p.add_argument("-k", type=int, required=need_nd, help="maximum guess size")
-        p.add_argument("--format", choices=["json", "csv", "text"], default=None)
+        p.add_argument("--format", choices=formats, default=None)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     def add_node_budget(p):
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lp.set_defaults(func=cmd_lp)
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo estimate")
-    add_common(p_sim)
+    add_common(p_sim, formats=("json", "csv", "text"))
     add_node_budget(p_sim)
     add_searcher(p_sim)
     p_sim.add_argument("--reveal", choices=sorted(_REVEAL_CHOICES), default="lowest")
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="tabulate values over a parameter range")
-    add_common(p_sweep, need_nd=False)
+    add_common(p_sweep, need_nd=False, formats=("csv", "json"))
     add_node_budget(p_sweep)
     add_searcher(p_sweep)
     p_sweep.add_argument("--param", choices=["n", "d", "k"], required=True)
@@ -184,15 +184,9 @@ def _resolve_hider(args, config):
     return load_hider_json(config, args.hider_file)
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    fmt = args.format or "json"
-    if fmt == "text" and text is not None:
-        body = text
-    elif fmt == "csv":
-        raise UsageError(f"{args.command} has no CSV form")
-    else:
-        body = json.dumps(payload, indent=2, sort_keys=True)
-    _write(args, body)
+def _emit(args, payload: dict, text: str) -> None:
+    """The payload as JSON, or ``text`` under ``--format text``."""
+    _write(args, text if args.format == "text" else json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _write(args, body: str) -> None:

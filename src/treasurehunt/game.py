@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Collection, Sequence
 
 from .combinatorics import MULTI, OCCUPANCIES, SINGLE, Allocation
@@ -68,7 +68,7 @@ class GameConfig:
 
     def is_valid_allocation(self, allocation: Allocation) -> bool:
         counts = tuple(allocation)
-        if len(counts) != self.n or any(c < 0 for c in counts):
+        if len(counts) != self.n or any(type(c) is not int or c < 0 for c in counts):
             return False
         if sum(counts) != self.d:
             return False
@@ -79,7 +79,8 @@ class GameConfig:
 
 def all_guesses(config: GameConfig) -> list[tuple[int, ...]]:
     """Every legal guess as a sorted door tuple: sizes 1 to k, each size in
-    lexicographic order. The LP's column order follows this order."""
+    lexicographic order. The LP build lists guess orbits in the order this
+    list first reaches them, by ``orbit_representatives``."""
     return [g for size in range(1, config.k + 1) for g in combinations(range(config.n), size)]
 
 
@@ -198,6 +199,48 @@ def orbit_key(starts: Sequence[int], doors: Collection[int]) -> tuple[int, ...]:
     for start in sorted(starts[door] for door in doors):
         labels.append(start if not labels or start > labels[-1] else labels[-1] + 1)
     return tuple(labels)
+
+
+def cell_pools(pool: Sequence[int], starts: Sequence[int]) -> dict[int, list[int]]:
+    """A pool's doors grouped by cell, keyed by cell start, in pool order."""
+    cells: dict[int, list[int]] = {}
+    for door in pool:
+        cells.setdefault(starts[door], []).append(door)
+    return cells
+
+
+def orbit_representatives(orbits, starts: Sequence[int]):
+    """One guess per orbit of a position's stabilizer, with the orbit's mass.
+
+    ``orbits`` is a list in the form of ``SearcherStrategy.guess_orbits``
+    and ``starts`` the position's ``cell_starts``. The stabilizer permutes
+    doors inside the position's cells, so splitting each pool by cell, the
+    guesses that take c_j doors from the j-th part of every pool form one
+    orbit, of size the product of the C(|part|, c_j). Its representative,
+    a sorted door tuple, takes the first c_j doors of each part: the
+    orbit's lexicographically first member.
+    """
+    for parts, each in orbits:
+        reps = [((), each)]
+        for pool, m in parts:
+            cells = list(cell_pools(pool, starts).values())
+            reps = [(doors + more, mass * size) for doors, mass in reps for more, size in _splits(cells, m)]
+        for doors, mass in reps:
+            yield tuple(sorted(doors)), mass
+
+
+def _splits(cells: list[list[int]], m: int):
+    """Every way to take m doors from the cells, c_j from cell j: the first
+    c_j doors of each cell and the number of such choices."""
+    if m == 0:
+        yield (), 1
+        return
+    if not cells:
+        return
+    head, rest = cells[0], cells[1:]
+    for c in range(min(m, len(head)) + 1):
+        for more, size in _splits(rest, m - c):
+            yield tuple(head[:c]) + more, comb(len(head), c) * size
 
 
 def refine(position: Position, starts: Sequence[int], doors: Collection[int], revealed: int) -> Position:

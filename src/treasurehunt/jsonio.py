@@ -15,6 +15,13 @@ def fraction_to_json(value: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+def int_from_json(obj, name: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"{name} must be an integer, got {obj!r}")
+    return obj
+
+
 def fraction_from_json(obj) -> Fraction:
     if isinstance(obj, bool):
         raise ValueError("expected an exact fraction, got a boolean")

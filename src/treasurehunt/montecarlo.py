@@ -107,6 +107,8 @@ def run_mc(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= seed <= _MASK64:  # random.Random drops a seed's sign
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if config.reveal not in CHANCE_REVEALS:
         raise AdversarialRevealError("simulation needs a chance reveal rule")
     game = (config.n, config.d, config.k, config.occupancy)

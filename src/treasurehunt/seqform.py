@@ -21,15 +21,16 @@ orbit sizes. The quotient LP has a few hundred rows where the raw LP would
 have tens of thousands.
 
 The build walks canonical positions (allocation plus observable events)
-breadth first. Expanding every concrete action of one canonical
-representative and accumulating the parent's orbit weight onto canonical
-children counts each concrete terminal exactly once: a child orbit that is
-m times larger than its parent's is entered by exactly m concrete edges
-from the representative. As a whole-construction check, the accumulated
-weight of every position is asserted to equal its orbit size n!/|stab|.
-Each position is canonicalized once, by ``game.relabeling``; its children
-and reveal points are stepped from that form by ``game.refine``, and the
-orbits of guesses and revealed doors are keyed by ``game.orbit_key``.
+breadth first. Expanding one guess per orbit of a canonical position's
+stabilizer (``game.orbit_representatives``) with the parent's orbit weight
+times the orbit's size, and accumulating that onto canonical children,
+counts each concrete terminal exactly once: a child orbit that is m times
+larger than its parent's is entered by exactly m concrete edges from the
+representative. As a whole-construction check, the accumulated weight of
+every position is asserted to equal its orbit size n!/|stab|. Each
+position and its history are canonicalized once each, by
+``game.relabeling``; its children and reveal points are stepped from that
+form by ``game.refine``, and guesses are keyed by ``game.orbit_key``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -46,9 +48,10 @@ from .game import (
     Events,
     GameConfig,
     History,
-    all_guesses,
+    cell_pools,
     cell_starts,
     orbit_key,
+    orbit_representatives,
     refine,
     relabeling,
     stabilizer_size,
@@ -88,7 +91,7 @@ class _QuotientGame:
 def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: int) -> _QuotientGame:
     n, d = config.n, config.d
     no_counts = (0,) * n  # histories are canonicalized on their own
-    guesses = all_guesses(config)
+    every_guess = [(((tuple(range(n)), size),), 1) for size in range(1, config.k + 1)]
 
     s_infosets: list[_SInfoset] = []
     s_infoset_by_hist: dict[Events, _SInfoset] = {}
@@ -99,7 +102,12 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     payoff: dict[tuple[int, int], int] = {}
     states_seen = 0
 
-    def new_s_infoset(hist: Events) -> _SInfoset:
+    @cache  # one list per tuple of cell starts, shared by positions and infosets
+    def representatives(starts: tuple[int, ...]) -> list:
+        """(guess, orbit size) pairs, in the order all_guesses first reaches each orbit."""
+        return sorted(orbit_representatives(every_guess, starts), key=lambda rep: (len(rep[0]), rep[0]))
+
+    def new_s_infoset(hist: Events, cells: tuple[int, ...]) -> _SInfoset:
         nonlocal s_count
         if hist:
             (_, prev), sigma, prev_cells = relabeling(no_counts, hist[:-1])
@@ -107,12 +115,10 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
             parent_seq = s_infoset_by_hist[prev].action_of[key]
         else:
             parent_seq = 0
-        _, sigma, cells = relabeling(no_counts, hist)
-        starts = cell_starts(sigma, cells)
         info = _SInfoset(uid=len(s_infosets), hist=hist, parent_seq=parent_seq, actions=[], action_of={})
-        # hist is canonical, so each key is its orbit's first guess and the
-        # counts keep the actions in all_guesses order.
-        for key, size in Counter(orbit_key(starts, g) for g in guesses).items():
+        # hist is canonical, so cell j holds consecutive labels and each
+        # representative is its own orbit_key.
+        for key, size in representatives(cell_starts(range(n), cells)):
             info.actions.append((key, size, s_count))
             info.action_of[key] = s_count
             s_count += 1
@@ -154,15 +160,16 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
             starts_h = cell_starts(sigma_h, cells_h)
             info = s_infoset_by_hist.get(hist_canon)
             if info is None:
-                info = new_s_infoset(hist_canon)
+                info = new_s_infoset(hist_canon, cells_h)
             assert info.parent_seq == s0, (
                 "searcher context mismatch: the quotient expansion is inconsistent"
             )
-            for g in guesses:
+            for g, size in representatives(starts):
                 options = [o for o in g if remaining[o] > 0]
                 if not options:
                     continue  # losing guess, payoff zero
                 s1 = info.action_of[orbit_key(starts_h, g)]
+                mass = weight * size  # the orbit's concrete guesses, each with the position's weight
                 if len(options) == 1:
                     transitions = [(options[0], h0)]
                 else:
@@ -180,14 +187,14 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
                 for o, h1 in transitions:
                     if round_idx + 1 == d:
                         pair = (s1, h1)
-                        payoff[pair] = payoff.get(pair, 0) + weight
+                        payoff[pair] = payoff.get(pair, 0) + mass
                     else:
                         cstate = refine(position, starts, g, o)
                         entry = next_level.get(cstate)
                         if entry is None:
-                            next_level[cstate] = [weight, s1, h1]
+                            next_level[cstate] = [mass, s1, h1]
                         else:
-                            entry[0] += weight
+                            entry[0] += mass
                             assert entry[1] == s1 and entry[2] == h1, (
                                 "sequence context mismatch: the quotient expansion is inconsistent"
                             )
@@ -380,20 +387,14 @@ class LiftedPlanStrategy(SearcherStrategy):
             doors = tuple(range(n))
             share = Fraction(1, sum(comb(n, size) for size in range(1, self.config.k + 1)))
             return [(((doors, size),), share) for size in range(1, self.config.k + 1)]
-        by_label = sorted(range(n), key=sigma.__getitem__)  # ascending inside each cell
-        pools: list[tuple[int, ...]] = []
-        cell_of: list[int] = []  # label -> index of its cell
-        start = 0
-        for j, size in enumerate(cells):
-            pools.append(tuple(by_label[start:start + size]))
-            cell_of.extend([j] * size)
-            start += size
+        pools = cell_pools(range(n), cell_starts(sigma, cells))  # ascending inside each cell
+        start_of = cell_starts(range(n), cells)  # label -> its cell's first label
         out = []
         for key, _, seq in info.actions:
             mass = self._plan[seq]
             if mass != 0:
-                taken = Counter(cell_of[label] for label in key)
-                parts = tuple((pools[j], m) for j, m in sorted(taken.items()))
+                taken = Counter(start_of[label] for label in key)
+                parts = tuple((tuple(pools[start]), m) for start, m in sorted(taken.items()))
                 out.append((parts, mass / parent_mass))
         return out
 

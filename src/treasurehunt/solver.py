@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Callable, Mapping
 
 from .combinatorics import (
@@ -34,6 +33,7 @@ from .game import (
     canonical_form,
     cell_starts,
     chance_reveal,
+    orbit_representatives,
     refine,
     relabeling,
 )
@@ -181,7 +181,7 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         if orbits is None:
             guesses = searcher.guess_distribution(history)
         else:
-            guesses = _orbit_representatives(orbits(history), starts)
+            guesses = ((frozenset(g), p) for g, p in orbit_representatives(orbits(history), starts))
         live = frozenset(door for door, count in enumerate(remaining) if count)
         total = Fraction(0)
         for guess, p in guesses:
@@ -219,44 +219,6 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         except _LabelDependent:
             canonical = False  # value() reads it: score this allocation by raw history
     return value((reveal, allocation, ()), (), allocation, 0)
-
-
-def _orbit_representatives(orbits, starts):
-    """One guess per orbit of a position's stabilizer, with the orbit's mass.
-
-    ``orbits`` is a ``guess_orbits`` list and ``starts`` the position's
-    ``cell_starts``. The stabilizer permutes doors inside the position's
-    cells, so splitting each pool by cell, the guesses that take c_j doors
-    from the j-th part of every pool form one orbit, of size the product of
-    the C(|part|, c_j). Its representative takes the first c_j doors of each
-    part: the orbit's lexicographically first member.
-    """
-    for parts, each in orbits:
-        reps = [((), each)]
-        for pool, m in parts:
-            cells: dict[int, list[int]] = {}
-            for door in pool:
-                cells.setdefault(starts[door], []).append(door)
-            reps = [
-                (doors + more, mass * size)
-                for doors, mass in reps
-                for more, size in _splits(list(cells.values()), m)
-            ]
-        for doors, mass in reps:
-            yield frozenset(doors), mass
-
-
-def _splits(cells: list[list[int]], m: int):
-    """Every way to take m doors from the cells, c_j from cell j: the first
-    c_j doors of each cell and the number of such choices."""
-    if not cells:
-        if m == 0:
-            yield (), 1
-        return
-    head, rest = cells[0], cells[1:]
-    for c in range(min(m, len(head)) + 1):
-        for more, size in _splits(rest, m - c):
-            yield tuple(head[:c]) + more, comb(len(head), c) * size
 
 
 def _dec(remaining: tuple[int, ...], door: int) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from .combinatorics import (
     partition_weight,
 )
 from .errors import DoorBudgetError, ExceedsUnitError, MissingDiagramError, TableEntryError
-from .jsonio import fraction_from_json, fraction_to_json
+from .jsonio import fraction_from_json, fraction_to_json, int_from_json
 
 
 def decision_diagrams(n: int, d: int) -> list[Partition]:
@@ -121,7 +121,7 @@ class StayTable:
     @classmethod
     def from_json(cls, obj: dict) -> "StayTable":
         try:
-            n, d, k = int(obj["n"]), int(obj["d"]), int(obj["k"])
+            n, d, k = (int_from_json(obj[name], name) for name in "ndk")
             raw_entries = obj["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TableEntryError(f"malformed table document: {exc}") from exc

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 from .combinatorics import MULTI, SINGLE, Allocation, enumerate_allocations
 from .errors import DoorBudgetError, InvalidTableError, MissingDiagramError
 from .game import GameConfig, History, discovery_counts, guessed_doors
-from .jsonio import fraction_from_json
+from .jsonio import fraction_from_json, int_from_json
 from .staytables import StayTable, scaled_stay_table
 
 GuessDistribution = list[tuple[frozenset[int], Fraction]]
@@ -132,8 +132,9 @@ def load_hider_json(config: GameConfig, path) -> HiderStrategy:
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     try:
-        if int(obj.get("n", config.n)) != config.n or int(obj.get("d", config.d)) != config.d:
-            raise ValueError("hider file was written for a different game size")
+        for name, size in (("n", config.n), ("d", config.d)):
+            if int_from_json(obj.get(name, size), name) != size:
+                raise ValueError("hider file was written for a different game size")
         entries = tuple((tuple(item["allocation"]), fraction_from_json(item["p"])) for item in obj["entries"])
         return HiderStrategy(config, entries, name="file")
     except (AttributeError, KeyError, TypeError) as exc:

@@ -428,6 +428,20 @@ _CERTIFY = ("certify", "-n", "9", "-d", "3", "-k", "2", "--searcher", "ptable-fi
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": 5}, 3,
                  "invalid table: malformed table entries: TypeError: 'int' object is not iterable",
                  id="table-entries-number"),
+    pytest.param(_CERTIFY, {"n": 9.7, "d": 3, "k": 2, "entries": []}, 3,
+                 "invalid table: malformed table document: n must be an integer, got 9.7", id="table-float-n"),
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": True, "entries": []}, 3,
+                 "invalid table: malformed table document: k must be an integer, got True", id="table-bool-k"),
+    pytest.param(_CERTIFY, {"n": 9, "d": "3", "k": 2, "entries": []}, 3,
+                 "invalid table: malformed table document: d must be an integer, got '3'", id="table-string-d"),
+    pytest.param(_SIMULATE, {"n": 3.0, "d": 2, "entries": []}, 2,
+                 "error: n must be an integer, got 3.0", id="hider-float-n"),
+    pytest.param(_SIMULATE, {"n": 3, "d": 2, "entries": [{"allocation": [1.0, 1, 0], "p": 1}]}, 2,
+                 "error: allocation (1.0, 1, 0) invalid for GameConfig(n=3, d=2, k=1, occupancy='multi', "
+                 "reveal='lowest-index')", id="hider-float-count"),
+    pytest.param(_SIMULATE, {"n": 3, "d": 2, "entries": [{"allocation": [True, True, 0], "p": 1}]}, 2,
+                 "error: allocation (True, True, 0) invalid for GameConfig(n=3, d=2, k=1, occupancy='multi', "
+                 "reveal='lowest-index')", id="hider-bool-count"),
 ])
 def test_malformed_input_file_exits_without_traceback(capsys, tmp_path, argv, doc, code, line):
     path = tmp_path / "input.json"
@@ -435,6 +449,50 @@ def test_malformed_input_file_exits_without_traceback(capsys, tmp_path, argv, do
     got, out, err = run_cli(capsys, *argv, str(path))
     assert (got, out, err) == (code, "", line + "\n")
     assert "Traceback" not in err
+
+
+def test_hider_file_with_half_treasures_exit_2(capsys, tmp_path):
+    # Counts summing to d are not enough: half treasures once got an "exact"
+    # value from simulate --check-exact.
+    path = tmp_path / "hider.json"
+    allocation = [1.5, 1.5] + [0] * 7
+    path.write_text(json.dumps({"n": 9, "d": 3, "entries": [{"allocation": allocation, "p": 1}]}))
+    code, out, err = run_cli(capsys, "simulate", "-n", "9", "-d", "3", "-k", "2", "--trials", "100",
+                             "--check-exact", "--hider", "file", "--hider-file", str(path))
+    assert (code, out) == (2, "")
+    assert "allocation (1.5, 1.5, 0, 0, 0, 0, 0, 0, 0) invalid" in err
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    pytest.param(("value", "-n", "6", "-d", "3", "-k", "2"), "csv", id="value-csv"),
+    pytest.param(("ptable", "-n", "9", "-d", "3", "-k", "2"), "csv", id="ptable-csv"),
+    pytest.param(("ptable", "--min-valid-n", "-d", "3", "-k", "2"), "csv", id="ptable-min-valid-n-csv"),
+    pytest.param(("certify", "-n", "9", "-d", "3", "-k", "2"), "csv", id="certify-csv"),
+    pytest.param(("lp", "-n", "3", "-d", "2", "-k", "2", "--emit-certificate", "CERT"), "csv", id="lp-csv"),
+    pytest.param(("sweep", "--param", "n", "--start", "3", "--stop", "4", "-d", "2", "-k", "2"), "text",
+                 id="sweep-text"),
+])
+def test_unsupported_format_exits_2_and_writes_nothing(capsys, tmp_path, argv, fmt):
+    cert, dest = tmp_path / "cert.json", tmp_path / "out.txt"
+    argv = [str(cert) if arg == "CERT" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(dest))
+    assert (code, out) == (2, "")
+    assert f"invalid choice: '{fmt}'" in err
+    assert not cert.exists() and not dest.exists()
+
+
+def test_sweep_json_format(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--param", "n", "--start", "3", "--stop", "4",
+                           "-d", "2", "-k", "2", "--format", "json")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["rows"]] == [3, 4]
+
+
+def test_simulate_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "-n", "9", "-d", "3", "-k", "2",
+                             "--trials", "100", "--seed", "-5")
+    assert (code, out) == (2, "")
+    assert "seed must lie in [0, 2**64), got -5" in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from oracle_utils import (
     reveal_options,
     reveal_weights,
 )
+from treasurehunt.combinatorics import enumerate_allocations
 from treasurehunt.game import (
     GameConfig,
     all_guesses,
@@ -26,10 +28,12 @@ from treasurehunt.game import (
     cell_starts,
     discovery_counts,
     orbit_key,
+    orbit_representatives,
     refine,
     relabeling,
     stabilizer_size,
 )
+from treasurehunt.strategies import scaled_searcher
 
 
 def test_config_validation():
@@ -40,6 +44,13 @@ def test_config_validation():
         GameConfig(3, 2, 4)
     with pytest.raises(ValueError):
         GameConfig(3, 2, 2, reveal="psychic")
+
+
+def test_allocations_hold_integer_counts():
+    cfg = GameConfig(4, 3, 2)
+    assert cfg.is_valid_allocation((2, 1, 0, 0))
+    for counts in ((1.5, 1.5, 0, 0), (True, True, True, 0), (2.0, 1, 0, 0), ("3", 0, 0, 0)):
+        assert not cfg.is_valid_allocation(counts)
 
 
 def test_initial_state():
@@ -236,3 +247,79 @@ def test_refine_matches_relabeling_and_brute_force(data):
     step = refine(form, cell_starts(sigma, cells), doors, revealed)
     assert step == relabeling(counts, child)[0]
     assert step == brute_canonical_form(counts, tuple((tuple(sorted(g)), o) for g, o in child))[0]
+
+
+def _starts(counts, events):
+    _, sigma, cells = relabeling(counts, events)
+    return cell_starts(sigma, cells), len(cells)
+
+
+def test_orbit_representatives_cover_each_stabilizer_orbit_once():
+    # A searcher's orbits: grouping its expanded guesses by their orbit under
+    # the position's stabilizer (orbit_key on its starts) gives the
+    # representatives' orbits and masses, with every representative a
+    # member of its own orbit.
+    cfg = GameConfig(15, 3, 3)
+    searcher = scaled_searcher(cfg)
+    rng = random.Random(3)
+    positions = 0
+    for allocation in rng.sample(enumerate_allocations(15, 3, "multi"), 40):
+        history = ()
+        remaining = list(allocation)
+        for _ in range(cfg.d - 1):
+            starts, _ = _starts(allocation, history)
+            grouped: dict = {}
+            for guess, p in searcher.guess_distribution(history):
+                key = orbit_key(starts, guess)
+                grouped[key] = grouped.get(key, 0) + p
+            reps = list(orbit_representatives(searcher.guess_orbits(history), starts))
+            assert {orbit_key(starts, g): mass for g, mass in reps} == grouped
+            assert len(reps) == len(grouped)
+            positions += 1
+            live = [g for g, _ in searcher.guess_distribution(history) if any(remaining[o] for o in g)]
+            if not live:
+                break
+            guess = rng.choice(live)
+            o = rng.choice([o for o in sorted(guess) if remaining[o]])
+            remaining[o] -= 1
+            history += ((guess, o),)
+    assert positions > 60
+
+
+@pytest.mark.parametrize("n,d,k", [(6, 3, 3), (8, 3, 2), (7, 4, 3)])
+def test_orbit_representatives_of_all_guesses_follow_all_guesses(n, d, k):
+    # The LP build's expansion: one pool of all doors for each guess size
+    # 1..k. Sorted by (size, lexicographic), the representatives and orbit
+    # sizes are all_guesses grouped by orbit_key, each orbit named by its
+    # first member, in first-appearance order. On a canonical form (of a
+    # position, or of a history alone) a representative is its own key.
+    cfg = GameConfig(n, d, k)
+    every_guess = [(((tuple(range(n)), size),), 1) for size in range(1, k + 1)]
+    rng = random.Random(n * 100 + d * 10 + k)
+    positions = [(allocation, (), False) for allocation in enumerate_allocations(n, d, "multi")]
+    for allocation in rng.sample(enumerate_allocations(n, d, "multi"), 30):
+        remaining = list(allocation)
+        events = []
+        for _ in range(d - 1):
+            guess = rng.choice(all_guesses(cfg))
+            live = [o for o in guess if remaining[o]]
+            if not live:
+                break
+            o = rng.choice(live)
+            remaining[o] -= 1
+            events.append((guess, o))
+            positions.append((*relabeling(allocation, events)[0], True))
+            positions.append((*relabeling((0,) * n, events)[0], True))
+    most_cells = 0
+    for counts, events, canonical in positions:
+        starts, cells = _starts(counts, events)
+        most_cells = max(most_cells, cells)
+        grouped: dict = {}
+        for g in all_guesses(cfg):
+            first, size = grouped.get(orbit_key(starts, g), (g, 0))
+            grouped[orbit_key(starts, g)] = (first, size + 1)
+        reps = sorted(orbit_representatives(every_guess, starts), key=lambda rep: (len(rep[0]), rep[0]))
+        assert reps == list(grouped.values())
+        if canonical:
+            assert all(orbit_key(starts, g) == g for g, _ in reps)
+    assert most_cells >= 5

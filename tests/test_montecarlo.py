@@ -42,6 +42,20 @@ def test_reproducible_runs():
     assert c.wins != a.wins  # different stream, almost surely
 
 
+@pytest.mark.parametrize("seed", [-5, -1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # random.Random drops a seed's sign, so -5 would replay seed 5.
+    cfg = GameConfig(9, 3, 2)
+    with pytest.raises(ValueError, match="seed"):
+        run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed)
+
+
+def test_seed_range_ends_accepted():
+    cfg = GameConfig(4, 2, 2)
+    for seed in (0, 2**64 - 1):
+        assert run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed).seed == seed
+
+
 def test_adversarial_rejected():
     cfg = GameConfig(4, 2, 2, reveal="adversarial")
     with pytest.raises(AdversarialRevealError):

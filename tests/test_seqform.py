@@ -206,6 +206,23 @@ def test_quotient_weights_cover_all_positions():
         assert game.payoff
 
 
+@pytest.mark.parametrize("d,k", [(3, 2), (3, 3)])
+def test_quotient_does_not_grow_with_n(d, k):
+    # From n = dk to dk + 4 the quotient has the same positions, sequences
+    # and infosets at every n; only the orbit sizes change.
+    shapes = []
+    for n in range(d * k, d * k + 5):
+        cfg = GameConfig(n, d, k, reveal="adversarial")
+        game = build_quotient_game(cfg, node_budget=10**6, column_budget=10**5)
+        shapes.append((
+            game.states, game.s_count, game.h_count,
+            [(info.hist, info.parent_seq, [key for key, _, _ in info.actions]) for info in game.s_infosets],
+            [(info.parent_seq, len(info.actions)) for info in game.h_infosets],
+            sorted(game.payoff),
+        ))
+    assert len(shapes) == 5 and all(shape == shapes[0] for shape in shapes)
+
+
 def test_certificate_json_round_trip():
     import json
 

@@ -25,13 +25,9 @@ from treasurehunt.game import (
     LOWEST_INDEX,
     GameConfig,
     all_guesses,
-    cell_starts,
-    orbit_key,
-    relabeling,
 )
 from treasurehunt.montecarlo import compare_to_exact, run_mc
 from treasurehunt.solver import (
-    _orbit_representatives,
     all_in_one_bound,
     closed_form_value,
     deterministic_win_set,
@@ -481,38 +477,6 @@ def test_lowest_index_value_does_not_follow_a_relabeling():
         assert evaluate_under_reveal(cfg, searcher, (2, 1, 0), rule) == evaluate_under_reveal(
             cfg, searcher, (1, 2, 0), rule
         )
-
-
-def test_orbit_representatives_cover_each_stabilizer_orbit_once():
-    # Grouping the expanded guesses by their orbit under the position's
-    # stabilizer (orbit_key on its starts) gives the representatives' orbits
-    # and masses, with every representative a member of its own orbit.
-    cfg = GameConfig(15, 3, 3)
-    searcher = scaled_searcher(cfg)
-    rng = random.Random(3)
-    positions = 0
-    for allocation in rng.sample(enumerate_allocations(15, 3, "multi"), 40):
-        history = ()
-        remaining = list(allocation)
-        for _ in range(cfg.d - 1):
-            _, sigma, cells = relabeling(allocation, history)
-            starts = cell_starts(sigma, cells)
-            grouped: dict = {}
-            for guess, p in searcher.guess_distribution(history):
-                key = orbit_key(starts, guess)
-                grouped[key] = grouped.get(key, 0) + p
-            reps = list(_orbit_representatives(searcher.guess_orbits(history), starts))
-            assert {orbit_key(starts, g): mass for g, mass in reps} == grouped
-            assert len(reps) == len(grouped)
-            positions += 1
-            live = [g for g, _ in searcher.guess_distribution(history) if any(remaining[o] for o in g)]
-            if not live:
-                break
-            guess = rng.choice(live)
-            o = rng.choice([o for o in sorted(guess) if remaining[o]])
-            remaining[o] -= 1
-            history += ((guess, o),)
-    assert positions > 60
 
 
 def _memo_grid_searchers(cfg):
