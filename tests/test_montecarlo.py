@@ -22,6 +22,7 @@ from treasurehunt.solver import evaluate_under_reveal
 from treasurehunt.staytables import StayTable
 from treasurehunt.strategies import (
     HiderStrategy,
+    all_in_one_hider,
     fresh_doors_searcher,
     randbelow,
     scaled_searcher,
@@ -282,3 +283,52 @@ def test_distribution_path_draws_like_a_cursor_and_asks_once_per_history():
         report = run_mc(cfg, searcher, hider, 2000, seed=31)
         assert len(searcher.asked) == len(set(searcher.asked)) < 2000
         assert report.wins == _cursor_wins(cfg, searcher, hider, 2000, seed=31)
+
+
+# Stays strictly between 0 and 1 on every diagram, so every stay coin draws.
+FRACTIONAL_TABLE = StayTable(6, 3, 2, {(1,): F(1, 3), (2,): F(3, 7), (1, 1): F(4, 7)})
+
+
+def _skewed_hider(cfg):
+    """A non-uniform hider: draws go through the running-sum search."""
+    return HiderStrategy(cfg, (
+        ((1, 1, 1, 0, 0, 0), F(1, 2)),
+        ((2, 0, 0, 0, 0, 1), F(1, 3)),
+        ((0, 0, 0, 0, 3, 0), F(1, 6)),
+    ))
+
+
+def _fractional(cfg):
+    return stay_table_searcher(cfg, FRACTIONAL_TABLE)
+
+
+# name: (game, searcher, hider, batches or None, wins per rule in CHANCE_REVEALS
+# order at 3000 trials and seed 2026). The wins pin the random stream: a change
+# to how run_mc draws, however exact, shows here.
+STREAM_PINS = {
+    "scaled-9-3-2-uniform": (GameConfig(9, 3, 2), scaled_searcher, uniform_hider, None, (153, 154, 154)),
+    "scaled-20-4-2-uniform": (GameConfig(20, 4, 2), scaled_searcher, uniform_hider, None, (11, 11, 10)),
+    "fresh-single-6-3-2-uniform": (
+        GameConfig(6, 3, 2, occupancy=SINGLE), fresh_doors_searcher, uniform_hider, None, (1189, 1189, 1176)),
+    "fresh-multi-7-2-3-uniform": (GameConfig(7, 2, 3), fresh_doors_searcher, uniform_hider, None, (956, 956, 977)),
+    "fractional-6-3-2-uniform": (GameConfig(6, 3, 2), _fractional, uniform_hider, None, (413, 404, 407)),
+    "fractional-6-3-2-skewed": (GameConfig(6, 3, 2), _fractional, _skewed_hider, None, (505, 503, 486)),
+    "scaled-4-2-2-all-in-one": (GameConfig(4, 2, 2), scaled_searcher, all_in_one_hider, None, (1215, 1215, 1215)),
+    "table-path-scaled-9-3-2-uniform": (
+        GameConfig(9, 3, 2), lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg)), uniform_hider, None,
+        (132, 131, 134)),
+    "batched-scaled-9-3-2-uniform": (GameConfig(9, 3, 2), scaled_searcher, uniform_hider, 3, (143, 142, 139)),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_PINS))
+def test_wins_pinned_at_fixed_seeds(name):
+    base, make_searcher, make_hider, batches, pinned = STREAM_PINS[name]
+    for rule, wins in zip(CHANCE_REVEALS, pinned):
+        cfg = replace(base, reveal=rule)
+        searcher, hider = make_searcher(cfg), make_hider(cfg)
+        if batches is None:
+            report = run_mc(cfg, searcher, hider, 3000, seed=2026)
+        else:
+            report = run_mc_batched(cfg, searcher, hider, 3000, seed=2026, batches=batches)
+        assert report.wins == wins, (rule, report.wins)
