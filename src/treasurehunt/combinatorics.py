@@ -7,8 +7,8 @@ nothing in this package ever rounds.
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
-from typing import Iterator
 
 SINGLE = "single"
 MULTI = "multi"
@@ -37,36 +37,27 @@ def count_allocations(n: int, d: int, occupancy: str = MULTI) -> int:
     raise ValueError(f"unknown occupancy {occupancy!r}")
 
 
-def iter_allocations(n: int, d: int, occupancy: str = MULTI) -> Iterator[Allocation]:
-    """Yield all allocations in lexicographic order on count vectors."""
-    if n < 1:
-        raise ValueError("need at least one door")
-    if occupancy not in OCCUPANCIES:
-        raise ValueError(f"unknown occupancy {occupancy!r}")
-    cap = 1 if occupancy == SINGLE else d
-
-    def rec(prefix: list[int], left: int, doors_left: int) -> Iterator[Allocation]:
-        if doors_left == 0:
-            if left == 0:
-                yield tuple(prefix)
-            return
-        if left > cap * doors_left:
-            return
-        for c in range(min(cap, left) + 1):
-            prefix.append(c)
-            yield from rec(prefix, left - c, doors_left - 1)
-            prefix.pop()
-
-    yield from rec([], d, n)
-
-
 def enumerate_allocations(n: int, d: int, occupancy: str = MULTI) -> list[Allocation]:
     """All allocations exactly once, lexicographically ordered.
 
     The lexicographic order is the canonical order used everywhere for
-    reproducible certificates and CSV output.
+    reproducible certificates and CSV output. The door tuples that
+    ``combinations`` (single) or ``combinations_with_replacement`` (multi)
+    yield in order give count vectors in descending order, hence the reverse.
     """
-    return list(iter_allocations(n, d, occupancy))
+    if n < 1:
+        raise ValueError("need at least one door")
+    if occupancy not in OCCUPANCIES:
+        raise ValueError(f"unknown occupancy {occupancy!r}")
+    choose = combinations if occupancy == SINGLE else combinations_with_replacement
+    allocations = []
+    for doors in choose(range(n), d):
+        counts = [0] * n
+        for door in doors:
+            counts[door] += 1
+        allocations.append(tuple(counts))
+    allocations.reverse()
+    return allocations
 
 
 def shape_representatives(n: int, d: int, occupancy: str = MULTI) -> list[Allocation]:

@@ -68,11 +68,12 @@ class GameConfig:
 
     def is_valid_allocation(self, allocation: Allocation) -> bool:
         counts = tuple(allocation)
-        if len(counts) != self.n or any(type(c) is not int or c < 0 for c in counts):
+        # Exact int counts only: bool and float are other types.
+        if len(counts) != self.n or set(map(type, counts)) != {int} or min(counts) < 0:
             return False
         if sum(counts) != self.d:
             return False
-        if self.occupancy == SINGLE and any(c > 1 for c in counts):
+        if self.occupancy == SINGLE and max(counts) > 1:
             return False
         return True
 

@@ -10,6 +10,7 @@ fraction wins/trials plus a binomial standard error.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -81,6 +82,11 @@ class McReport:
         }
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MASK64:  # random.Random drops a seed's sign
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def run_mc(
     config: GameConfig,
     searcher: SearcherStrategy,
@@ -96,19 +102,20 @@ def run_mc(
     strategies, trials) always reproduces the same wins within this
     implementation.
 
-    A searcher with a ``fresh_door_stays`` rule is played inline: each
-    trial shuffles one door list partially, Fisher-Yates style, so the
-    first ``live`` entries are the never-guessed doors, and every door
-    index and stay coin is an exact rejection draw from ``getrandbits``.
-    Any other searcher is played from ``guess_distribution``: each history's
-    ``draw_table`` is built once per call and shared by its trials, and
-    ``draw_guess`` draws as a ``sampler(rng)`` cursor does, so the wins
-    are the same.
+    Each trial draws its allocation as ``hider.sampler(rng)`` would, inline
+    from one ``draw_table`` per call. A searcher with a ``fresh_door_stays``
+    rule plays the stay-rule loop: each trial shuffles one door list
+    partially, Fisher-Yates style, so the first ``live`` entries are the
+    never-guessed doors, and every door index and stay coin is an exact
+    rejection draw from ``getrandbits``. Any other searcher plays the
+    draw-table loop: each history's ``draw_table`` of ``guess_distribution``
+    is built once per call, and ``draw_guess`` draws as a ``sampler(rng)``
+    cursor does, so the wins are the same. Both loops resolve a guess that
+    finds two or more doors through ``game.chance_reveal``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if not 0 <= seed <= _MASK64:  # random.Random drops a seed's sign
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_seed(seed)
     if config.reveal not in CHANCE_REVEALS:
         raise AdversarialRevealError("simulation needs a chance reveal rule")
     game = (config.n, config.d, config.k, config.occupancy)
@@ -120,103 +127,131 @@ def run_mc(
                 f"k={built.k}, {built.occupancy}), not (n={config.n}, d={config.d}, "
                 f"k={config.k}, {config.occupancy})"
             )
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
-    sample = hider.sampler(rng).sample
-    n, d, k, reveal = config.n, config.d, config.k, config.reveal
     # Chosen by attribute, not by type, so a wrapper that forwards
     # attributes plays the same path and random stream as its searcher.
-    stays = getattr(searcher, "fresh_door_stays", None)
-    inline = stays is not None
-    if inline:
-        # coins[diagram] = (numerator, denominator, bits of a draw below it).
-        coins = {
-            diagram: (p.numerator, p.denominator, (p.denominator - 1).bit_length())
-            for diagram, p in stays.items()
-        }
-        bits_below = [0] + [(live - 1).bit_length() for live in range(1, n + 1)]
-        all_doors = list(range(n))
-    else:
-        tables: dict = {}  # history -> draw table, shared by this call's trials
+    play = _play_table if getattr(searcher, "fresh_door_stays", None) is None else _play_stays
+    den, bounds, allocations = draw_table(hider.distribution)
+    # den positive probabilities make the bounds 1..den: the search returns r.
+    hider_draw = (den, (den - 1).bit_length(), bounds, allocations, den == len(bounds))
+    wins = play(config, searcher, hider_draw, trials, random.Random(seed))
+    return McReport(config, searcher.name, hider.name, trials, wins, seed)
+
+
+def _reveal(remaining: list, options: list, reveal: str, getrandbits) -> int:
+    """The door a chance reveal picks among two or more guessed live doors."""
+    options.sort()
+    doors, weights = chance_reveal(remaining, options, reveal)
+    if len(doors) == 1:
+        return doors[0]
+    r = randbelow(getrandbits, sum(weights))
+    for door, weight in zip(doors, weights):
+        r -= weight
+        if r < 0:
+            return door
+
+
+def _play_stays(config, searcher, hider_draw, trials, rng) -> int:
+    """Wins of a ``fresh_door_stays`` searcher over ``trials`` games."""
+    getrandbits = rng.getrandbits
+    den, hider_bits, bounds, allocations, uniform = hider_draw
+    n, d, k, reveal = config.n, config.d, config.k, config.reveal
+    stays = searcher.fresh_door_stays
+    # coins[diagram] = (numerator, denominator, bits of a draw below it).
+    coins = {c: (p.numerator, p.denominator, (p.denominator - 1).bit_length()) for c, p in stays.items()}
+    bits_below = [0] + [(live - 1).bit_length() for live in range(1, n + 1)]
+    all_doors = list(range(n))
     wins = 0
     for _ in range(trials):
-        remaining = list(sample())
-        if inline:
-            pool = all_doors[:]
-            live = n
-            diagram = ()
-            current = -1
-        else:
-            history = ()
+        r = getrandbits(hider_bits)
+        while r >= den:
+            r = getrandbits(hider_bits)
+        remaining = list(allocations[r if uniform else bisect_right(bounds, r)])
+        pool = all_doors[:]
+        live, diagram, current = n, (), -1
         for _ in range(d):
-            if inline:
-                stay = False
-                if diagram:
-                    try:
-                        num, den, bits = coins[diagram]
-                    except KeyError:
-                        raise MissingDiagramError(diagram) from None
+            stay = False
+            if diagram:
+                coin = coins.get(diagram)
+                if coin is None:
+                    raise MissingDiagramError(diagram)
+                num, den_stay, bits = coin
+                r = getrandbits(bits)
+                while r >= den_stay:
                     r = getrandbits(bits)
-                    while r >= den:
-                        r = getrandbits(bits)
-                    stay = r < num
-                need = k - 1 if stay else k
-                if live < need:
-                    raise DoorBudgetError(
-                        f"{searcher.name!r} needs {need} fresh doors, only {live} left"
-                    )
-                options = [current] if stay and remaining[current] else []
-                stop = live - need
-                while live > stop:
-                    # randbelow(getrandbits, live), inlined: live >= 1 here.
-                    bits = bits_below[live]
+                stay = r < num
+            need = k - 1 if stay else k
+            if live < need:
+                raise DoorBudgetError(f"{searcher.name!r} needs {need} fresh doors, only {live} left")
+            # The first live door found, and a list only once a second is.
+            found = current if stay and remaining[current] else None
+            options = None
+            stop = live - need
+            while live > stop:
+                # randbelow(getrandbits, live), inlined: live >= 1 here.
+                bits = bits_below[live]
+                i = getrandbits(bits)
+                while i >= live:
                     i = getrandbits(bits)
-                    while i >= live:
-                        i = getrandbits(bits)
-                    live -= 1
-                    door = pool[i]
-                    pool[i] = pool[live]
-                    pool[live] = door
-                    if remaining[door]:
+                live -= 1
+                door = pool[i]
+                pool[i] = pool[live]
+                pool[live] = door
+                if remaining[door]:
+                    if found is None:
+                        found = door
+                    else:
+                        options = options or [found]
                         options.append(door)
-            else:
-                table = tables.get(history)
-                if table is None:
-                    table = tables[history] = draw_table(searcher.guess_distribution(history))
-                guess = draw_guess(table, rng)
-                options = [o for o in guess if remaining[o]]
-            if not options:
+            if found is None:
                 break
-            door = options[0]
-            if len(options) > 1:
-                options.sort()
-                doors, weights = chance_reveal(remaining, options, reveal)
-                door = doors[0]
-                if len(doors) > 1:
-                    r = randbelow(getrandbits, sum(weights))
-                    for door, weight in zip(doors, weights):
-                        r -= weight
-                        if r < 0:
-                            break
-            remaining[door] -= 1
-            if not inline:
-                history += ((guess, door),)
-            elif stays:
-                if door == current:
+            if options is not None:
+                found = _reveal(remaining, options, reveal, getrandbits)
+            remaining[found] -= 1
+            if stays:
+                if found == current:
                     diagram = diagram[:-1] + (diagram[-1] + 1,)
                 else:
                     diagram += (1,)
-                    current = door
+                    current = found
         else:
             wins += 1
-    return McReport(
-        config=config,
-        searcher=searcher.name,
-        hider=hider.name,
-        trials=trials,
-        wins=wins,
-        seed=seed,
-    )
+    return wins
+
+
+def _play_table(config, searcher, hider_draw, trials, rng) -> int:
+    """Wins of a searcher played from its ``guess_distribution`` draw tables."""
+    getrandbits = rng.getrandbits
+    den, hider_bits, bounds, allocations, uniform = hider_draw
+    tables: dict = {}  # history -> draw table, shared by this call's trials
+    wins = 0
+    for _ in range(trials):
+        r = getrandbits(hider_bits)
+        while r >= den:
+            r = getrandbits(hider_bits)
+        remaining = list(allocations[r if uniform else bisect_right(bounds, r)])
+        history = ()
+        for _ in range(config.d):
+            table = tables.get(history)
+            if table is None:
+                table = tables[history] = draw_table(searcher.guess_distribution(history))
+            guess = draw_guess(table, rng)
+            found = options = None
+            for door in guess:
+                if remaining[door]:
+                    if found is None:
+                        found = door
+                    else:
+                        options = options or [found]
+                        options.append(door)
+            if found is None:
+                break
+            if options is not None:
+                found = _reveal(remaining, options, config.reveal, getrandbits)
+            remaining[found] -= 1
+            history += ((guess, found),)
+        else:
+            wins += 1
+    return wins
 
 
 def merge_reports(first: McReport, second: McReport) -> McReport:
@@ -245,6 +280,7 @@ def run_mc_batched(
     """Split trials over batches with derived seeds and merge the results."""
     if batches < 1:
         raise ValueError("need at least one batch")
+    _check_seed(seed)  # derive_seed masks the root seed to 64 bits
     base, extra = divmod(trials, batches)
     merged: McReport | None = None
     for index in range(batches):

@@ -128,9 +128,7 @@ class StayTable:
         entries: dict[Partition, Fraction] = {}
         try:
             for item in raw_entries:
-                diagram = tuple(item["diagram"])
-                if not all(isinstance(part, int) for part in diagram):
-                    raise TableEntryError(f"diagram {diagram} must hold integers")
+                diagram = tuple(int_from_json(part, "diagram part") for part in item["diagram"])
                 if diagram in entries:
                     raise TableEntryError(f"duplicate entry for diagram {diagram}")
                 entries[diagram] = fraction_from_json(item["p"])

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import comb, gcd
+from math import comb, lcm
 from typing import Callable, Mapping, Sequence
 
 from .combinatorics import MULTI, SINGLE, Allocation, enumerate_allocations
@@ -41,7 +41,6 @@ class HiderStrategy:
     name: str = "custom"
 
     def __post_init__(self):
-        total = Fraction(0)
         seen: set[Allocation] = set()
         for allocation, p in self.distribution:
             if not self.config.is_valid_allocation(allocation):
@@ -51,9 +50,11 @@ class HiderStrategy:
             if p <= 0:
                 raise ValueError("hider probabilities must be positive")
             seen.add(allocation)
-            total += p
-        if total != 1:
-            raise ValueError(f"hider probabilities sum to {total}, not 1")
+        # The probabilities add up as integers over their common denominator.
+        denom = lcm(*(p.denominator for _, p in self.distribution))
+        total = sum(p.numerator * (denom // p.denominator) for _, p in self.distribution)
+        if total != denom:
+            raise ValueError(f"hider probabilities sum to {Fraction(total, denom)}, not 1")
 
     def sampler(self, rng) -> "_HiderSampler":
         return _HiderSampler(self.distribution, rng)
@@ -82,9 +83,7 @@ def draw_table(distribution: Sequence[tuple[object, Fraction]]) -> DrawTable:
     """A finite distribution as integers, for exact draws: the common
     denominator of its probabilities, the running sums of the numerators
     over it, and the outcomes in the same order."""
-    denom = 1
-    for _, p in distribution:
-        denom = denom * p.denominator // gcd(denom, p.denominator)
+    denom = lcm(*(p.denominator for _, p in distribution))
     bounds = []
     running = 0
     for _, p in distribution:

@@ -7,9 +7,10 @@ They share nothing with the stay-probability formula or the quotient LP.
 The rules engine (``GameState``, ``initial_state``, ``reveal_options``,
 ``reveal_weights``, ``apply_guess``, ``replay``) plays one game step by
 step against a fixed allocation and is the rules reference: the
-canonical-key evaluator steps through it. The brute-force canonicalizer
-tries every door permutation, the reference for the partition refinement
-in ``treasurehunt.game``. The full-enumeration best response scores every
+canonical-key evaluator steps through it. The recursive allocation
+enumerator is the reference for ``enumerate_allocations``. The brute-force
+canonicalizer tries every door permutation, the reference for the
+partition refinement in ``treasurehunt.game``. The full-enumeration best response scores every
 allocation, the reference for the per-shape scoring of door-symmetric
 searchers in ``treasurehunt.solver``. The canonical-key evaluator builds
 every memo key with a fresh ``canonical_form`` and scores guess by guess
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping
 
-from treasurehunt.combinatorics import count_allocations, enumerate_allocations
+from treasurehunt.combinatorics import SINGLE, count_allocations, enumerate_allocations
 from treasurehunt.game import ADVERSARIAL, GameConfig, History, canonical_form, chance_reveal
 from treasurehunt.simplex import EQ, GEQ, LEQ, solve_lp
 from treasurehunt.solver import evaluate_exact
@@ -176,6 +177,32 @@ def mimic_continuation_oracle(n: int, d: int):
                             entry[1] += share
                 stack.append((tuple(x for x in unvisited if x != door), parts, share))
     return table
+
+
+# ---------------------------------------------------------------------------
+# Allocations by recursion over the doors
+# ---------------------------------------------------------------------------
+
+def recursive_allocations(n: int, d: int, occupancy: str) -> list[tuple[int, ...]]:
+    """Every allocation, door by door, each door's count ascending: the
+    lexicographic order by construction."""
+    cap = 1 if occupancy == SINGLE else d
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], left: int, doors_left: int) -> None:
+        if doors_left == 0:
+            if left == 0:
+                out.append(tuple(prefix))
+            return
+        if left > cap * doors_left:
+            return
+        for c in range(min(cap, left) + 1):
+            prefix.append(c)
+            rec(prefix, left - c, doors_left - 1)
+            prefix.pop()
+
+    rec([], d, n)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,10 @@ _CERTIFY = ("certify", "-n", "9", "-d", "3", "-k", "2", "--searcher", "ptable-fi
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": 5}, 3,
                  "invalid table: malformed table entries: TypeError: 'int' object is not iterable",
                  id="table-entries-number"),
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": [{"diagram": [True], "p": 1}]}, 3,
+                 "invalid table: diagram part must be an integer, got True", id="table-bool-diagram-part"),
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": [{"diagram": [2.0], "p": 1}]}, 3,
+                 "invalid table: diagram part must be an integer, got 2.0", id="table-float-diagram-part"),
     pytest.param(_CERTIFY, {"n": 9.7, "d": 3, "k": 2, "entries": []}, 3,
                  "invalid table: malformed table document: n must be an integer, got 9.7", id="table-float-n"),
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": True, "entries": []}, 3,

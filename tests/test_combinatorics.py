@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_utils import recursive_allocations
+
 from treasurehunt.combinatorics import (
     MULTI,
     SINGLE,
@@ -43,6 +45,14 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
                 assert len(allocations) == count_allocations(n, d, occ)
                 assert all(a < b for a, b in zip(allocations, allocations[1:]))
                 assert all(sum(a) == d for a in allocations)
+
+
+def test_enumeration_matches_the_recursive_reference_in_order():
+    for n in range(1, 9):
+        for d in range(0, 6):
+            for occ in (SINGLE, MULTI):
+                # Includes d = 0 (one empty allocation) and single d > n (none).
+                assert enumerate_allocations(n, d, occ) == recursive_allocations(n, d, occ), (n, d, occ)
 
 
 def test_enumerate_partitions():

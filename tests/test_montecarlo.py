@@ -51,10 +51,19 @@ def test_seed_outside_64_bits_rejected(seed):
         run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed)
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 7])
+def test_batched_root_seed_outside_64_bits_rejected(seed):
+    # derive_seed masks to 64 bits, so -5 would replay the root seed 2**64 - 5.
+    cfg = GameConfig(9, 3, 2)
+    with pytest.raises(ValueError, match="seed"):
+        run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), 2000, seed, 4)
+
+
 def test_seed_range_ends_accepted():
     cfg = GameConfig(4, 2, 2)
     for seed in (0, 2**64 - 1):
         assert run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed).seed == seed
+        assert run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed, 2).seed == seed
 
 
 def test_adversarial_rejected():
