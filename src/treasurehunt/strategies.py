@@ -50,7 +50,6 @@ class HiderStrategy:
             if p <= 0:
                 raise ValueError("hider probabilities must be positive")
             seen.add(allocation)
-        # The probabilities add up as integers over their common denominator.
         denom = lcm(*(p.denominator for _, p in self.distribution))
         total = sum(p.numerator * (denom // p.denominator) for _, p in self.distribution)
         if total != denom:
