@@ -60,7 +60,6 @@ _REVEAL_CHOICES = {
     "lowest": LOWEST_INDEX,
     "uniform-doors": "uniform-doors",
     "uniform-treasures": "uniform-treasures",
-    "adversarial": "adversarial",
 }
 
 
@@ -197,6 +196,14 @@ def _write(args, body: str) -> None:
         print(body)
 
 
+def _write_csv(args, header: list, rows: list) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(args, buf.getvalue().rstrip("\n"))
+
+
 def _report_text(report: ValueReport) -> str:
     lines = [
         f"game: variant={report.config.occupancy} n={report.config.n} "
@@ -312,11 +319,7 @@ def cmd_simulate(args) -> int:
         }
         text_lines.append(f"exact: {exact}, z = {check.z_score:.3f}, passed: {check.passed}")
     if (args.format or "json") == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_HEADER)
-        writer.writerow(report.csv_row())
-        _write(args, buf.getvalue().rstrip("\n"))
+        _write_csv(args, CSV_HEADER, [report.csv_row()])
     else:
         _emit(args, payload, "\n".join(text_lines))
     return EXIT_OK
@@ -361,11 +364,7 @@ def cmd_sweep(args) -> int:
         payload = {"rows": [dict(zip(header, row)) for row in rows]}
         _write(args, json.dumps(payload, indent=2, sort_keys=True))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        _write(args, buf.getvalue().rstrip("\n"))
+        _write_csv(args, header, rows)
     return EXIT_OK
 
 
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, AdversarialRevealError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidTableError as exc:
@@ -389,12 +388,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except AdversarialRevealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

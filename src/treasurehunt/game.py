@@ -264,8 +264,6 @@ def refine(position: Position, starts: Sequence[int], doors: Collection[int], re
 
 def canonical_form(counts: Sequence[int], events: Events | History) -> Position:
     """The canonical form alone; without events it is the sorted counts."""
-    if not events:
-        return tuple(sorted(counts)), ()
     return relabeling(counts, events)[0]
 
 

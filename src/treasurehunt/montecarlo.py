@@ -82,7 +82,9 @@ class McReport:
         }
 
 
-def _check_seed(seed: int) -> None:
+def _check_run(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if not 0 <= seed <= _MASK64:  # random.Random drops a seed's sign
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
@@ -113,9 +115,7 @@ def run_mc(
     cursor does, so the wins are the same. Both loops resolve a guess that
     finds two or more doors through ``game.chance_reveal``.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_seed(seed)
+    _check_run(trials, seed)
     if config.reveal not in CHANCE_REVEALS:
         raise AdversarialRevealError("simulation needs a chance reveal rule")
     game = (config.n, config.d, config.k, config.occupancy)
@@ -277,23 +277,17 @@ def run_mc_batched(
     seed: int,
     batches: int,
 ) -> McReport:
-    """Split trials over batches with derived seeds and merge the results."""
+    """Split trials over batches with derived seeds and add up their wins."""
     if batches < 1:
         raise ValueError("need at least one batch")
-    _check_seed(seed)  # derive_seed masks the root seed to 64 bits
+    _check_run(trials, seed)  # derive_seed masks the root seed to 64 bits
     base, extra = divmod(trials, batches)
-    merged: McReport | None = None
-    for index in range(batches):
-        size = base + (1 if index < extra else 0)
-        if size == 0:
-            continue
-        report = run_mc(config, searcher, hider, size, derive_seed(seed, index))
-        merged = report if merged is None else merge_reports(merged, report)
-    assert merged is not None
-    return McReport(
-        config=merged.config, searcher=merged.searcher, hider=merged.hider,
-        trials=merged.trials, wins=merged.wins, seed=seed,
+    sizes = [base + (index < extra) for index in range(batches)]
+    wins = sum(
+        run_mc(config, searcher, hider, size, derive_seed(seed, index)).wins
+        for index, size in enumerate(sizes) if size
     )
+    return McReport(config, searcher.name, hider.name, trials, wins, seed)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ times the orbit's size, and accumulating that onto canonical children,
 counts each concrete terminal exactly once: a child orbit that is m times
 larger than its parent's is entered by exactly m concrete edges from the
 representative. As a whole-construction check, the accumulated weight of
-every position is asserted to equal its orbit size n!/|stab|. Each
+every position must equal its orbit size n!/|stab|, or the build raises
+``InternalError``, as it does when two paths reach one state from
+different sequences. Each
 position and its history are canonicalized once each, by
 ``game.relabeling``; its children and reveal points are stepped from that
 form by ``game.refine``, and guesses are keyed by ``game.orbit_key``.
@@ -149,9 +151,8 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
             if states_seen > node_budget:
                 raise BudgetExceededError(f"quotient build exceeded {node_budget} positions")
             position, sigma, cells = relabeling(alloc, events)
-            assert weight * stabilizer_size(cells) == factorial(n), (
-                "orbit weight mismatch: the quotient expansion is inconsistent"
-            )
+            if weight * stabilizer_size(cells) != factorial(n):
+                raise InternalError("orbit weight mismatch: the quotient expansion is inconsistent")
             starts = cell_starts(sigma, cells)
             remaining = list(alloc)
             for doors, o in events:
@@ -161,9 +162,8 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
             info = s_infoset_by_hist.get(hist_canon)
             if info is None:
                 info = new_s_infoset(hist_canon, cells_h)
-            assert info.parent_seq == s0, (
-                "searcher context mismatch: the quotient expansion is inconsistent"
-            )
+            if info.parent_seq != s0:
+                raise InternalError("searcher context mismatch: the quotient expansion is inconsistent")
             for g, size in representatives(starts):
                 options = [o for o in g if remaining[o] > 0]
                 if not options:
@@ -178,10 +178,8 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
                     if rinfo is None:
                         rinfo = _new_h_infoset(labels, h0, h_infosets)
                         h_reveal_by_state[pending] = rinfo
-                    else:
-                        assert rinfo.parent_seq == h0, (
-                            "hider context mismatch: the quotient expansion is inconsistent"
-                        )
+                    elif rinfo.parent_seq != h0:
+                        raise InternalError("hider context mismatch: the quotient expansion is inconsistent")
                     option_of = {label: seq for label, _, seq in rinfo.actions}
                     transitions = [(o, option_of[label]) for o, label in zip(options, labels)]
                 for o, h1 in transitions:
@@ -195,9 +193,10 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
                             next_level[cstate] = [mass, s1, h1]
                         else:
                             entry[0] += mass
-                            assert entry[1] == s1 and entry[2] == h1, (
-                                "sequence context mismatch: the quotient expansion is inconsistent"
-                            )
+                            if entry[1] != s1 or entry[2] != h1:
+                                raise InternalError(
+                                    "sequence context mismatch: the quotient expansion is inconsistent"
+                                )
         level = next_level
         columns = s_count + len(h_infosets) + 1
         if columns > column_budget:

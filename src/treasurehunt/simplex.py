@@ -196,17 +196,8 @@ class _Tableau:
 
     def solve(self, obj: dict[int, Fraction]) -> str:
         if self.artificial:
-            # Phase 1: minimize the artificial sum, written as reduced costs
-            # over the starting basis (artificial columns come out at zero).
-            starts = [i for i, bi in enumerate(self.basis) if bi in self.artificial]
-            den = lcm(*(self.den[i] for i in starts))
-            phase_obj: dict[int, int] = {}
-            for i in starts:
-                scale = den // self.den[i]
-                for j, a in self.rows[i].items():
-                    if j not in self.artificial:
-                        phase_obj[j] = phase_obj.get(j, 0) + a * scale
-            self.obj, _, self.obj_den = _reduced({j: v for j, v in phase_obj.items() if v}, 0, den)
+            # Phase 1: minimize the artificial sum.
+            self._set_reduced_costs({a: Fraction(-1) for a in self.artificial})
             status = self._optimize()
             if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
                 return status

@@ -131,11 +131,13 @@ def evaluate_under_reveal(
 ) -> Fraction:
     """Exact win probability with a chance reveal rule instead of the minimum.
 
-    ``lowest-index`` reveals by door label, so a door-symmetric strategy is
-    scored guess by guess there, and every option of a guess with several
-    is scored: the canonical memo keys stand only while those values agree,
-    and the allocation is scored again with raw-history keys where they do
-    not.
+    ``lowest-index`` reveals by door label, so for a door-symmetric strategy
+    every option of a guess with several is scored: the canonical memo keys
+    stand only while those values agree, and the allocation is scored again
+    with raw-history keys, guess by guess, where they do not. Guess orbits
+    are still scored by one representative each: the stabilizer maps the
+    options of every member onto the representative's, so checking the
+    representative's options checks the whole orbit.
     """
     if reveal not in CHANCE_REVEALS:
         raise ValueError(f"{reveal!r} is not a chance reveal rule")
@@ -156,8 +158,7 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
     nodes = [0]
     last = config.d - 1
     canonical = searcher.door_symmetric
-    # Orbits need a reveal rule as blind to labels as the memo keys.
-    orbits = searcher.guess_orbits if canonical and reveal != LOWEST_INDEX else None
+    orbits = searcher.guess_orbits if canonical else None
 
     def value(key, history: History, remaining: tuple[int, ...], found: int) -> Fraction:
         cached = memo.get(key)
@@ -217,7 +218,8 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         try:
             return value((reveal, canonical_form(allocation, ())), (), allocation, 0)
         except _LabelDependent:
-            canonical = False  # value() reads it: score this allocation by raw history
+            # value() reads both: score this allocation by raw history, guess by guess.
+            canonical, orbits = False, None
     return value((reveal, allocation, ()), (), allocation, 0)
 
 

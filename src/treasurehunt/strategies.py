@@ -47,6 +47,8 @@ class HiderStrategy:
                 raise ValueError(f"allocation {allocation} invalid for {self.config}")
             if allocation in seen:
                 raise ValueError(f"duplicate allocation {allocation}")
+            if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+                raise ValueError(f"hider probability {p!r} is not an exact fraction")
             if p <= 0:
                 raise ValueError("hider probabilities must be positive")
             seen.add(allocation)
@@ -155,7 +157,8 @@ class SearcherStrategy:
     differ by a relabeling are scored once. Under the ``lowest-index`` reveal
     the revealed door depends on labels even when the rule does not, so
     there the evaluator also scores every option of a multi-option guess
-    and falls back to raw-history keys where their values differ.
+    (of each orbit's representative, when it scores by orbits) and falls
+    back to raw-history keys, guess by guess, where their values differ.
 
     guess_orbits is None, or the same rule by orbits: ``guess_orbits(history)``
     returns ``(parts, each)`` pairs, where ``parts`` holds ``(pool, m)``
@@ -173,9 +176,11 @@ class SearcherStrategy:
     current door plus k-1 fresh doors with probability ``mapping[c]``, and
     k fresh doors otherwise. An empty mapping never stays; a nonempty one
     must hold every diagram that play reaches, or ``run_mc`` raises
-    ``MissingDiagramError``. ``run_mc`` plays such a rule inline; every
-    other searcher is simulated by exact draws from ``guess_distribution``,
-    through the same ``draw_table`` and ``draw_guess`` as the per-game cursor
+    ``MissingDiagramError``. Fresh-k and the stay tables read their
+    ``guess_orbits`` from this mapping, so the rule is written once.
+    ``run_mc`` plays such a rule inline; every other searcher is simulated
+    by exact draws from ``guess_distribution``, through the same
+    ``draw_table`` and ``draw_guess`` as the per-game cursor
     ``sampler(rng)``.
     """
 
@@ -222,6 +227,37 @@ def draw_guess(table: DrawTable, rng) -> frozenset[int]:
     return guesses[bisect_right(bounds, rng.randrange(denom))]
 
 
+def _stay_or_move_orbits(self, history: History) -> list[GuessOrbit]:
+    """``guess_orbits`` of a searcher whose whole rule is its
+    ``fresh_door_stays`` mapping; round one moves."""
+    k = self.config.k
+    stay = Fraction(0)
+    if history:
+        counts = discovery_counts(history)
+        if sum(counts) >= self.config.d:
+            raise ValueError("game already won, no further guess")
+        if any(revealed is None for _, revealed in history):
+            raise ValueError("game already lost, no further guess")
+        stays = self.fresh_door_stays
+        if stays:  # an empty mapping never stays
+            if counts not in stays:
+                raise MissingDiagramError(counts)
+            stay = stays[counts]
+    guessed = guessed_doors(history)
+    fresh = tuple(door for door in range(self.config.n) if door not in guessed)
+    orbits: list[GuessOrbit] = []
+    if stay > 0:
+        if len(fresh) < k - 1:
+            raise DoorBudgetError("ran out of fresh doors on the stay branch")
+        current = next(r for _, r in reversed(history) if r is not None)
+        orbits.append(((((current,), 1), (fresh, k - 1)), stay / comb(len(fresh), k - 1)))
+    if stay < 1:
+        if len(fresh) < k:
+            raise DoorBudgetError("ran out of fresh doors on the move branch")
+        orbits.append((((fresh, k),), (1 - stay) / comb(len(fresh), k)))
+    return orbits
+
+
 @dataclass(frozen=True)
 class FreshDoorsSearcher(SearcherStrategy):
     """Guess k never-guessed doors uniformly at random, every round."""
@@ -236,22 +272,11 @@ class FreshDoorsSearcher(SearcherStrategy):
                 f"fresh-door play needs n >= d*k, got n={self.config.n} < {self.config.d * self.config.k}"
             )
 
-    def guess_orbits(self, history: History) -> list[GuessOrbit]:
-        k = self.config.k
-        fresh = _fresh_doors(self.config, history)
-        if len(fresh) < k:
-            raise DoorBudgetError("ran out of fresh doors")
-        return [(((fresh, k),), Fraction(1, comb(len(fresh), k)))]
+    guess_orbits = _stay_or_move_orbits
 
     @property
     def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:
         return {}
-
-
-def _fresh_doors(config: GameConfig, history: History) -> tuple[int, ...]:
-    """The doors no round of the history guessed, ascending."""
-    guessed = guessed_doors(history)
-    return tuple(door for door in range(config.n) if door not in guessed)
 
 
 def fresh_doors_searcher(config: GameConfig) -> FreshDoorsSearcher:
@@ -283,28 +308,7 @@ class StayTableSearcher(SearcherStrategy):
             )
         _validate_reachable(self.config, self.table)
 
-    def guess_orbits(self, history: History) -> list[GuessOrbit]:
-        n, k = self.config.n, self.config.k
-        if not history:
-            return [(((tuple(range(n)), k),), Fraction(1, comb(n, k)))]
-        counts = discovery_counts(history)
-        if sum(counts) >= self.config.d:
-            raise ValueError("game already won, no further guess")
-        if any(revealed is None for _, revealed in history):
-            raise ValueError("game already lost, no further guess")
-        current = next(r for _, r in reversed(history) if r is not None)
-        stay = self.table.stay(counts)
-        fresh = _fresh_doors(self.config, history)
-        orbits: list[GuessOrbit] = []
-        if stay > 0:
-            if len(fresh) < k - 1:
-                raise DoorBudgetError("ran out of fresh doors on the stay branch")
-            orbits.append(((((current,), 1), (fresh, k - 1)), stay / comb(len(fresh), k - 1)))
-        if stay < 1:
-            if len(fresh) < k:
-                raise DoorBudgetError("ran out of fresh doors on the move branch")
-            orbits.append((((fresh, k),), (1 - stay) / comb(len(fresh), k)))
-        return orbits
+    guess_orbits = _stay_or_move_orbits
 
     @property
     def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:

@@ -225,6 +225,18 @@ def test_lp_failed_certificate_check_exit_6(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_lp_orbit_weight_mismatch_exit_6(capsys, monkeypatch):
+    # The quotient build's self-checks raise InternalError: exit 6, one
+    # line on stderr, no traceback.
+    from treasurehunt import seqform
+
+    exact = seqform.stabilizer_size
+    monkeypatch.setattr(seqform, "stabilizer_size", lambda cells: exact(cells) + 1)
+    code, out, err = run_cli(capsys, "lp", "-n", "3", "-d", "2", "-k", "2")
+    assert code == 6 and out == ""
+    assert err.startswith("internal error: orbit weight mismatch") and err.count("\n") == 1
+
+
 def test_simulate_with_check(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--variant", "multi", "-n", "4", "-d", "2", "-k", "2",

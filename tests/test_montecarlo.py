@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracle_utils import WithoutDoorSymmetry
+from treasurehunt import montecarlo
 from treasurehunt.combinatorics import SINGLE, enumerate_allocations
 from treasurehunt.errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
 from treasurehunt.game import CHANCE_REVEALS, GameConfig, chance_reveal
@@ -57,6 +58,18 @@ def test_batched_root_seed_outside_64_bits_rejected(seed):
     cfg = GameConfig(9, 3, 2)
     with pytest.raises(ValueError, match="seed"):
         run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), 2000, seed, 4)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_batched_trials_below_one_rejected(trials, monkeypatch):
+    # run_mc's ValueError, before any batch seed is derived.
+    def no_derive(seed, index):
+        raise AssertionError("derived a seed")
+
+    monkeypatch.setattr(montecarlo, "derive_seed", no_derive)
+    cfg = GameConfig(9, 3, 2)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), trials, 0, 4)
 
 
 def test_seed_range_ends_accepted():

@@ -150,6 +150,16 @@ def test_certificate_check_rejects_a_suboptimal_hider_plan():
         _certify_plans(game, x, y)
 
 
+def test_orbit_weight_mismatch_raises_internal_error(monkeypatch):
+    # A typed self-check, not an assert, so it also runs under python -O.
+    from treasurehunt import seqform
+
+    exact = seqform.stabilizer_size
+    monkeypatch.setattr(seqform, "stabilizer_size", lambda cells: exact(cells) + 1)
+    with pytest.raises(InternalError, match="orbit weight mismatch"):
+        sequence_form_value(GameConfig(3, 2, 2))
+
+
 def test_lifted_plan_is_a_proper_strategy():
     cfg = GameConfig(3, 2, 2)
     report = sequence_form_value(cfg)

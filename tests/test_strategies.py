@@ -60,6 +60,14 @@ def test_custom_hider_validation():
         HiderStrategy(cfg, (((3, -1), Fraction(1)),))
 
 
+@pytest.mark.parametrize("p", [0.5, True, "1/2"], ids=["float", "bool", "string"])
+def test_hider_probability_must_be_exact(p):
+    # Named in a ValueError, not an AttributeError from the denominator sum.
+    cfg = GameConfig(2, 2, 1)
+    with pytest.raises(ValueError, match=f"probability {p!r} is not an exact fraction"):
+        HiderStrategy(cfg, (((2, 0), p), ((0, 2), p)))
+
+
 def test_fresh_doors_searcher():
     cfg = GameConfig(4, 2, 2, occupancy="single")
     searcher = fresh_doors_searcher(cfg)
