@@ -97,9 +97,9 @@ def enumerate_partitions(d: int, max_parts: int) -> list[Partition]:
 
 
 def is_partition(seq) -> bool:
-    """True when seq is a nonincreasing sequence of positive integers."""
+    """True when seq is a nonincreasing sequence of positive ints, not bools."""
     parts = tuple(seq)
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

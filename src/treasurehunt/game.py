@@ -18,6 +18,8 @@ that checks them lives in the tests (``oracle_utils``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, prod
@@ -53,6 +55,8 @@ class GameConfig:
     reveal: str = LOWEST_INDEX
 
     def __post_init__(self):
+        if set(map(type, (self.n, self.d, self.k))) != {int}:
+            raise ValueError(f"n, d and k must be int, got {self.n!r}, {self.d!r}, {self.k!r}")
         if self.n < 1:
             raise ValueError("need at least one door")
         if self.d < 1:
@@ -137,59 +141,54 @@ def guessed_doors(history: History) -> frozenset[int]:
 def relabeling(
     counts: Sequence[int], events: Events | History
 ) -> tuple[Position, tuple[int, ...], tuple[int, ...]]:
-    """Canonical form of a position, one relabeling onto it, and its cell sizes.
+    """Canonical form of a position, one relabeling onto it, and its cells.
 
     The canonical form is the smallest image (relabeled counts, relabeled
     events) over all door relabelings; ``sigma[door]`` is the door's label
-    in it. Every event is a one-door predicate (was the door guessed, was
-    it revealed), so ordered partition refinement finds it without a
-    search: order the doors by ascending treasure count, then, for each
-    event in turn, split every cell into the revealed door, the other
-    guessed doors and the unguessed doors, and number the doors cell by
-    cell, in index order inside a cell. On the canonical form cell j thus
-    holds consecutive labels, and the relabelings that fix the position
-    permute doors inside cells: ``stabilizer_size(cells)`` of them. Pass
-    zero counts for the canonical form of a history alone.
+    in it, and ``starts[door]`` the first label of its cell. Every event is
+    a one-door predicate (was the door guessed, was it revealed), so
+    ordered partition refinement finds it without a search: put the doors
+    into cells by ascending treasure count, fold ``split_cells`` over the
+    events, and number the doors cell by cell, in index order inside a
+    cell. On the canonical form cell j thus holds consecutive labels,
+    ``sorted(starts)`` is each label's cell start, and the relabelings that
+    fix the position permute doors inside cells: ``stabilizer_size(starts)``
+    of them. Pass zero counts for the canonical form of a history alone.
     """
-    by_count: dict[int, list[int]] = {}
-    for door, count in enumerate(counts):
-        by_count.setdefault(count, []).append(door)
-    cells = [by_count[count] for count in sorted(by_count)]
+    ordered = sorted(counts)
+    starts = tuple(bisect_left(ordered, count) for count in counts)
     for doors, revealed in events:
-        refined = []
-        for cell in cells:
-            parts: tuple[list[int], ...] = ([], [], [])
-            for door in cell:
-                parts[0 if door == revealed else 1 if door in doors else 2].append(door)
-            refined.extend(part for part in parts if part)
-        cells = refined
-    sigma = [0] * len(counts)
-    label = 0
-    for cell in cells:
-        for door in cell:
-            sigma[door] = label
-            label += 1
+        starts = split_cells(starts, doors, revealed)
+    sigma = [0] * len(starts)
+    for label, door in enumerate(sorted(range(len(starts)), key=starts.__getitem__)):
+        sigma[door] = label
     relabeled = tuple(
         (tuple(sorted(sigma[x] for x in doors)), sigma[o] if o >= 0 else -1)
         for doors, o in events
     )
-    return (tuple(sorted(counts)), relabeled), tuple(sigma), tuple(map(len, cells))
+    return (tuple(ordered), relabeled), tuple(sigma), starts
 
 
-def cell_starts(sigma: Sequence[int], cells: Sequence[int]) -> tuple[int, ...]:
-    """The first label of each door's cell, per door, from the ``sigma``
-    and cell sizes of one ``relabeling`` call: what ``refine`` needs."""
-    first: list[int] = []
-    for size in cells:
-        first.extend([len(first)] * size)
-    return tuple(first[label] for label in sigma)
+def split_cells(starts: Sequence[int], doors: Collection[int], revealed: int) -> tuple[int, ...]:
+    """The cell start of every door after one more event, from ``starts``.
+
+    A cell keeps its label range and splits into the revealed door, the
+    other guessed doors and the rest, in that order; ``revealed`` is one of
+    ``doors``, or -1 for a guess still waiting for its reveal.
+    """
+    taken = Counter(starts[x] for x in doors)
+    found = starts[revealed] if revealed >= 0 else -1
+    return tuple(
+        start if door == revealed else start + (start == found) if door in doors else start + taken[start]
+        for door, start in enumerate(starts)
+    )
 
 
 def orbit_key(starts: Sequence[int], doors: Collection[int]) -> tuple[int, ...]:
     """Orbit representative of a door set: the smallest image of its
     relabeling onto the canonical form under the relabelings that fix it.
 
-    ``starts`` gives each door's cell start (``cell_starts``). Those
+    ``starts`` gives each door's cell start (``relabeling``). Those
     relabelings move doors only inside their cells, so the smallest image
     takes the first c_j labels of each cell j that c_j of the doors lie in.
     Door sets share a key exactly when they lie in one orbit. On the
@@ -214,7 +213,7 @@ def orbit_representatives(orbits, starts: Sequence[int]):
     """One guess per orbit of a position's stabilizer, with the orbit's mass.
 
     ``orbits`` is a list in the form of ``SearcherStrategy.guess_orbits``
-    and ``starts`` the position's ``cell_starts``. The stabilizer permutes
+    and ``starts`` the position's cell starts. The stabilizer permutes
     doors inside the position's cells, so splitting each pool by cell, the
     guesses that take c_j doors from the j-th part of every pool form one
     orbit, of size the product of the C(|part|, c_j). Its representative,
@@ -247,26 +246,22 @@ def _splits(cells: list[list[int]], m: int):
 def refine(position: Position, starts: Sequence[int], doors: Collection[int], revealed: int) -> Position:
     """The canonical form after one more event, in O(k) instead of O(n).
 
-    ``position`` and ``starts`` come from one ``relabeling(counts, events)``
-    call (``starts`` through ``cell_starts``), and ``revealed`` is one of
+    ``position`` and ``starts`` are the form and cell starts that one
+    ``relabeling(counts, events)`` call returns, and ``revealed`` is one of
     ``doors``. The result equals
-    ``relabeling(counts, events + ((doors, revealed),))[0]``. Splitting a
-    cell by the new event keeps the cell's label range, and every earlier
-    guess is a union of cells and every earlier revealed door a cell of its
-    own, so the earlier events keep their labels. Inside each cell the
-    revealed door takes the cell's first label and the other guessed doors
-    the labels after it, so the guessed doors take ``orbit_key(starts,
-    doors)`` whichever of them was revealed.
+    ``relabeling(counts, events + ((doors, revealed),))[0]``, and its cell
+    starts are ``split_cells(starts, doors, revealed)``. Splitting keeps
+    each cell's label range, and every earlier guess is a union of cells
+    and every earlier revealed door a cell of its own, so the earlier
+    events keep their labels. Inside each cell the revealed door takes the
+    cell's first label and the other guessed doors the labels after it, so
+    the guessed doors take ``orbit_key(starts, doors)`` whichever of them
+    was revealed.
     """
     counts, events = position
     return counts, events + ((orbit_key(starts, doors), starts[revealed]),)
 
 
-def canonical_form(counts: Sequence[int], events: Events | History) -> Position:
-    """The canonical form alone; without events it is the sorted counts."""
-    return relabeling(counts, events)[0]
-
-
-def stabilizer_size(cells: Sequence[int]) -> int:
-    """Relabelings that fix a position with these cell sizes."""
-    return prod(factorial(size) for size in cells)
+def stabilizer_size(starts: Sequence[int]) -> int:
+    """Relabelings that fix a position with these cell starts."""
+    return prod(factorial(size) for size in Counter(starts).values())

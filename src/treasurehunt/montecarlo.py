@@ -17,7 +17,7 @@ from math import sqrt
 
 from .errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
 from .game import CHANCE_REVEALS, GameConfig, chance_reveal
-from .strategies import HiderStrategy, SearcherStrategy, draw_guess, draw_table, randbelow
+from .strategies import HiderStrategy, SearcherStrategy, check_built_for, draw_guess, draw_table, randbelow
 
 _MASK64 = (1 << 64) - 1
 MIN_CHECK_TRIALS = 100  # fewest trials compare_to_exact accepts
@@ -118,15 +118,8 @@ def run_mc(
     _check_run(trials, seed)
     if config.reveal not in CHANCE_REVEALS:
         raise AdversarialRevealError("simulation needs a chance reveal rule")
-    game = (config.n, config.d, config.k, config.occupancy)
-    for role, strategy in (("searcher", searcher), ("hider", hider)):
-        built = strategy.config
-        if (built.n, built.d, built.k, built.occupancy) != game:
-            raise ValueError(
-                f"{role} {strategy.name!r} was built for (n={built.n}, d={built.d}, "
-                f"k={built.k}, {built.occupancy}), not (n={config.n}, d={config.d}, "
-                f"k={config.k}, {config.occupancy})"
-            )
+    check_built_for(config, "searcher", searcher)
+    check_built_for(config, "hider", hider)
     # Chosen by attribute, not by type, so a wrapper that forwards
     # attributes plays the same path and random stream as its searcher.
     play = _play_table if getattr(searcher, "fresh_door_stays", None) is None else _play_stays

@@ -29,10 +29,11 @@ larger than its parent's is entered by exactly m concrete edges from the
 representative. As a whole-construction check, the accumulated weight of
 every position must equal its orbit size n!/|stab|, or the build raises
 ``InternalError``, as it does when two paths reach one state from
-different sequences. Each
-position and its history are canonicalized once each, by
-``game.relabeling``; its children and reveal points are stepped from that
-form by ``game.refine``, and guesses are keyed by ``game.orbit_key``.
+different sequences. Only the roots, one per allocation shape, are
+canonicalized, by ``game.relabeling``. Every other position, its
+canonical history and their cell starts are stepped from the parent's by
+``game.refine`` and ``game.split_cells``, and guesses are keyed by
+``game.orbit_key``.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ from .game import (
     GameConfig,
     History,
     cell_pools,
-    cell_starts,
     orbit_key,
     orbit_representatives,
     refine,
     relabeling,
+    split_cells,
     stabilizer_size,
 )
 from .simplex import LEQ, EQ, OPTIMAL, solve_lp
@@ -92,7 +93,6 @@ class _QuotientGame:
 
 def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: int) -> _QuotientGame:
     n, d = config.n, config.d
-    no_counts = (0,) * n  # histories are canonicalized on their own
     every_guess = [(((tuple(range(n)), size),), 1) for size in range(1, config.k + 1)]
 
     s_infosets: list[_SInfoset] = []
@@ -109,18 +109,12 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
         """(guess, orbit size) pairs, in the order all_guesses first reaches each orbit."""
         return sorted(orbit_representatives(every_guess, starts), key=lambda rep: (len(rep[0]), rep[0]))
 
-    def new_s_infoset(hist: Events, cells: tuple[int, ...]) -> _SInfoset:
+    def new_s_infoset(hist: Events, starts: tuple[int, ...]) -> _SInfoset:
+        # hist is canonical, so its prefix is too and each guess is its own orbit_key.
         nonlocal s_count
-        if hist:
-            (_, prev), sigma, prev_cells = relabeling(no_counts, hist[:-1])
-            key = orbit_key(cell_starts(sigma, prev_cells), hist[-1][0])
-            parent_seq = s_infoset_by_hist[prev].action_of[key]
-        else:
-            parent_seq = 0
+        parent_seq = s_infoset_by_hist[hist[:-1]].action_of[hist[-1][0]] if hist else 0
         info = _SInfoset(uid=len(s_infosets), hist=hist, parent_seq=parent_seq, actions=[], action_of={})
-        # hist is canonical, so cell j holds consecutive labels and each
-        # representative is its own orbit_key.
-        for key, size in representatives(cell_starts(range(n), cells)):
+        for key, size in representatives(starts):
             info.actions.append((key, size, s_count))
             info.action_of[key] = s_count
             s_count += 1
@@ -135,40 +129,41 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
         shapes = enumerate_partitions(d, n)
     root = _HInfoset(uid=0, parent_seq=0, actions=[])
     h_infosets.append(root)
+    # position -> orbit weight, searcher and hider sequences, cell starts, canonical
+    # history and the history's cell starts, both per door. Roots keep raw labels.
     level: dict = {}
     for seq, shape in enumerate(shapes, start=1):
         alloc = shape + (0,) * (n - len(shape))
         mult = partition_weight(shape, n)
         root.actions.append((shape, mult, seq))
-        level[(alloc, ())] = [mult, 0, seq]
+        level[(alloc, ())] = [mult, 0, seq, relabeling(alloc, ())[2], (), (0,) * n]
 
     h_reveal_by_state: dict = {}
 
     for round_idx in range(d):
         next_level: dict = {}
-        for (alloc, events), (weight, s0, h0) in sorted(level.items()):
+        shared: dict = {}  # one copy of each carried tuple per level
+        for (alloc, events), (weight, s0, h0, starts, hist, starts_h) in sorted(level.items()):
             states_seen += 1
             if states_seen > node_budget:
                 raise BudgetExceededError(f"quotient build exceeded {node_budget} positions")
-            position, sigma, cells = relabeling(alloc, events)
-            if weight * stabilizer_size(cells) != factorial(n):
+            if weight * stabilizer_size(starts) != factorial(n):
                 raise InternalError("orbit weight mismatch: the quotient expansion is inconsistent")
-            starts = cell_starts(sigma, cells)
+            position = (tuple(sorted(alloc)), events)
             remaining = list(alloc)
             for doors, o in events:
                 remaining[o] -= 1
-            (_, hist_canon), sigma_h, cells_h = relabeling(no_counts, events)
-            starts_h = cell_starts(sigma_h, cells_h)
-            info = s_infoset_by_hist.get(hist_canon)
+            info = s_infoset_by_hist.get(hist)
             if info is None:
-                info = new_s_infoset(hist_canon, cells_h)
+                info = new_s_infoset(hist, tuple(sorted(starts_h)))
             if info.parent_seq != s0:
                 raise InternalError("searcher context mismatch: the quotient expansion is inconsistent")
             for g, size in representatives(starts):
                 options = [o for o in g if remaining[o] > 0]
                 if not options:
                     continue  # losing guess, payoff zero
-                s1 = info.action_of[orbit_key(starts_h, g)]
+                hkey = orbit_key(starts_h, g)
+                s1 = info.action_of[hkey]
                 mass = weight * size  # the orbit's concrete guesses, each with the position's weight
                 if len(options) == 1:
                     transitions = [(options[0], h0)]
@@ -190,7 +185,9 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
                         cstate = refine(position, starts, g, o)
                         entry = next_level.get(cstate)
                         if entry is None:
-                            next_level[cstate] = [mass, s1, h1]
+                            carried = (tuple(sorted(split_cells(starts, g, o))), hist + ((hkey, starts_h[o]),),
+                                       split_cells(starts_h, *cstate[1][-1]))
+                            next_level[cstate] = [mass, s1, h1, *(shared.setdefault(c, c) for c in carried)]
                         else:
                             entry[0] += mass
                             if entry[1] != s1 or entry[2] != h1:
@@ -379,15 +376,15 @@ class LiftedPlanStrategy(SearcherStrategy):
 
     def guess_orbits(self, history: History):
         n = self.config.n
-        (_, canon_hist), sigma, cells = relabeling((0,) * n, history)
+        (_, canon_hist), _, starts = relabeling((0,) * n, history)
         info = self._game.s_infoset_by_hist.get(canon_hist)
         parent_mass = 0 if info is None else self._plan[info.parent_seq]
         if parent_mass == 0:
             doors = tuple(range(n))
             share = Fraction(1, sum(comb(n, size) for size in range(1, self.config.k + 1)))
             return [(((doors, size),), share) for size in range(1, self.config.k + 1)]
-        pools = cell_pools(range(n), cell_starts(sigma, cells))  # ascending inside each cell
-        start_of = cell_starts(range(n), cells)  # label -> its cell's first label
+        pools = cell_pools(range(n), starts)  # ascending inside each cell
+        start_of = sorted(starts)  # label -> its cell's first label
         out = []
         for key, _, seq in info.actions:
             mass = self._plan[seq]

@@ -30,14 +30,13 @@ from .game import (
     GameConfig,
     History,
     all_guesses,
-    canonical_form,
-    cell_starts,
     chance_reveal,
     orbit_representatives,
     refine,
     relabeling,
+    split_cells,
 )
-from .strategies import HiderStrategy, SearcherStrategy
+from .strategies import HiderStrategy, SearcherStrategy, check_built_for
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -106,10 +105,11 @@ def evaluate_exact(
     Recursion over observable histories: expectation over the searcher's
     guesses, minimum over the reveal options (the hider knows the strategy
     and the full position). Positions are memoized, modulo door relabeling
-    when the strategy declares door symmetry: a position is canonicalized
-    once, by ``relabeling``, when it is expanded, and the memo key of each
-    child comes from one ``refine`` step on it, equal to the child's
-    ``canonical_form``. Other strategies key the memo by the raw history.
+    when the strategy declares door symmetry: one ``relabeling`` of the
+    allocation gives the root's canonical form and cell starts, the memo
+    key of each child comes from one ``refine`` step on its parent's form,
+    and a position the memo misses steps its cell starts from its parent's
+    by ``split_cells``. Other strategies key the memo by the raw history.
     A door-symmetric strategy with ``guess_orbits`` is scored by orbits:
     each of its pools is split by the position's cells, and one guess per
     orbit of the position's stabilizer is expanded, weighted by the orbit's
@@ -153,6 +153,7 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
     allocation = tuple(allocation)
     if not config.is_valid_allocation(allocation):
         raise ValueError(f"allocation {allocation} invalid for {config}")
+    check_built_for(config, "searcher", searcher)
     if memo is None:
         memo = {}
     nodes = [0]
@@ -160,24 +161,24 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
     canonical = searcher.door_symmetric
     orbits = searcher.guess_orbits if canonical else None
 
-    def value(key, history: History, remaining: tuple[int, ...], found: int) -> Fraction:
+    def value(key, history: History, remaining: tuple[int, ...], found: int, starts) -> Fraction:
+        # starts: the cell starts before history's last event; key[1]: the canonical form.
         cached = memo.get(key)
         if cached is not None:
             return cached
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise BudgetExceededError(f"evaluation exceeded {node_budget} nodes")
-        if canonical:
-            position, sigma, cells = relabeling(allocation, history)
-            starts = cell_starts(sigma, cells)
+        if canonical and history:
+            starts = split_cells(starts, *history[-1])
 
         def child(guess: frozenset[int], o: int) -> Fraction:
             history_o = history + ((guess, o),)
             if canonical:
-                key_o = (reveal, refine(position, starts, guess, o))
+                key_o = (reveal, refine(key[1], starts, guess, o))
             else:
                 key_o = (reveal, allocation, history_o)
-            return value(key_o, history_o, _dec(remaining, o), found + 1)
+            return value(key_o, history_o, _dec(remaining, o), found + 1, starts)
 
         if orbits is None:
             guesses = searcher.guess_distribution(history)
@@ -215,12 +216,13 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         return total
 
     if canonical:
+        position, _, starts = relabeling(allocation, ())
         try:
-            return value((reveal, canonical_form(allocation, ())), (), allocation, 0)
+            return value((reveal, position), (), allocation, 0, starts)
         except _LabelDependent:
             # value() reads both: score this allocation by raw history, guess by guess.
             canonical, orbits = False, None
-    return value((reveal, allocation, ()), (), allocation, 0)
+    return value((reveal, allocation, ()), (), allocation, 0, None)
 
 
 def _dec(remaining: tuple[int, ...], door: int) -> tuple[int, ...]:
@@ -299,8 +301,10 @@ def searcher_best_response_value(
     The state is the unnormalized posterior over remaining treasures given
     the observable history. Needs a chance reveal rule; adversarial reveals
     are accepted only while they stay forced (at most one candidate door),
-    as for all-in-one hiding, and raise otherwise.
+    as for all-in-one hiding, and raise otherwise. The hider must be built
+    for the config's n, d, k and occupancy.
     """
+    check_built_for(config, "hider", hider)
     rule = config.reveal
     guesses = all_guesses(config)
     nodes = [0]

@@ -28,6 +28,15 @@ GuessDistribution = list[tuple[frozenset[int], Fraction]]
 GuessOrbit = tuple[tuple[tuple[tuple[int, ...], int], ...], Fraction]
 
 
+def check_built_for(config: GameConfig, role: str, strategy) -> None:
+    """Raise ValueError unless the strategy was built for the config's n, d,
+    k and occupancy; its reveal rule does not matter."""
+    built = strategy.config
+    if (built.n, built.d, built.k, built.occupancy) != (config.n, config.d, config.k, config.occupancy):
+        size = "(n={0.n}, d={0.d}, k={0.k}, {0.occupancy})".format
+        raise ValueError(f"{role} {strategy.name!r} was built for {size(built)}, not {size(config)}")
+
+
 # ---------------------------------------------------------------------------
 # Hider side
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ canonicalizer tries every door permutation, the reference for the
 partition refinement in ``treasurehunt.game``. The full-enumeration best response scores every
 allocation, the reference for the per-shape scoring of door-symmetric
 searchers in ``treasurehunt.solver``. The canonical-key evaluator builds
-every memo key with a fresh ``canonical_form`` and scores guess by guess
+every memo key with a fresh ``relabeling`` and scores guess by guess
 from ``guess_distribution``, the reference for the evaluator's one-step
 child keys and for its scoring by guess orbits.
 """
@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 from typing import Mapping
 
 from treasurehunt.combinatorics import SINGLE, count_allocations, enumerate_allocations
-from treasurehunt.game import ADVERSARIAL, GameConfig, History, canonical_form, chance_reveal
+from treasurehunt.game import ADVERSARIAL, GameConfig, History, chance_reveal, relabeling
 from treasurehunt.simplex import EQ, GEQ, LEQ, solve_lp
 from treasurehunt.solver import evaluate_exact
 from treasurehunt.strategies import SearcherStrategy
@@ -275,7 +275,7 @@ def full_enumeration_best_response(config, searcher):
 def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
     """``evaluate_exact`` (``reveal`` adversarial) or ``evaluate_under_reveal``
     stepped through the rules engine guess by guess, with every memo key
-    built from scratch: ``(reveal, canonical_form(allocation, history))``
+    built from scratch: ``(reveal, relabeling(allocation, history)[0])``
     for a door-symmetric searcher, ``(reveal, allocation, history)``
     otherwise. The label-blind keys are no reference under lowest-index,
     whose reveal follows door labels; pass ``WithoutDoorSymmetry`` there."""
@@ -285,7 +285,7 @@ def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
         if state.status == WON:
             return Fraction(1)
         if searcher.door_symmetric:
-            key = (reveal, canonical_form(allocation, history))
+            key = (reveal, relabeling(allocation, history)[0])
         else:
             key = (reveal, allocation, history)
         if key in memo:

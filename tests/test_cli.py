@@ -231,7 +231,7 @@ def test_lp_orbit_weight_mismatch_exit_6(capsys, monkeypatch):
     from treasurehunt import seqform
 
     exact = seqform.stabilizer_size
-    monkeypatch.setattr(seqform, "stabilizer_size", lambda cells: exact(cells) + 1)
+    monkeypatch.setattr(seqform, "stabilizer_size", lambda starts: exact(starts) + 1)
     code, out, err = run_cli(capsys, "lp", "-n", "3", "-d", "2", "-k", "2")
     assert code == 6 and out == ""
     assert err.startswith("internal error: orbit weight mismatch") and err.count("\n") == 1

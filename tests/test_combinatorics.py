@@ -17,7 +17,7 @@ from treasurehunt.combinatorics import (
     partition_weight,
     shape_representatives,
 )
-from treasurehunt.game import canonical_form, relabeling
+from treasurehunt.game import relabeling
 
 
 def test_count_allocations():
@@ -53,6 +53,12 @@ def test_enumeration_matches_the_recursive_reference_in_order():
             for occ in (SINGLE, MULTI):
                 # Includes d = 0 (one empty allocation) and single d > n (none).
                 assert enumerate_allocations(n, d, occ) == recursive_allocations(n, d, occ), (n, d, occ)
+
+
+def test_bool_parts_are_not_a_partition():
+    assert is_partition((1,)) and is_partition((2, 1))
+    for parts in ((True,), (2, True), (1.0,), (2, 1.0)):
+        assert not is_partition(parts)
 
 
 def test_enumerate_partitions():
@@ -127,7 +133,7 @@ def test_shape_representative_is_canonical_and_first_relabeling(data):
     allocations = enumerate_allocations(n, d, occupancy)
     a = data.draw(st.sampled_from(allocations))
     rep = tuple(sorted(a))
-    assert rep == canonical_form(a, ())[0] == relabeling(a, ())[0][0]
+    assert rep == relabeling(a, ())[0][0]
     assert rep in shape_representatives(n, d, occupancy)
     position = {alloc: i for i, alloc in enumerate(allocations)}
     assert all(position[rep] <= position[p] for p in set(permutations(a)))

@@ -24,13 +24,12 @@ from treasurehunt.combinatorics import enumerate_allocations
 from treasurehunt.game import (
     GameConfig,
     all_guesses,
-    canonical_form,
-    cell_starts,
     discovery_counts,
     orbit_key,
     orbit_representatives,
     refine,
     relabeling,
+    split_cells,
     stabilizer_size,
 )
 from treasurehunt.strategies import scaled_searcher
@@ -44,6 +43,13 @@ def test_config_validation():
         GameConfig(3, 2, 4)
     with pytest.raises(ValueError):
         GameConfig(3, 2, 2, reveal="psychic")
+
+
+def test_config_sizes_are_exact_ints():
+    # A float size used to construct and fail later, inside closed forms.
+    for sizes in ((4.0, 2, 2), (4, 2.0, 2), (4, 2, 2.0), (4, True, 2), (True, 1, 1), ("4", 2, 2)):
+        with pytest.raises(ValueError, match="must be int"):
+            GameConfig(*sizes)
 
 
 def test_allocations_hold_integer_counts():
@@ -204,20 +210,28 @@ def test_relabeling_matches_brute_force(data):
         events.append((doors, data.draw(st.sampled_from(reveals))))
     events = tuple(events)
 
-    form, sigma, cells = relabeling(counts, events)
+    form, sigma, starts = relabeling(counts, events)
     best, minimizers, _ = brute_canonical_form(counts, events)
     assert form == best
-    assert canonical_form(counts, events) == best
-    assert canonical_form(counts, tuple((frozenset(g), o) for g, o in events)) == best
+    assert relabeling(counts, tuple((frozenset(g), o) for g, o in events))[0] == best
     assert (apply_counts(counts, sigma), apply_events(events, sigma)) == form
-    assert stabilizer_size(cells) == minimizers
+    assert stabilizer_size(starts) == minimizers
+
+    # A door's cell start is the first label of its orbit under the form's
+    # stabilizer, and one split_cells step from the parent's starts gives
+    # them, a pending last guess included.
+    stabilizer = brute_stabilizer(*form)
+    first = [min(p[label] for p in stabilizer) for label in range(n)]
+    assert tuple(first[sigma[door]] for door in range(n)) == starts
+    if events:
+        assert split_cells(relabeling(counts, events[:-1])[2], *events[-1]) == starts
 
     # The orbit of a door set on the form: its key is the smallest image,
     # and the build's orbit size (the door sets of its size that share the
     # key) is the number of images.
     doors = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
-    images = {tuple(sorted(p[x] for x in doors)) for p in brute_stabilizer(*form)}
-    starts = cell_starts(range(n), cells)
+    images = {tuple(sorted(p[x] for x in doors)) for p in stabilizer}
+    starts = tuple(first)
     key = orbit_key(starts, doors)
     assert key == min(images)
     same_size = combinations(range(n), len(doors))
@@ -243,15 +257,15 @@ def test_refine_matches_relabeling_and_brute_force(data):
     events = tuple(events)
     child = events + ((doors, revealed),)
 
-    form, sigma, cells = relabeling(counts, events)
-    step = refine(form, cell_starts(sigma, cells), doors, revealed)
-    assert step == relabeling(counts, child)[0]
+    form, _, starts = relabeling(counts, events)
+    step = refine(form, starts, doors, revealed)
+    assert (step, split_cells(starts, doors, revealed)) == relabeling(counts, child)[::2]
     assert step == brute_canonical_form(counts, tuple((tuple(sorted(g)), o) for g, o in child))[0]
 
 
 def _starts(counts, events):
-    _, sigma, cells = relabeling(counts, events)
-    return cell_starts(sigma, cells), len(cells)
+    starts = relabeling(counts, events)[2]
+    return starts, len(set(starts))
 
 
 def test_orbit_representatives_cover_each_stabilizer_orbit_once():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracle_utils import apply_counts, apply_events, double_oracle_value
 from treasurehunt.errors import BudgetExceededError, InternalError
-from treasurehunt.game import GameConfig, cell_starts, relabeling
+from treasurehunt.game import GameConfig, relabeling
 from treasurehunt.seqform import (
     _certify_plans,
     _reveal_point,
@@ -155,7 +156,7 @@ def test_orbit_weight_mismatch_raises_internal_error(monkeypatch):
     from treasurehunt import seqform
 
     exact = seqform.stabilizer_size
-    monkeypatch.setattr(seqform, "stabilizer_size", lambda cells: exact(cells) + 1)
+    monkeypatch.setattr(seqform, "stabilizer_size", lambda starts: exact(starts) + 1)
     with pytest.raises(InternalError, match="orbit weight mismatch"):
         sequence_form_value(GameConfig(3, 2, 2))
 
@@ -233,6 +234,50 @@ def test_quotient_does_not_grow_with_n(d, k):
     assert len(shapes) == 5 and all(shape == shapes[0] for shape in shapes)
 
 
+def test_build_relabels_only_its_roots(monkeypatch):
+    # Every other position and history steps its cell starts from its
+    # parent's, so the build calls relabeling once per allocation shape.
+    from treasurehunt import seqform
+
+    calls = []
+    exact = seqform.relabeling
+    monkeypatch.setattr(seqform, "relabeling", lambda *args: calls.append(args) or exact(*args))
+    game = build_quotient_game(GameConfig(4, 3, 3), node_budget=10**6, column_budget=10**5)
+    roots = [shape + (0,) * (4 - len(shape)) for shape, _, _ in game.h_infosets[0].actions]
+    assert [counts for counts, _ in calls] == roots and len(roots) == 3
+    assert game.states == 170
+
+
+# sha256 of every quotient (infosets, actions, sequence numbers and payoff
+# entries, in order) and its _searcher_lp rows, over the games below.
+QUOTIENT_DIGEST = "cad5b7e804190f192944229f9ddda53d36192d59df341246d85682f8fe10edbe"
+
+
+def test_quotient_digest_is_pinned():
+    # Any change to the build or the LP assembly that moves one sequence
+    # number, orbit size or coefficient on these 86 games changes the digest.
+    digest = hashlib.sha256()
+    games = 0
+    for occupancy in ("multi", "single"):
+        for n in range(1, 7):
+            for d in range(1, 4):
+                if occupancy == "single" and d > n:
+                    continue
+                for k in range(1, min(3, n) + 1):
+                    game = build_quotient_game(
+                        GameConfig(n, d, k, occupancy=occupancy), node_budget=10**6, column_budget=10**5
+                    )
+                    for info in game.s_infosets:
+                        digest.update(repr((info.uid, info.hist, info.parent_seq, info.actions)).encode())
+                    for info in game.h_infosets:
+                        digest.update(repr((info.uid, info.parent_seq, info.actions)).encode())
+                    digest.update(repr((game.s_count, game.h_count, game.states, list(game.payoff.items()))).encode())
+                    digest.update(repr(_searcher_lp(game)).encode())
+                    games += 1
+    assert games == 86
+    assert digest.hexdigest() == QUOTIENT_DIGEST
+
+
 def test_certificate_json_round_trip():
     import json
 
@@ -271,10 +316,10 @@ def _draw_reveal_point(data, counts, events, remaining):
     options = sorted(data.draw(st.sets(st.sampled_from(live), min_size=2)))
     extra = data.draw(st.sets(st.integers(0, n - 1)))
     guess = tuple(sorted(set(options) | {door for door in extra if remaining[door] == 0}))
-    position, sigma, cells = relabeling(counts, events)
-    key, labels = _reveal_point(position, cell_starts(sigma, cells), guess, options)
-    pending, sigma_p, cells_p = relabeling(counts, events + ((guess, -1),))
-    return key, dict(zip(options, labels)), pending, cell_starts(sigma_p, cells_p)
+    position, _, starts = relabeling(counts, events)
+    key, labels = _reveal_point(position, starts, guess, options)
+    pending, _, starts_p = relabeling(counts, events + ((guess, -1),))
+    return key, dict(zip(options, labels)), pending, starts_p
 
 
 @settings(max_examples=300, deadline=None)

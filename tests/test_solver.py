@@ -53,6 +53,57 @@ from treasurehunt.strategies import (
 F = Fraction
 
 
+def test_evaluator_rejects_a_searcher_built_for_another_game():
+    # A (9,3,2) searcher never opens door 9, so scoring it on ten doors
+    # used to return a wrong value instead of an error.
+    cfg = GameConfig(10, 3, 2)
+    searcher = scaled_searcher(GameConfig(9, 3, 2))
+    allocation = (1, 1, 1) + (0,) * 7
+    with pytest.raises(ValueError, match="searcher 'ptable-scaled' was built for"):
+        evaluate_exact(cfg, searcher, allocation)
+    with pytest.raises(ValueError, match="searcher"):
+        evaluate_under_reveal(cfg, searcher, allocation, "uniform-doors")
+    with pytest.raises(ValueError, match="searcher"):
+        hider_best_response_value(cfg, searcher)
+    single = GameConfig(6, 3, 2, occupancy="single")
+    with pytest.raises(ValueError, match="searcher"):
+        evaluate_exact(single, fresh_doors_searcher(GameConfig(6, 3, 2)), (1, 1, 1, 0, 0, 0))
+    # The reveal rule a strategy was built under does not matter.
+    chance = scaled_searcher(GameConfig(9, 3, 2, reveal="uniform-doors"))
+    assert evaluate_exact(GameConfig(9, 3, 2), chance, (3,) + (0,) * 8) == F(8, 165)
+
+
+def test_searcher_best_response_rejects_a_hider_built_for_another_game():
+    cfg = GameConfig(5, 3, 2, reveal="uniform-treasures")
+    with pytest.raises(ValueError, match="hider 'uniform' was built for"):
+        searcher_best_response_value(cfg, uniform_hider(GameConfig(6, 3, 2)))
+    single = GameConfig(5, 3, 2, occupancy="single", reveal="uniform-doors")
+    with pytest.raises(ValueError, match="hider"):
+        searcher_best_response_value(single, uniform_hider(GameConfig(5, 3, 2, reveal="uniform-doors")))
+    assert searcher_best_response_value(cfg, uniform_hider(GameConfig(5, 3, 2))).value > 0
+
+
+def test_evaluator_relabels_once_per_call(monkeypatch):
+    # The root's relabeling gives its memo key and cell starts together; a
+    # memo miss steps its starts from its parent's, and a hit computes nothing.
+    from treasurehunt import solver
+
+    calls = []
+    exact = solver.relabeling
+    monkeypatch.setattr(solver, "relabeling", lambda *args: calls.append(args) or exact(*args))
+    cfg = GameConfig(9, 3, 2)
+    searcher = scaled_searcher(cfg)
+    report = hider_best_response_value(cfg, searcher)
+    assert len(calls) == len(report.certificate["checked"]) == 3
+    memo: dict = {}
+    for allocation in [(1, 1, 1) + (0,) * 6, (0, 1, 1, 1) + (0,) * 5, (2, 1) + (0,) * 7]:
+        calls.clear()
+        evaluate_exact(cfg, searcher, allocation, _memo=memo)
+        evaluate_under_reveal(cfg, searcher, allocation, "uniform-treasures", _memo=memo)
+        evaluate_under_reveal(cfg, searcher, allocation, LOWEST_INDEX, _memo=memo)
+        assert [counts for counts, _ in calls] == [allocation] * 3
+
+
 def test_evaluate_fresh_doors_single():
     cfg = GameConfig(4, 2, 2, occupancy="single")
     searcher = fresh_doors_searcher(cfg)
@@ -505,7 +556,7 @@ def test_evaluator_memo_matches_canonical_form_keys_on_small_grid():
     # Child keys come from one refinement step of the parent's relabeling,
     # and the bundled door-symmetric searchers are scored by guess orbits;
     # the shared memo must hold exactly the keys and values that keying
-    # every position by canonical_form(allocation, history), guess by guess,
+    # every position by relabeling(allocation, history)[0], guess by guess,
     # gives, over the adversarial rule and the two door-symmetric chance
     # rules. Lowest-index reveals by door label, so there the evaluator
     # scores every option of a guess and label-blind keys are no reference:

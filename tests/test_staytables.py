@@ -226,6 +226,12 @@ def test_table_validation():
         StayTable(4, 3, 2, {(1, 2): Fraction(1, 2)})  # not a partition
 
 
+def test_table_rejects_bool_diagram_parts():
+    # (True,) == (1,) and hashes alike, so it would stand in for the (1,) entry.
+    with pytest.raises(TableEntryError):
+        StayTable(4, 2, 2, {(True,): Fraction(1, 2)})
+
+
 def test_table_json_round_trip(tmp_path):
     table = StayTable(
         5, 3, 2, {(1,): Fraction(1), (2,): Fraction(4, 7), (1, 1): Fraction(6, 7)}

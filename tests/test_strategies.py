@@ -11,7 +11,6 @@ from treasurehunt.errors import DoorBudgetError, MissingDiagramError
 from treasurehunt.game import (
     GameConfig,
     all_guesses,
-    cell_starts,
     discovery_counts,
     guessed_doors,
     orbit_key,
@@ -302,10 +301,9 @@ def _rule_read_guess_by_guess(searcher, history):
     n, k = cfg.n, cfg.k
     fresh = frozenset(range(n)) - guessed_doors(history)
     if isinstance(searcher, LiftedPlanStrategy):
-        (_, canon), sigma, cells = relabeling((0,) * n, history)
+        (_, canon), _, starts = relabeling((0,) * n, history)
         info = searcher._game.s_infoset_by_hist.get(canon)
         parent = 0 if info is None else searcher._plan[info.parent_seq]
-        starts = cell_starts(sigma, cells)
     rule = {}
     for doors in all_guesses(cfg):
         g = frozenset(doors)
@@ -360,8 +358,7 @@ def test_guess_orbits_expand_to_the_rule_read_guess_by_guess():
         every_guess = isinstance(searcher, LiftedPlanStrategy)
         for history in _reachable_histories(searcher, every_guess):
             histories += 1
-            _, sigma, cells = relabeling((0,) * n, history)
-            starts = cell_starts(sigma, cells)
+            starts = relabeling((0,) * n, history)[2]
             for parts, each in searcher.guess_orbits(history):
                 assert each > 0
                 pooled = [door for pool, _ in parts for door in pool]
