@@ -42,6 +42,7 @@ from .montecarlo import (
     run_mc_batched,
 )
 from .solver import (
+    EqualizingReport,
     ValueReport,
     all_in_one_bound,
     closed_form_value,
@@ -53,15 +54,14 @@ from .solver import (
     per_allocation_values,
     searcher_best_response_value,
     sequence_form_value,
+    verify_equalizing,
 )
 from .staytables import (
-    EqualizingReport,
     StayTable,
     min_scalable_doors,
     q_one_find,
     scaled_stay_table,
     stay_probability,
-    verify_equalizing,
 )
 from .strategies import (
     HiderStrategy,

@@ -176,10 +176,10 @@ def split_cells(starts: Sequence[int], doors: Collection[int], revealed: int) ->
     other guessed doors and the rest, in that order; ``revealed`` is one of
     ``doors``, or -1 for a guess still waiting for its reveal.
     """
-    taken = Counter(starts[x] for x in doors)
+    taken = [starts[x] for x in doors]
     found = starts[revealed] if revealed >= 0 else -1
     return tuple(
-        start if door == revealed else start + (start == found) if door in doors else start + taken[start]
+        start if door == revealed else start + (start == found) if door in doors else start + taken.count(start)
         for door, start in enumerate(starts)
     )
 

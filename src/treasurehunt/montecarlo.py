@@ -17,6 +17,7 @@ from math import sqrt
 
 from .errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
 from .game import CHANCE_REVEALS, GameConfig, chance_reveal
+from .jsonio import fraction_to_json
 from .strategies import HiderStrategy, SearcherStrategy, check_built_for, draw_guess, draw_table, randbelow
 
 _MASK64 = (1 << 64) - 1
@@ -46,6 +47,8 @@ class McReport:
     seed: int
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
         if not 0 <= self.wins <= self.trials:
             raise ValueError("wins must lie in 0..trials")
 
@@ -70,8 +73,6 @@ class McReport:
         ]
 
     def to_json(self) -> dict:
-        from .jsonio import fraction_to_json
-
         return {
             "n": self.config.n, "d": self.config.d, "k": self.config.k,
             "variant": self.config.occupancy, "reveal": self.config.reveal,

@@ -59,6 +59,7 @@ from .game import (
     split_cells,
     stabilizer_size,
 )
+from .jsonio import fraction_to_json
 from .simplex import LEQ, EQ, OPTIMAL, solve_lp
 from .strategies import SearcherStrategy
 
@@ -336,8 +337,6 @@ class SequenceFormCertificate:
     stats: dict
 
     def to_json(self) -> dict:
-        from .jsonio import fraction_to_json
-
         return {
             "realization_plan": [
                 {
@@ -396,9 +395,8 @@ class LiftedPlanStrategy(SearcherStrategy):
 
 
 def solve_sequence_form(config: GameConfig, *, node_budget: int, column_budget: int):
-    """Build the quotient, solve the searcher LP, and certify both plans."""
-    from .solver import LP, ValueReport, counting_upper_bound
-
+    """Build the quotient, solve the searcher LP, certify both plans, and return
+    ``(value, dual_value, certificate)``; ``solver`` builds the report."""
     game = build_quotient_game(config, node_budget=node_budget, column_budget=column_budget)
     num_vars, objective, constraints, free = _searcher_lp(game)
     primal = solve_lp(num_vars, objective, constraints, maximize=True, free_vars=free)
@@ -429,12 +427,4 @@ def solve_sequence_form(config: GameConfig, *, node_budget: int, column_budget: 
         hider_mixture=mixture,
         stats=stats,
     )
-    bound = counting_upper_bound(config)
-    return ValueReport(
-        config=config,
-        value=value,
-        method=LP,
-        tight=value == bound,
-        certificate=certificate,
-        details={"counting_bound": bound, "dual_value": dual_value},
-    )
+    return value, dual_value, certificate

@@ -4,9 +4,10 @@ evaluate_exact computes a strategy's win probability against one fixed
 allocation with adversarial reveals (the hider, who sees everything, picks
 the revealed door to minimize). Best responses certify value bounds from
 either side, deterministic win sets realize the counting upper bound, and
-closed_form_value reports the counting formulas with their applicability.
-The full game value via linear programming lives in seqform and is
-re-exported here as sequence_form_value.
+closed_form_value reports the counting formulas with their applicability,
+and verify_equalizing checks a stay table against every allocation shape.
+sequence_form_value reports the full game value from seqform's quotient LP.
+Every ValueReport is built here.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .game import (
     relabeling,
     split_cells,
 )
-from .strategies import HiderStrategy, SearcherStrategy, check_built_for
+from .jsonio import fraction_to_json
+from .staytables import StayTable, scaled_stay_table
+from .strategies import HiderStrategy, SearcherStrategy, check_built_for, stay_table_searcher
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -59,8 +62,6 @@ class ValueReport:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        from .jsonio import fraction_to_json
-
         out = {
             "n": self.config.n,
             "d": self.config.d,
@@ -276,6 +277,39 @@ def hider_best_response_value(
     )
 
 
+@dataclass(frozen=True)
+class EqualizingReport:
+    """Outcome of checking that a table strategy wins every allocation equally.
+
+    ``checked`` holds one (allocation, value) row per allocation shape.
+    """
+
+    equal: bool
+    value: Fraction | None
+    counterexample: tuple[int, ...] | None
+    checked: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+
+def verify_equalizing(
+    config: GameConfig, table: StayTable, node_budget: int = DEFAULT_NODE_BUDGET
+) -> EqualizingReport:
+    """Exact win probability of the table strategy against every allocation.
+
+    Uses adversarial reveals, the strategy's worst case, and scores one
+    allocation per shape through ``hider_best_response_value``. equal is
+    True iff all shapes share one value, which is then the certified
+    guarantee; otherwise counterexample is the lexicographically first
+    allocation whose value differs from the first allocation's.
+    """
+    searcher = stay_table_searcher(config, table)
+    rows = hider_best_response_value(config, searcher, node_budget=node_budget).certificate["checked"]
+    first = rows[0][1]
+    for allocation, value in rows:
+        if value != first:
+            return EqualizingReport(False, None, allocation, rows)
+    return EqualizingReport(True, first, None, rows)
+
+
 def per_allocation_values(report: ValueReport) -> list[tuple[Allocation, Fraction]]:
     """Every allocation of a hider-best-response report with its value.
 
@@ -420,8 +454,6 @@ def closed_form_value(config: GameConfig) -> ValueReport:
         details["all_in_one_cap"] = cap
         value = min(formula, cap)
         try:
-            from .staytables import scaled_stay_table
-
             scaled_stay_table(config.n, config.d, config.k)
             certified = True
             notes.append("certified: the scaled stay table equalizes at this size")
@@ -454,6 +486,19 @@ def sequence_form_value(
     place for a label-dependent rule such as lowest-index. A config with a
     chance reveal rule is not rejected; its report is the adversarial value.
     """
+    # Imported here so that loading the package (and every CLI command
+    # without an LP) does not load seqform and simplex.
     from .seqform import solve_sequence_form
 
-    return solve_sequence_form(config, node_budget=node_budget, column_budget=column_budget)
+    value, dual_value, certificate = solve_sequence_form(
+        config, node_budget=node_budget, column_budget=column_budget
+    )
+    bound = counting_upper_bound(config)
+    return ValueReport(
+        config=config,
+        value=value,
+        method=LP,
+        tight=value == bound,
+        certificate=certificate,
+        details={"counting_bound": bound, "dual_value": dual_value},
+    )

@@ -18,13 +18,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .combinatorics import (
-    MULTI,
-    Partition,
-    enumerate_partitions,
-    is_partition,
-    partition_weight,
-)
+from .combinatorics import Partition, enumerate_partitions, is_partition, partition_weight
 from .errors import DoorBudgetError, ExceedsUnitError, MissingDiagramError, TableEntryError
 from .jsonio import fraction_from_json, fraction_to_json, int_from_json
 
@@ -182,40 +176,3 @@ def min_scalable_doors(d: int, k: int) -> int:
 def q_one_find(n: int, d: int) -> Fraction:
     """Move-on probability after the very first find, in closed form."""
     return Fraction(comb(n, d), comb(n + d - 1, d))
-
-
-@dataclass(frozen=True)
-class EqualizingReport:
-    """Outcome of checking that a table strategy wins every allocation equally.
-
-    ``checked`` holds one (allocation, value) row per allocation shape.
-    """
-
-    equal: bool
-    value: Fraction | None
-    counterexample: tuple[int, ...] | None
-    checked: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-
-def verify_equalizing(config, table: StayTable, node_budget: int | None = None) -> EqualizingReport:
-    """Exact win probability of the table strategy against every allocation.
-
-    Uses adversarial reveals, the strategy's worst case, and scores one
-    allocation per shape through ``hider_best_response_value``. equal is
-    True iff all shapes share one value, which is then the certified
-    guarantee; otherwise counterexample is the lexicographically first
-    allocation whose value differs from the first allocation's.
-    """
-    from .solver import hider_best_response_value  # local import avoids a module cycle
-    from .strategies import stay_table_searcher
-
-    if config.occupancy != MULTI:
-        raise ValueError("stay tables drive the multi-occupancy game")
-    searcher = stay_table_searcher(config, table)
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    rows = hider_best_response_value(config, searcher, **kwargs).certificate["checked"]
-    first = rows[0][1]
-    for allocation, value in rows:
-        if value != first:
-            return EqualizingReport(False, None, allocation, rows)
-    return EqualizingReport(True, first, None, rows)

@@ -13,7 +13,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, lcm
 from typing import Callable, Mapping, Sequence
 
@@ -61,10 +61,7 @@ class HiderStrategy:
             if p <= 0:
                 raise ValueError("hider probabilities must be positive")
             seen.add(allocation)
-        denom = lcm(*(p.denominator for _, p in self.distribution))
-        total = sum(p.numerator * (denom // p.denominator) for _, p in self.distribution)
-        if total != denom:
-            raise ValueError(f"hider probabilities sum to {Fraction(total, denom)}, not 1")
+        common_denominator(self.distribution)
 
     def sampler(self, rng) -> "_HiderSampler":
         return _HiderSampler(self.distribution, rng)
@@ -89,18 +86,22 @@ def randbelow(getrandbits, m: int) -> int:
 DrawTable = tuple[int, list[int], list]
 
 
+def common_denominator(distribution: Sequence[tuple[object, Fraction]]) -> int:
+    """The least common denominator of a distribution's probabilities;
+    raises ValueError naming their sum unless it is exactly 1."""
+    denom = lcm(*(p.denominator for _, p in distribution))
+    total = sum(p.numerator * (denom // p.denominator) for _, p in distribution)
+    if total != denom:
+        raise ValueError(f"probabilities sum to {Fraction(total, denom)}, not 1")
+    return denom
+
+
 def draw_table(distribution: Sequence[tuple[object, Fraction]]) -> DrawTable:
     """A finite distribution as integers, for exact draws: the common
     denominator of its probabilities, the running sums of the numerators
     over it, and the outcomes in the same order."""
-    denom = lcm(*(p.denominator for _, p in distribution))
-    bounds = []
-    running = 0
-    for _, p in distribution:
-        running += p.numerator * (denom // p.denominator)
-        bounds.append(running)
-    if running != denom:
-        raise ValueError("probabilities do not sum to 1")
+    denom = common_denominator(distribution)
+    bounds = list(accumulate(p.numerator * (denom // p.denominator) for _, p in distribution))
     return denom, bounds, [outcome for outcome, _ in distribution]
 
 

@@ -27,13 +27,13 @@ from treasurehunt.solver import (
     counting_upper_bound,
     searcher_best_response_value,
     sequence_form_value,
+    verify_equalizing,
 )
 from treasurehunt.staytables import (
     StayTable,
     min_scalable_doors,
     scaled_stay_table,
     stay_probability,
-    verify_equalizing,
 )
 from treasurehunt.combinatorics import enumerate_allocations
 from treasurehunt.strategies import (

@@ -114,6 +114,12 @@ def test_merge_rejects_mismatched_runs():
         merge_reports(a, b)
 
 
+def test_report_without_trials_rejected():
+    # Else estimate, stderr and to_json would each divide by zero.
+    with pytest.raises(ValueError, match="trials must be positive"):
+        McReport(GameConfig(4, 2, 2), "a", "b", 0, 0, 0)
+
+
 def test_compare_to_exact_examples():
     cfg = GameConfig(9, 3, 2)
     near = McReport(cfg, "s", "h", trials=10**6, wins=48500, seed=0)

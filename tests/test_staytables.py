@@ -19,8 +19,8 @@ from treasurehunt.staytables import (
     q_one_find,
     scaled_stay_table,
     stay_probability,
-    verify_equalizing,
 )
+from treasurehunt.solver import verify_equalizing
 from treasurehunt.strategies import stay_table_searcher
 
 
@@ -133,7 +133,7 @@ def test_choice_diagram_count_is_partition_function_minus_one():
 
 def test_equalizing_failure_reports_counterexample():
     from treasurehunt.game import GameConfig
-    from treasurehunt.staytables import verify_equalizing
+    from treasurehunt.solver import verify_equalizing
 
     cfg = GameConfig(6, 3, 2)
     lazy = StayTable(
@@ -186,7 +186,7 @@ def test_equalizing_family_found_by_exact_search():
     # entry, so two probes solve the equal-value condition exactly.
     from treasurehunt.game import GameConfig
     from treasurehunt.solver import evaluate_exact
-    from treasurehunt.staytables import verify_equalizing
+    from treasurehunt.solver import verify_equalizing
     from treasurehunt.strategies import stay_table_searcher
 
     for k in (1, 2, 3, 4):

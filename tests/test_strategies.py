@@ -53,8 +53,8 @@ def test_all_in_one_hider():
 
 def test_custom_hider_validation():
     cfg = GameConfig(2, 2, 1)
-    with pytest.raises(ValueError):
-        HiderStrategy(cfg, (((2, 0), Fraction(1, 2)),))  # sums to 1/2
+    with pytest.raises(ValueError, match="probabilities sum to 1/2, not 1"):
+        HiderStrategy(cfg, (((2, 0), Fraction(1, 2)),))
     with pytest.raises(ValueError):
         HiderStrategy(cfg, (((3, -1), Fraction(1)),))
 
