@@ -11,9 +11,9 @@ candidate treasures), or the deterministic lowest-index door.
 
 The evaluator, the best responses, the simulator and the LP build each
 step a game on their own tuple of remaining counts; this module holds
-what they share: the configuration, the guess set, the chance reveal,
-history summaries and door relabeling. The step-by-step rules engine
-that checks them lives in the tests (``oracle_utils``).
+what they share: the configuration, the guess set, the legal-guess rule
+(``check_guess``), the chance reveal, history summaries and door relabeling.
+The step-by-step rules engine that checks them is in ``tests/oracle_utils``.
 """
 
 from __future__ import annotations
@@ -87,6 +87,12 @@ def all_guesses(config: GameConfig) -> list[tuple[int, ...]]:
     lexicographic order. The LP build lists guess orbits in the order this
     list first reaches them, by ``orbit_representatives``."""
     return [g for size in range(1, config.k + 1) for g in combinations(range(config.n), size)]
+
+
+def check_guess(config: GameConfig, guess: Collection[int], history: History) -> None:
+    """Raise ValueError unless the guess is legal: 1 to k doors of range(n)."""
+    if not 1 <= len(guess) <= config.k or any(not 0 <= o < config.n for o in guess):
+        raise ValueError(f"illegal guess {sorted(guess)} at history {history}")
 
 
 def chance_reveal(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import sqrt
 
 from .errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
-from .game import CHANCE_REVEALS, GameConfig, chance_reveal
+from .game import CHANCE_REVEALS, GameConfig, chance_reveal, check_guess
 from .jsonio import fraction_to_json
 from .strategies import HiderStrategy, SearcherStrategy, check_built_for, draw_guess, draw_table, randbelow
 
@@ -112,9 +112,9 @@ def run_mc(
     never-guessed doors, and every door index and stay coin is an exact
     rejection draw from ``getrandbits``. Any other searcher plays the
     draw-table loop: each history's ``draw_table`` of ``guess_distribution``
-    is built once per call, and ``draw_guess`` draws as a ``sampler(rng)``
-    cursor does, so the wins are the same. Both loops resolve a guess that
-    finds two or more doors through ``game.chance_reveal``.
+    is built and checked (``game.check_guess``) once per call; ``draw_guess``
+    draws as a ``sampler(rng)`` cursor does, so the wins are the same. Both
+    loops resolve a guess that finds two doors or more by ``chance_reveal``.
     """
     _check_run(trials, seed)
     if config.reveal not in CHANCE_REVEALS:
@@ -228,6 +228,8 @@ def _play_table(config, searcher, hider_draw, trials, rng) -> int:
             table = tables.get(history)
             if table is None:
                 table = tables[history] = draw_table(searcher.guess_distribution(history))
+                for guess in table[2]:
+                    check_guess(config, guess, history)
             guess = draw_guess(table, rng)
             found = options = None
             for door in guess:

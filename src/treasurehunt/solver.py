@@ -2,10 +2,11 @@
 
 evaluate_exact computes a strategy's win probability against one fixed
 allocation with adversarial reveals (the hider, who sees everything, picks
-the revealed door to minimize). Best responses certify value bounds from
-either side, deterministic win sets realize the counting upper bound, and
-closed_form_value reports the counting formulas with their applicability,
-and verify_equalizing checks a stay table against every allocation shape.
+the revealed door to minimize) and raises ValueError on an illegal guess
+or probabilities that do not sum to 1. Best responses certify bounds from
+either side, deterministic win sets (what evaluate_exact scores 1) realize
+the counting upper bound, closed_form_value reports the counting formulas
+with their applicability, and verify_equalizing checks a stay table.
 sequence_form_value reports the full game value from seqform's quotient LP.
 Every ValueReport is built here.
 """
@@ -32,6 +33,7 @@ from .game import (
     History,
     all_guesses,
     chance_reveal,
+    check_guess,
     orbit_representatives,
     refine,
     relabeling,
@@ -39,7 +41,7 @@ from .game import (
 )
 from .jsonio import fraction_to_json
 from .staytables import StayTable, scaled_stay_table
-from .strategies import HiderStrategy, SearcherStrategy, check_built_for, stay_table_searcher
+from .strategies import HiderStrategy, SearcherStrategy, check_built_for, common_denominator, stay_table_searcher
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -184,10 +186,12 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
         if orbits is None:
             guesses = searcher.guess_distribution(history)
         else:
-            guesses = ((frozenset(g), p) for g, p in orbit_representatives(orbits(history), starts))
+            guesses = [(frozenset(g), p) for g, p in orbit_representatives(orbits(history), starts)]
+        common_denominator(guesses)
         live = frozenset(door for door, count in enumerate(remaining) if count)
         total = Fraction(0)
         for guess, p in guesses:
+            check_guess(config, guess, history)
             if live.isdisjoint(guess):
                 continue  # this branch loses, contributes 0
             if found == last:
@@ -394,35 +398,27 @@ def searcher_best_response_value(
 # Deterministic win sets
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _OneGuess(SearcherStrategy):
+    """A deterministic rule as a searcher: its one guess has probability 1."""
+
+    config: GameConfig
+    lookup: Callable[[History], frozenset[int]]
+
+    def guess_distribution(self, history: History):
+        return [(frozenset(self.lookup(history)), Fraction(1))]
+
+
 def deterministic_win_set(
     config: GameConfig,
     strategy: Mapping[History, frozenset[int]] | Callable[[History], frozenset[int]],
 ) -> frozenset[Allocation]:
-    """Allocations the deterministic strategy finds whatever is revealed.
-
-    An allocation counts as won only when every reveal branch reaches a
-    win, matching the adversarial-reveal semantics of evaluate_exact.
-    """
-    if isinstance(strategy, Mapping):
-        lookup = strategy.__getitem__
-    else:
-        lookup = strategy
-    d = config.d
-
-    def wins(history: History, remaining: tuple[int, ...], found: int) -> bool:
-        if found == d:
-            return True
-        guess = frozenset(lookup(history))
-        if not 1 <= len(guess) <= config.k or any(not 0 <= o < config.n for o in guess):
-            raise ValueError(f"illegal guess {sorted(guess)} at history {history}")
-        options = [o for o in guess if remaining[o] > 0]
-        if not options:
-            return False
-        return all(wins(history + ((guess, o),), _dec(remaining, o), found + 1) for o in options)
-
-    return frozenset(
-        a for a in enumerate_allocations(config.n, config.d, config.occupancy) if wins((), a, 0)
-    )
+    """Allocations the deterministic strategy finds whatever is revealed: the
+    ones ``evaluate_exact`` scores 1, as adversarial reveals leave a one-guess
+    rule at 1 only where every branch wins. An illegal guess raises ValueError."""
+    searcher = _OneGuess(config, strategy.__getitem__ if isinstance(strategy, Mapping) else strategy)
+    allocations = enumerate_allocations(config.n, config.d, config.occupancy)
+    return frozenset(a for a in allocations if evaluate_exact(config, searcher, a) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ class SearcherStrategy:
 
     ``guess_distribution(history)`` lists every guess with its exact
     probability; ``run_mc`` draws from it and the exact evaluator scores it.
+    Both raise ValueError unless every guess is legal (``game.check_guess``)
+    and the exact probabilities at each history sum to 1.
 
     door_symmetric promises that the rule ignores door identities: relabeling
     the doors of a history relabels its guess distribution the same way. The

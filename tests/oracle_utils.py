@@ -7,7 +7,8 @@ They share nothing with the stay-probability formula or the quotient LP.
 The rules engine (``GameState``, ``initial_state``, ``reveal_options``,
 ``reveal_weights``, ``apply_guess``, ``replay``) plays one game step by
 step against a fixed allocation and is the rules reference: the
-canonical-key evaluator steps through it. The recursive allocation
+canonical-key evaluator and ``reference_win_set``, the reference for
+``deterministic_win_set``, step through it. The recursive allocation
 enumerator is the reference for ``enumerate_allocations``. The brute-force
 canonicalizer tries every door permutation, the reference for the
 partition refinement in ``treasurehunt.game``. The full-enumeration best response scores every
@@ -128,6 +129,26 @@ def replay(config: GameConfig, allocation, history: History) -> GameState:
             raise ValueError(f"illegal guess {sorted(guess)}")
         state = apply_guess(state, guess, revealed)
     return state
+
+
+def reference_win_set(config: GameConfig, rule) -> frozenset[tuple[int, ...]]:
+    """Allocations a deterministic rule (a function of the history) wins
+    whichever guessed treasure door is revealed: every reveal option of
+    every guess is stepped through ``apply_guess``."""
+
+    def wins(history, state):
+        if state.status != ONGOING:
+            return state.status == WON
+        guess = frozenset(rule(history))
+        options = sorted(reveal_options(state, guess))
+        if not options:
+            return False
+        return all(wins(history + ((guess, o),), apply_guess(state, guess, o)) for o in options)
+
+    return frozenset(
+        a for a in enumerate_allocations(config.n, config.d, config.occupancy)
+        if wins((), initial_state(config, a))
+    )
 
 
 @dataclass(frozen=True)

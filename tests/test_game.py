@@ -24,6 +24,7 @@ from treasurehunt.combinatorics import enumerate_allocations
 from treasurehunt.game import (
     GameConfig,
     all_guesses,
+    check_guess,
     discovery_counts,
     orbit_key,
     orbit_representatives,
@@ -145,6 +146,17 @@ def test_legal_guess():
     assert not is_legal_guess(cfg, set())
     assert not is_legal_guess(cfg, {0, 1, 2})
     assert not is_legal_guess(cfg, {4})
+
+
+def test_check_guess_agrees_with_the_rules_engine():
+    cfg = GameConfig(4, 2, 2)
+    for size in range(4):
+        for guess in combinations(range(-1, 6), size):
+            if is_legal_guess(cfg, guess):
+                check_guess(cfg, frozenset(guess), ())
+            else:
+                with pytest.raises(ValueError, match=r"illegal guess \[.*\] at history \(\)"):
+                    check_guess(cfg, frozenset(guess), ())
 
 
 @settings(max_examples=200, deadline=None)

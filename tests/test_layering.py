@@ -1,6 +1,8 @@
 """The package's imports flow one way: modules import each other at the top,
 and the only import inside a function is the one that keeps the LP modules
-out of every command that solves no LP."""
+out of every command that solves no LP. Outside the package, modules import
+only the standard library at the top, as ``pyproject.toml`` declares no
+dependencies."""
 
 import ast
 import os
@@ -40,3 +42,27 @@ def test_cli_import_loads_no_lp_module():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     ).stdout
     assert out.strip() == "[]"
+
+
+def _module_level_imports(tree):
+    """(module, line) of every import outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield ("treasurehunt" if node.level else node.module, node.lineno)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_module_level_imports_are_stdlib_or_the_package():
+    allowed = sys.stdlib_module_names | {"treasurehunt"}
+    outside = [
+        (path.name, line, module)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, line in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if module.split(".")[0] not in allowed
+    ]
+    assert outside == []

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracle_utils import WithoutDoorSymmetry
+from oracle_utils import TabularSearcher, WithoutDoorSymmetry
 from treasurehunt import montecarlo
 from treasurehunt.combinatorics import SINGLE, enumerate_allocations
 from treasurehunt.errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
@@ -198,6 +198,18 @@ def test_strategies_built_for_another_game_rejected():
     single = GameConfig(6, 3, 2, occupancy=SINGLE)
     with pytest.raises(ValueError, match="searcher"):
         run_mc(single, fresh_doors_searcher(GameConfig(6, 3, 2)), uniform_hider(single), 10, 1)
+
+
+@pytest.mark.parametrize(
+    "doors", [(0, 1, 2, 3), (4,), (-1,), ()], ids=["all-doors", "door-n", "door-minus-1", "empty-guess"]
+)
+def test_table_path_rejects_an_illegal_guess(doors):
+    # Played unchecked, the all-doors guess at k = 1 would win every trial,
+    # door 4 would raise IndexError, and door -1 would read door 3's count.
+    cfg = GameConfig(4, 2, 1)
+    searcher = TabularSearcher(cfg, {(): ((frozenset(doors), F(1)),)})
+    with pytest.raises(ValueError, match="illegal guess"):
+        run_mc(cfg, searcher, uniform_hider(cfg), 100, seed=0)
 
 
 def test_inline_play_checks_its_rule():

@@ -12,6 +12,7 @@ from oracle_utils import (
     apply_counts,
     canonical_key_evaluate,
     full_enumeration_best_response,
+    reference_win_set,
 )
 from treasurehunt.combinatorics import enumerate_allocations, shape_representatives
 from treasurehunt.errors import (
@@ -416,6 +417,90 @@ def test_win_set_of_backtracking_strategy():
         return frozenset({1, 2}) if revealed == 0 else frozenset({0, 2})
 
     assert len(deterministic_win_set(cfg, strategy)) <= 4
+
+
+def _random_rule(config, seed):
+    """A deterministic rule drawn at random: the guess at each history is a
+    function of (seed, history) alone, so every walk sees the same rule."""
+    guesses = [frozenset(g) for g in all_guesses(config)]
+    return lambda history: random.Random(repr((seed, history))).choice(guesses)
+
+
+def test_deterministic_win_set_matches_the_rules_engine():
+    sizes = [
+        GameConfig(n, d, k, occupancy=occupancy)
+        for n in range(2, 6) for d in range(1, 4) for k in range(1, min(n, 2) + 1)
+        for occupancy in ("multi", "single") if occupancy == "multi" or d <= n
+    ]
+    won = 0
+    for cfg in sizes:
+        for seed in range(8):
+            rule = _random_rule(cfg, seed)
+            expected = reference_win_set(cfg, rule)
+            assert deterministic_win_set(cfg, rule) == expected
+            assert len(expected) <= cfg.k ** cfg.d
+            won += len(expected)
+    assert won > 100  # the random rules win something to compare
+
+
+class _FixedOrbits(SearcherStrategy):
+    """A door-symmetric rule that plays the same guess orbits at every history."""
+
+    door_symmetric = True
+
+    def __init__(self, config, orbits):
+        self.config = config
+        self.guess_orbits = lambda history: list(orbits)
+
+
+_ILLEGAL_CFG = GameConfig(4, 2, 1)
+_DOORS = tuple(range(4))
+_ILLEGAL_DISTRIBUTIONS = {
+    "k-plus-1-doors": [(frozenset({0, 1}), F(1))],
+    "door-n": [(frozenset({4}), F(1))],
+    "door-minus-1": [(frozenset({-1}), F(1))],
+    "empty-guess": [(frozenset(), F(1))],
+    "sum-2": [(frozenset({0}), F(1)), (frozenset({1}), F(1))],
+    "sum-half": [(frozenset({0}), F(1, 2))],
+}
+# Door n has no orbit form: a pool names its doors through the position's
+# cells, and ``cell_pools`` has no cell for door n (IndexError).
+_ILLEGAL_ORBITS = {
+    "k-plus-1-doors": [(((_DOORS, 2),), F(1, 6))],
+    "door-minus-1": [((((-1,), 1),), F(1))],
+    "empty-guess": [((), F(1))],
+    "sum-2": [(((_DOORS, 1),), F(1, 2))],
+    "sum-half": [(((_DOORS, 1),), F(1, 8))],
+}
+# Each rule is illegal at the root, so a rule for the root alone suffices.
+_ILLEGAL_RULES = [
+    pytest.param(TabularSearcher(_ILLEGAL_CFG, {(): tuple(rule)}), name, id=f"distribution-{name}")
+    for name, rule in _ILLEGAL_DISTRIBUTIONS.items()
+] + [
+    pytest.param(_FixedOrbits(_ILLEGAL_CFG, rule), name, id=f"orbits-{name}")
+    for name, rule in _ILLEGAL_ORBITS.items()
+]
+_EVALUATORS = [
+    pytest.param(lambda s: evaluate_exact(_ILLEGAL_CFG, s, (1, 1, 0, 0)), id="evaluate_exact"),
+    *(
+        pytest.param(
+            lambda s, rule=rule: evaluate_under_reveal(_ILLEGAL_CFG, s, (1, 1, 0, 0), rule),
+            id=f"evaluate_under_reveal-{rule}",
+        )
+        for rule in CHANCE_REVEALS
+    ),
+    pytest.param(lambda s: hider_best_response_value(_ILLEGAL_CFG, s), id="hider_best_response_value"),
+]
+
+
+@pytest.mark.parametrize("evaluate", _EVALUATORS)
+@pytest.mark.parametrize("searcher, case", _ILLEGAL_RULES)
+def test_evaluators_reject_an_illegal_rule(evaluate, searcher, case):
+    # Scored unchecked, the all-doors rule at k = 1 would win everything, an
+    # out-of-range or empty guess would lose silently, and sum-2 would score 2.
+    message = "probabilities sum to" if case.startswith("sum") else "illegal guess"
+    with pytest.raises(ValueError, match=message):
+        evaluate(searcher)
 
 
 def test_closed_form_reports():
