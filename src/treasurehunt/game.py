@@ -208,7 +208,13 @@ def orbit_key(starts: Sequence[int], doors: Collection[int]) -> tuple[int, ...]:
 
 
 def cell_pools(pool: Sequence[int], starts: Sequence[int]) -> dict[int, list[int]]:
-    """A pool's doors grouped by cell, keyed by cell start, in pool order."""
+    """A pool's doors grouped by cell, keyed by cell start, in pool order.
+
+    Raises ValueError, as ``check_guess`` does, for a door outside
+    ``range(len(starts))``: no guess may hold it.
+    """
+    if pool and not 0 <= min(pool) <= max(pool) < len(starts):
+        raise ValueError(f"illegal guess pool {sorted(pool)}: doors must lie in range({len(starts)})")
     cells: dict[int, list[int]] = {}
     for door in pool:
         cells.setdefault(starts[door], []).append(door)

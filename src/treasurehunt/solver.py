@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping
 
 from .combinatorics import (
@@ -341,14 +342,41 @@ def searcher_best_response_value(
     are accepted only while they stay forced (at most one candidate door),
     as for all-in-one hiding, and raise otherwise. The hider must be built
     for the config's n, d, k and occupancy.
+
+    The posterior runs on integer weights over one scale per depth: after
+    t reveals a weight counts units of 1 / (denom * unit**t), where denom
+    is the hider's common denominator and unit = lcm(1..max(k, d)), which
+    the total weight of every reveal divides (at most k doors, at most d
+    treasures). Every leaf lies at depth d, so all values share one scale
+    and become a ``Fraction`` only at the end. The reveal steps of a
+    remaining-count vector under every guess are computed once per call.
     """
     check_built_for(config, "hider", hider)
     rule = config.reveal
     guesses = all_guesses(config)
+    unit = lcm(*range(1, max(config.k, config.d) + 1))
+    denom = common_denominator(hider.distribution)
     nodes = [0]
     memo: dict = {}
+    reveals: dict[tuple[int, ...], list] = {}
 
-    def best_value(posterior: tuple[tuple[tuple[int, ...], Fraction], ...]) -> Fraction:
+    def reveal_steps(remaining: tuple[int, ...]) -> list:
+        # Per guess: (door, remaining after, weight over unit) of each reveal,
+        # or None for a real adversarial choice.
+        table: list = []
+        for guess in guesses:
+            options = [o for o in guess if remaining[o]]
+            if rule == ADVERSARIAL and len(options) > 1:
+                table.append(None)
+            elif not options:
+                table.append(())  # that allocation mass is lost under this guess
+            else:
+                doors, weights = chance_reveal(remaining, options, rule)
+                scale = unit // sum(weights)
+                table.append(tuple((o, _dec(remaining, o), w * scale) for o, w in zip(doors, weights)))
+        return table
+
+    def best_value(posterior: tuple[tuple[tuple[int, ...], int], ...]) -> int:
         if sum(posterior[0][0]) == 0:
             return sum(w for _, w in posterior)  # every surviving allocation is found
         cached = memo.get(posterior)
@@ -357,34 +385,36 @@ def searcher_best_response_value(
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise BudgetExceededError(f"best response exceeded {node_budget} nodes")
-        best = Fraction(0)
-        for guess in guesses:
-            branches: dict[int, dict[tuple[int, ...], Fraction]] = {}
-            for remaining, w in posterior:
-                options = sorted(o for o in guess if remaining[o] > 0)
-                if not options:
-                    continue  # that allocation mass is lost under this guess
-                if rule == ADVERSARIAL and len(options) > 1:
+        rows = []
+        for remaining, w in posterior:
+            table = reveals.get(remaining)
+            if table is None:
+                table = reveals[remaining] = reveal_steps(remaining)
+            rows.append((table, w))
+        best = 0
+        for i in range(len(guesses)):
+            branches: dict[int, dict[tuple[int, ...], int]] = {}
+            for table, w in rows:
+                steps = table[i]
+                if steps is None:
                     raise AdversarialRevealError(
                         "adversarial reveal with a real choice; use the LP solver"
                     )
-                doors, weights = chance_reveal(remaining, options, rule)
-                total = sum(weights)
-                for o, weight in zip(doors, weights):
-                    branch = branches.setdefault(o, {})
-                    rem2 = _dec(remaining, o)
-                    branch[rem2] = branch.get(rem2, Fraction(0)) + w * Fraction(weight, total)
-            total_value = Fraction(0)
+                for o, after, weight in steps:
+                    branch = branches.get(o)
+                    if branch is None:
+                        branch = branches[o] = {}
+                    branch[after] = branch.get(after, 0) + w * weight
+            total = 0
             for o in sorted(branches):
-                entry = tuple(sorted(branches[o].items()))
-                total_value += best_value(entry)
-            if total_value > best:
-                best = total_value
+                total += best_value(tuple(sorted(branches[o].items())))
+            if total > best:
+                best = total
         memo[posterior] = best
         return best
 
-    initial = tuple(sorted((tuple(a), p) for a, p in hider.distribution))
-    value = best_value(initial)
+    initial = tuple(sorted((tuple(a), p.numerator * (denom // p.denominator)) for a, p in hider.distribution))
+    value = Fraction(best_value(initial), denom * unit**config.d)
     return ValueReport(
         config=config,
         value=value,

@@ -13,10 +13,13 @@ enumerator is the reference for ``enumerate_allocations``. The brute-force
 canonicalizer tries every door permutation, the reference for the
 partition refinement in ``treasurehunt.game``. The full-enumeration best response scores every
 allocation, the reference for the per-shape scoring of door-symmetric
-searchers in ``treasurehunt.solver``. The canonical-key evaluator builds
-every memo key with a fresh ``relabeling`` and scores guess by guess
-from ``guess_distribution``, the reference for the evaluator's one-step
-child keys and for its scoring by guess orbits.
+searchers in ``treasurehunt.solver``. The memo-free posterior best
+response carries ``Fraction`` posteriors through ``replay`` and
+``reveal_weights``, the reference for ``searcher_best_response_value``.
+The canonical-key evaluator builds every memo key with a fresh
+``relabeling`` and scores guess by guess from ``guess_distribution``, the
+reference for the evaluator's one-step child keys and for its scoring by
+guess orbits.
 """
 
 from dataclasses import dataclass, replace
@@ -149,6 +152,33 @@ def reference_win_set(config: GameConfig, rule) -> frozenset[tuple[int, ...]]:
         a for a in enumerate_allocations(config.n, config.d, config.occupancy)
         if wins((), initial_state(config, a))
     )
+
+
+def posterior_best_response(config: GameConfig, hider) -> Fraction:
+    """The searcher's best win probability against a known hider under the
+    config's chance reveal rule, the reference for
+    ``searcher_best_response_value``: every observable history is expanded,
+    with no memo. At each history the posterior, the hider's probability
+    times the chance of the reveals so far, is carried per allocation that
+    ``replay`` still finds consistent; each guess splits it by revealed
+    door with ``reveal_weights``, and the searcher keeps the best guess.
+    Under adversarial reveals ``reveal_weights`` rejects a real choice."""
+    guesses = [frozenset(g) for size in range(1, config.k + 1) for g in combinations(range(config.n), size)]
+
+    def best(history, posterior):
+        states = [(allocation, p, replay(config, allocation, history)) for allocation, p in posterior]
+        if states[0][2].status == WON:
+            return sum(p for _, p, _ in states)
+        value = Fraction(0)
+        for guess in guesses:
+            branches: dict[int, list] = {}
+            for allocation, p, state in states:
+                for o, q in reveal_weights(state, guess, config.reveal):  # none if the guess loses
+                    branches.setdefault(o, []).append((allocation, p * q))
+            value = max(value, sum(best(history + ((guess, o),), branches[o]) for o in branches))
+        return value
+
+    return best((), [(tuple(a), Fraction(p)) for a, p in hider.distribution])
 
 
 @dataclass(frozen=True)

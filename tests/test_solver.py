@@ -12,6 +12,7 @@ from oracle_utils import (
     apply_counts,
     canonical_key_evaluate,
     full_enumeration_best_response,
+    posterior_best_response,
     reference_win_set,
 )
 from treasurehunt.combinatorics import enumerate_allocations, shape_representatives
@@ -352,6 +353,57 @@ def test_searcher_best_response_rejects_live_adversarial():
     assert searcher_best_response_value(cfg_one, all_in_one_hider(cfg_one)).value == F(2, 5)
 
 
+def _oracle_grid_hiders(cfg):
+    """The uniform hider, a seeded rational hider on a random half of the
+    allocations, and one allocation held with the int probability 1."""
+    allocations = enumerate_allocations(cfg.n, cfg.d, cfg.occupancy)
+    rng = random.Random(repr(cfg))
+    support = rng.sample(allocations, (len(allocations) + 1) // 2)
+    weights = [rng.randint(1, 9) for _ in support]
+    skewed = tuple((a, F(w, sum(weights))) for a, w in zip(support, weights))
+    one = HiderStrategy(cfg, ((rng.choice(allocations), 1),))
+    return [uniform_hider(cfg), HiderStrategy(cfg, skewed), one]
+
+
+def test_searcher_best_response_matches_the_posterior_oracle():
+    # The oracle expands every observable history with Fraction posteriors
+    # and no memo; the solver's integer weights must give the same values.
+    games = 0
+    for n in range(1, 7):
+        for d in range(1, 4):
+            for k in range(1, min(3, n) + 1):
+                if d == 3 and (n > 4 or n == 4 and k == 3) or d == 2 and n == 6 and k == 3:
+                    continue  # too slow for the memo-free oracle; (4,3,3) is pinned below
+                for occupancy in ("multi", "single"):
+                    if occupancy == "single" and d > n:
+                        continue
+                    for rule in CHANCE_REVEALS:
+                        cfg = GameConfig(n, d, k, occupancy=occupancy, reveal=rule)
+                        for hider in _oracle_grid_hiders(cfg):
+                            games += 1
+                            value = searcher_best_response_value(cfg, hider).value
+                            assert value == posterior_best_response(cfg, hider), (cfg, hider.distribution)
+    assert games > 300
+
+
+def test_searcher_best_response_caps_at_4_3_3():
+    caps = {"uniform-doors": F(61, 80), "uniform-treasures": F(31, 40)}
+    for rule, cap in caps.items():
+        cfg = GameConfig(4, 3, 3, reveal=rule)
+        assert searcher_best_response_value(cfg, uniform_hider(cfg)).value == cap
+        assert posterior_best_response(cfg, uniform_hider(cfg)) == cap
+
+
+def test_searcher_best_response_node_count_is_pinned():
+    # 163 positions expanded at (5,3,2): the memo merges exactly the
+    # posteriors that the Fraction-weight solver merged.
+    cfg = GameConfig(5, 3, 2, reveal="uniform-treasures")
+    hider = uniform_hider(cfg)
+    assert searcher_best_response_value(cfg, hider, node_budget=163).value == F(8, 35)
+    with pytest.raises(BudgetExceededError, match="162 nodes"):
+        searcher_best_response_value(cfg, hider, node_budget=162)
+
+
 def test_deterministic_win_sets():
     cfg = GameConfig(4, 2, 2, occupancy="single")
     fresh = {(): frozenset({0, 1})}
@@ -463,10 +515,9 @@ _ILLEGAL_DISTRIBUTIONS = {
     "sum-2": [(frozenset({0}), F(1)), (frozenset({1}), F(1))],
     "sum-half": [(frozenset({0}), F(1, 2))],
 }
-# Door n has no orbit form: a pool names its doors through the position's
-# cells, and ``cell_pools`` has no cell for door n (IndexError).
 _ILLEGAL_ORBITS = {
     "k-plus-1-doors": [(((_DOORS, 2),), F(1, 6))],
+    "door-n": [((((4,), 1),), F(1))],
     "door-minus-1": [((((-1,), 1),), F(1))],
     "empty-guess": [((), F(1))],
     "sum-2": [(((_DOORS, 1),), F(1, 2))],
