@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .combinatorics import MULTI, SINGLE
 from .errors import (
@@ -67,7 +68,14 @@ class UsageError(TreasureHuntError):
     pass
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and shared by every later one.
+
+    Each subcommand's ``set_defaults(func=cmd_*)`` binds its command
+    function at that first build, so replacing a ``cmd_*`` afterwards does
+    not change what ``main`` runs.
+    """
     parser = argparse.ArgumentParser(
         prog="treasurehunt",
         description="Exact values, strategies, certificates, and simulations "

@@ -5,11 +5,13 @@ zero-sum games: searcher realization probabilities per sequence, flow
 constraints per information set, and one dual variable block per hider
 decision point. Only this searcher LP is solved. The duals of its rows
 for the hider's sequences are the hider's realization plan, and both plans
-are then checked apart from the simplex, in exact arithmetic: each is a
-realization plan, and the hider's best response to the searcher's plan
-equals the searcher's best response to the hider's, which proves the value
-by weak duality. Solving the raw tree would be hopeless at exact arithmetic
-scale, so the whole construction lives on the door-relabeling quotient:
+are then checked apart from the simplex, in exact integer arithmetic over
+one denominator per plan: each is a realization plan, and the hider's best
+response to the searcher's plan equals the searcher's best response to the
+hider's, which proves the value by weak duality. Each side's value becomes
+a Fraction only at the end. Solving the raw tree would be hopeless at
+exact arithmetic scale, so the whole construction lives on the
+door-relabeling quotient:
 
 Every game here is invariant under permuting door labels, and a finite
 zero-sum game with a symmetry group has optimal strategies invariant under
@@ -42,7 +44,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .combinatorics import SINGLE, enumerate_partitions, partition_weight
@@ -281,33 +283,63 @@ def _searcher_lp(game: _QuotientGame):
 
 
 # ---------------------------------------------------------------------------
-# Certificate check: both plans and both best responses, in exact arithmetic
+# Certificate check: both plans and both best responses, in exact integers
 # ---------------------------------------------------------------------------
 
+def _over_one_denominator(plan) -> tuple[list[int], int]:
+    """The plan's entries as ints over D, the lcm of their denominators, and D."""
+    den = lcm(*(p.denominator for p in plan))
+    return [p.numerator * (den // p.denominator) for p in plan], den
+
+
 def _check_plan(infosets, plan, side: str) -> None:
-    """Raise InternalError unless plan is a realization plan on infosets."""
+    """Raise InternalError unless plan is a realization plan on infosets.
+
+    Checked on the plan's ints P over one denominator D: P[0] == D, no
+    entry below 0, and every infoset's mult-weighted action entries sum to
+    its parent sequence's entry.
+    """
+    scaled, den = _over_one_denominator(plan)
     flows = all(
-        sum(mult * plan[seq] for _, mult, seq in info.actions) == plan[info.parent_seq]
+        sum(mult * scaled[seq] for _, mult, seq in info.actions) == scaled[info.parent_seq]
         for info in infosets
     )
-    if plan[0] != 1 or min(plan) < 0 or not flows:
+    if scaled[0] != den or min(scaled) < 0 or not flows:
         raise InternalError(f"the LP's {side} plan is not a realization plan; this is a bug")
 
 
 def _best_response(infosets, payoff, plan, pick) -> Fraction:
-    """Value of the best reply to the other side's plan, bottom up.
+    """Value of the best reply to the other side's plan, bottom up, in ints.
 
     payoff maps (replying sequence, other sequence) to the win orbit count.
     A child infoset is created after the infoset of its parent sequence, so
     reverse creation order visits children first. Moving the parent's mass
     onto an action orbit gives each of its mult members 1/mult of it.
+
+    The other side's plan is taken as ints P over its denominator D, and
+    every leaf sum w * P[other] is scaled by S = L**h, where L is the lcm
+    of the replying side's orbit sizes and h the depth of its deepest
+    action. A sequence's value at depth t is then a multiple of L**t: its
+    leaf sum is a multiple of S, and each child infoset adds
+    pick(V[a] // mult) over actions a at depth t + 1, where mult divides L,
+    so every division is exact. The root's value is V[0] / (D * S).
     """
-    value: dict[int, Fraction] = defaultdict(Fraction)
+    scaled, den = _over_one_denominator(plan)
+    depth = {0: 0}
+    for info in infosets:
+        below = depth[info.parent_seq] + 1
+        for _, _, seq in info.actions:
+            depth[seq] = below
+    unit = lcm(*(mult for info in infosets for _, mult, _ in info.actions))
+    scale = unit ** max(depth.values())
+    value: dict[int, int] = defaultdict(int)
     for (seq, other), w in payoff.items():
-        value[seq] += w * plan[other]
+        value[seq] += w * scaled[other]
+    for seq in value:
+        value[seq] *= scale
     for info in reversed(infosets):
-        value[info.parent_seq] += pick(value[seq] / mult for _, mult, seq in info.actions)
-    return value[0]
+        value[info.parent_seq] += pick(value[seq] // mult for _, mult, seq in info.actions)
+    return Fraction(value[0], den * scale)
 
 
 def _certify_plans(game: _QuotientGame, x, y) -> tuple[Fraction, Fraction]:

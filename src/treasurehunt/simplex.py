@@ -46,6 +46,11 @@ class PivotLimitError(BudgetExceededError):
     """Safety valve: the pivot count exceeded the configured limit."""
 
 
+def _exact(v) -> int | Fraction:
+    """v itself when it is an int or a Fraction, else Fraction(v)."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 def solve_lp(
     num_vars: int,
     objective: Sequence[Fraction] | Mapping[int, Fraction],
@@ -58,12 +63,13 @@ def solve_lp(
     """Solve max/min c.x subject to constraints, x >= 0 except free_vars.
 
     Each constraint is (coefficients by variable index, one of "<=", ">=",
-    "=", right-hand side). Free variables are split internally into
-    differences of nonnegative parts.
+    "=", right-hand side). Int and Fraction data are used as given; any
+    other number is converted by Fraction, exactly. Free variables are
+    split internally into differences of nonnegative parts.
     """
     if isinstance(objective, Mapping):
         objective = [objective.get(j, 0) for j in range(num_vars)]
-    c = [Fraction(v) for v in objective]
+    c = [_exact(v) for v in objective]
     if len(c) != num_vars:
         raise ValueError("objective length does not match num_vars")
     free = set(free_vars)
@@ -89,7 +95,7 @@ def solve_lp(
             raise ValueError(f"unknown relation {rel!r}")
         row: dict[int, Fraction] = {}
         for j, a in coeffs.items():
-            a = Fraction(a)
+            a = _exact(a)
             if not a:
                 continue
             if j < 0 or j >= num_vars:
@@ -97,7 +103,7 @@ def solve_lp(
             row[j] = a
             if j in free:
                 row[neg_col[j]] = -a
-        b = Fraction(b)
+        b = _exact(b)
         flips.append(-1 if b < 0 else 1)
         if b < 0:
             row = {j: -a for j, a in row.items()}
@@ -194,10 +200,10 @@ class _Tableau:
             self.b.append(b)
             self.den.append(den)
 
-    def solve(self, obj: dict[int, Fraction]) -> str:
+    def solve(self, obj: dict[int, int | Fraction]) -> str:
         if self.artificial:
             # Phase 1: minimize the artificial sum.
-            self._set_reduced_costs({a: Fraction(-1) for a in self.artificial})
+            self._set_reduced_costs({a: -1 for a in self.artificial})
             status = self._optimize()
             if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
                 return status
@@ -209,7 +215,7 @@ class _Tableau:
         self._set_reduced_costs(obj)
         return self._optimize()
 
-    def _set_reduced_costs(self, obj: dict[int, Fraction]) -> None:
+    def _set_reduced_costs(self, obj: dict[int, int | Fraction]) -> None:
         """Express the objective over nonbasic columns given the current basis."""
         den = lcm(*(v.denominator for v in obj.values()))
         reduced = {j: v.numerator * (den // v.denominator) for j, v in obj.items()}

@@ -19,15 +19,19 @@ response carries ``Fraction`` posteriors through ``replay`` and
 The canonical-key evaluator builds every memo key with a fresh
 ``relabeling`` and scores guess by guess from ``guess_distribution``, the
 reference for the evaluator's one-step child keys and for its scoring by
-guess orbits.
+guess orbits. The ``Fraction`` realization-plan check and best response
+are the reference for the integer certificate check in
+``treasurehunt.seqform``.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping
 
 from treasurehunt.combinatorics import SINGLE, count_allocations, enumerate_allocations
+from treasurehunt.errors import InternalError
 from treasurehunt.game import ADVERSARIAL, GameConfig, History, chance_reveal, relabeling
 from treasurehunt.simplex import EQ, GEQ, LEQ, solve_lp
 from treasurehunt.solver import evaluate_exact
@@ -365,6 +369,36 @@ def canonical_key_evaluate(config, searcher, allocation, reveal, memo):
         return total
 
     return value((), initial_state(config, allocation))
+
+
+# ---------------------------------------------------------------------------
+# Sequence-form certificate check over Fraction (the reference for seqform)
+# ---------------------------------------------------------------------------
+
+def reference_check_plan(infosets, plan, side: str) -> None:
+    """Raise InternalError unless plan is a realization plan on infosets."""
+    flows = all(
+        sum(mult * plan[seq] for _, mult, seq in info.actions) == plan[info.parent_seq]
+        for info in infosets
+    )
+    if plan[0] != 1 or min(plan) < 0 or not flows:
+        raise InternalError(f"the LP's {side} plan is not a realization plan; this is a bug")
+
+
+def reference_best_response(infosets, payoff, plan, pick) -> Fraction:
+    """Value of the best reply to the other side's plan, bottom up.
+
+    payoff maps (replying sequence, other sequence) to the win orbit count.
+    A child infoset is created after the infoset of its parent sequence, so
+    reverse creation order visits children first. Moving the parent's mass
+    onto an action orbit gives each of its mult members 1/mult of it.
+    """
+    value: dict[int, Fraction] = defaultdict(Fraction)
+    for (seq, other), w in payoff.items():
+        value[seq] += w * plan[other]
+    for info in reversed(infosets):
+        value[info.parent_seq] += pick(value[seq] / mult for _, mult, seq in info.actions)
+    return value[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,25 @@
 import hashlib
 import os
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracle_utils import apply_counts, apply_events, double_oracle_value
+from oracle_utils import (
+    apply_counts,
+    apply_events,
+    double_oracle_value,
+    reference_best_response,
+    reference_check_plan,
+)
 from treasurehunt.errors import BudgetExceededError, InternalError
 from treasurehunt.game import GameConfig, relabeling
 from treasurehunt.seqform import (
+    _HInfoset,
+    _best_response,
     _certify_plans,
+    _check_plan,
     _reveal_point,
     _searcher_lp,
     build_quotient_game,
@@ -149,6 +159,214 @@ def test_certificate_check_rejects_a_suboptimal_hider_plan():
     _scale_hider_subtree(game, y, src, F(0))
     with pytest.raises(InternalError, match="plans certify only 3/5 <= value <= "):
         _certify_plans(game, x, y)
+
+
+def _leaf_move_below_zero(infosets, plan):
+    """The plan with mass moved between two leaf actions of one infoset so
+    that one entry drops below 0, every flow still holding; None when no
+    infoset has two leaf actions."""
+    parents = {info.parent_seq for info in infosets}
+    for info in infosets:
+        leaves = [(mult, seq) for _, mult, seq in info.actions if seq not in parents]
+        if len(leaves) >= 2:
+            (m_to, to), (m_from, src) = leaves[:2]
+            moved = m_from * plan[src] + 1
+            plan = list(plan)
+            plan[to] += moved / m_to
+            plan[src] -= moved / m_from
+            return plan
+    return None
+
+
+def test_certificate_check_rejects_broken_searcher_flow():
+    game, x, y = _lp_plans(GameConfig(3, 3, 2))
+    seq = next(seq for _, _, seq in game.s_infosets[0].actions if x[seq] > 0)
+    x[seq] *= 2  # the root infoset's orbit masses now sum past 1
+    with pytest.raises(InternalError, match="searcher plan is not a realization plan"):
+        _certify_plans(game, x, y)
+
+
+def test_certificate_check_rejects_a_negative_searcher_entry():
+    game, x, y = _lp_plans(GameConfig(3, 3, 2))
+    x = _leaf_move_below_zero(game.s_infosets, x)
+    assert x is not None and min(x) < 0
+    with pytest.raises(InternalError, match="searcher plan is not a realization plan"):
+        _certify_plans(game, x, y)
+
+
+@pytest.mark.parametrize("side", ["searcher", "hider"])
+def test_certificate_check_rejects_a_root_other_than_one(side):
+    # Doubling every entry keeps every flow and sign; only the root is off.
+    game, x, y = _lp_plans(GameConfig(3, 3, 2))
+    if side == "searcher":
+        x = [2 * p for p in x]
+    else:
+        y = [2 * p for p in y]
+    with pytest.raises(InternalError, match=f"{side} plan is not a realization plan"):
+        _certify_plans(game, x, y)
+
+
+def _bounds(game, x, y, check_plan, best_response):
+    """Check both plans, then return (hider's best response to x, searcher's to y)."""
+    check_plan(game.s_infosets, x, "searcher")
+    check_plan(game.h_infosets, y, "hider")
+    by_hider = {(t, s): w for (s, t), w in game.payoff.items()}
+    return (best_response(game.h_infosets, by_hider, x, min),
+            best_response(game.s_infosets, game.payoff, y, max))
+
+
+# The games of criterion 10's grid and of the lp benchmark workload.
+LP_PLAN_GAMES = sorted(
+    {(n, d, k, "multi") for n in range(2, 5) for d in range(1, 4) for k in range(1, min(3, n) + 1)}
+    | {(3, 3, 2, "multi"), (4, 3, 2, "multi"), (5, 3, 2, "multi"), (7, 2, 2, "multi"),
+       (7, 3, 2, "single"), (4, 2, 2, "single")}
+)
+
+
+@pytest.mark.parametrize("n,d,k,occupancy", LP_PLAN_GAMES)
+def test_integer_check_matches_the_fraction_oracle_on_lp_plans(n, d, k, occupancy):
+    game, x, y = _lp_plans(GameConfig(n, d, k, occupancy=occupancy))
+    expected = _bounds(game, x, y, reference_check_plan, reference_best_response)
+    assert expected[0] == expected[1]
+    assert _bounds(game, x, y, _check_plan, _best_response) == expected
+    assert _certify_plans(game, x, y) == expected
+
+
+def _random_plan(infosets, rng):
+    """A realization plan from random rational behaviour, built top down;
+    some actions get no mass, so whole subtrees are 0."""
+    plan = [F(0)] * (infosets[-1].actions[-1][2] + 1)
+    plan[0] = F(1)
+    for info in infosets:
+        weights = [rng.choice((0, 1, 2, 3, 7)) for _ in info.actions]
+        weights[rng.randrange(len(weights))] += 1
+        total = sum(weights)
+        for (_, mult, seq), w in zip(info.actions, weights):
+            plan[seq] = plan[info.parent_seq] * F(w, total * mult)
+    return plan
+
+
+# Quotients of depth 4 and 5; (5,5,2) takes about 9 s.
+RANDOM_PLAN_GAMES = [
+    (5, 4, 2, "multi"),
+    (3, 5, 2, "multi"),
+    (4, 4, 2, "single"),
+    pytest.param(5, 5, 2, "multi", marks=pytest.mark.skipif(
+        not os.environ.get("TREASUREHUNT_SLOW"), reason="seconds-long; set TREASUREHUNT_SLOW=1 to run")),
+]
+
+
+@pytest.mark.parametrize("n,d,k,occupancy", RANDOM_PLAN_GAMES)
+def test_integer_check_matches_the_fraction_oracle_on_random_plans(n, d, k, occupancy):
+    cfg = GameConfig(n, d, k, occupancy=occupancy)
+    game = build_quotient_game(cfg, node_budget=10**6, column_budget=10**6)
+    rng = random.Random(f"{n}-{d}-{k}-{occupancy}")
+    for _ in range(3):
+        x = _random_plan(game.s_infosets, rng)
+        y = _random_plan(game.h_infosets, rng)
+        expected = _bounds(game, x, y, reference_check_plan, reference_best_response)
+        assert _bounds(game, x, y, _check_plan, _best_response) == expected
+        # Win counts of a real quotient divide evenly down every path; these
+        # need the integer check's full scale for its divisions to be exact.
+        payoff = {pair: rng.randint(1, 5) for pair in game.payoff}
+        by_hider = {(t, s): w for (s, t), w in payoff.items()}
+        sides = ((game.s_infosets, payoff, y, max), (game.h_infosets, by_hider, x, min))
+        for infosets, reply, plan, pick in sides:
+            expected = reference_best_response(infosets, reply, plan, pick)
+            assert _best_response(infosets, reply, plan, pick) == expected
+
+
+def test_best_response_divides_exactly_down_a_path_of_orbits():
+    # A hand-made tree whose win counts no orbit size divides: the orbit
+    # sizes 2 and 2 down one path need a scale of 2 * 2 for exact division.
+    infosets = [
+        _HInfoset(uid=0, parent_seq=0, actions=[("a", 2, 1), ("b", 3, 2)]),
+        _HInfoset(uid=1, parent_seq=1, actions=[("c", 2, 3), ("d", 1, 4)]),
+    ]
+    payoff = {(2, 0): 1, (3, 0): 1, (4, 0): 1}
+    plan = [F(1)]
+    for pick, value in ((min, F(1, 4)), (max, F(1, 2))):
+        assert reference_best_response(infosets, payoff, plan, pick) == value
+        assert _best_response(infosets, payoff, plan, pick) == value
+
+
+def _mutated_plans(infosets, plan, rng):
+    seq = rng.choice([seq for seq in range(1, len(plan)) if plan[seq] > 0])
+    yield [2 * p for p in plan]  # root 2, flows and signs kept
+    broken = list(plan)
+    broken[seq] *= 2  # flow broken
+    yield broken
+    negative = list(plan)
+    negative[seq] = -negative[seq]  # below 0 and flow broken
+    yield negative
+    moved = _leaf_move_below_zero(infosets, plan)  # below 0, flows kept
+    if moved is not None:
+        yield moved
+
+
+@pytest.mark.parametrize("n,d,k,occupancy,source", [
+    (3, 3, 2, "multi", "lp"),
+    (4, 2, 2, "single", "lp"),
+    (5, 4, 2, "multi", "random"),
+])
+def test_integer_check_raises_the_fraction_oracle_error_on_mutated_plans(n, d, k, occupancy, source):
+    cfg = GameConfig(n, d, k, occupancy=occupancy)
+    rng = random.Random(f"{n}-{d}-{k}-{occupancy}")
+    if source == "lp":
+        game, x, y = _lp_plans(cfg)
+    else:
+        game = build_quotient_game(cfg, node_budget=10**6, column_budget=10**6)
+        x, y = _random_plan(game.s_infosets, rng), _random_plan(game.h_infosets, rng)
+    for infosets, plan, side in ((game.s_infosets, x, "searcher"), (game.h_infosets, y, "hider")):
+        for mutated in _mutated_plans(infosets, plan, rng):
+            with pytest.raises(InternalError) as expected:
+                reference_check_plan(infosets, mutated, side)
+            with pytest.raises(InternalError) as raised:
+                _check_plan(infosets, mutated, side)
+            assert str(raised.value) == str(expected.value)
+            assert f"{side} plan is not a realization plan" in str(raised.value)
+
+
+class _Counted(Fraction):
+    """A Fraction that counts its constructions and its arithmetic."""
+
+    ops = 0
+
+    def __new__(cls, *args, **kwargs):
+        _Counted.ops += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def _counting(name):
+    exact = getattr(Fraction, name)
+
+    def op(self, *args):
+        _Counted.ops += 1
+        return exact(self, *args)
+
+    return op
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+              "__rtruediv__", "__floordiv__", "__neg__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+    setattr(_Counted, _name, _counting(_name))
+_Counted.__hash__ = Fraction.__hash__
+
+
+@pytest.mark.parametrize("n,d,k", [(3, 3, 2), (4, 3, 3)])
+def test_certificate_check_does_no_fraction_arithmetic(n, d, k, monkeypatch):
+    # The check works on ints over one denominator per plan: whatever the
+    # game's size, it builds one Fraction per side and compares them once,
+    # and does no arithmetic on the plans' entries.
+    from treasurehunt import seqform
+
+    game, x, y = _lp_plans(GameConfig(n, d, k))
+    x, y = [_Counted(p) for p in x], [_Counted(p) for p in y]
+    monkeypatch.setattr(seqform, "Fraction", _Counted)
+    _Counted.ops = 0
+    lower, upper = _certify_plans(game, x, y)
+    assert _Counted.ops <= 4
+    assert lower == upper == sequence_form_value(GameConfig(n, d, k)).value
 
 
 def test_orbit_weight_mismatch_raises_internal_error(monkeypatch):

@@ -54,6 +54,34 @@ def test_free_variables():
     assert res.x[0] == F(2, 3)
 
 
+def test_int_fraction_and_float_data_give_identical_results():
+    # Int and Fraction data go in as given, floats through Fraction; the
+    # result is the same exact LPResult, down to the pivot count. The LP
+    # has every relation, a free variable and negative right-hand sides.
+    objective = [3, 2, -1]
+    constraints = [
+        ({0: 1, 1: 1, 2: 1}, LEQ, 4),
+        ({0: 2, 1: -1}, EQ, 1),
+        ({0: -1, 1: -3}, GEQ, -9),
+        ({2: 2}, GEQ, -3),
+    ]
+    results = [
+        solve_lp(
+            3,
+            [kind(v) for v in objective],
+            [({j: kind(a) for j, a in row.items()}, rel, kind(b)) for row, rel, b in constraints],
+            free_vars=[2],
+        )
+        for kind in (int, F, float)
+    ]
+    assert results[0].status == OPTIMAL and results[0].objective == F(23, 2)
+    assert results[0].x == (F(12, 7), F(17, 7), F(-3, 2))
+    assert results[1] == results[0] and results[2] == results[0]
+    for res in results:
+        values = (res.objective, *res.x, *(y for y in res.duals if y is not None))
+        assert all(type(v) is Fraction for v in values)
+
+
 def test_infeasible():
     res = solve_lp(
         1,
