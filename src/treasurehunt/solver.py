@@ -350,15 +350,48 @@ def searcher_best_response_value(
     treasures). Every leaf lies at depth d, so all values share one scale
     and become a ``Fraction`` only at the end. The reveal steps of a
     remaining-count vector under every guess are computed once per call.
+
+    Against a ``door_symmetric`` hider, under every rule but
+    ``lowest-index`` (the one rule that reads door labels), one guess is
+    expanded per class of guesses that differ only in which untouched
+    doors they take, and the report's notes say so. The reduction is
+    exact: the hider's prior and the reveal weights are unchanged by a
+    relabeling that fixes every touched door, so the posterior after a
+    history is too, and such a relabeling maps one guess's branches onto
+    the other's. The classes are ``orbit_representatives`` of the cells
+    that hold each touched door alone and every untouched door together,
+    and their representatives take the lowest untouched doors. A value
+    depends on the posterior alone, so the touched doors are carried
+    beside it and stay out of the memo key. Every other hider, and
+    ``lowest-index``, expands every guess. A reveal rule added later that
+    may read labels, such as a policy read from a certificate, must be
+    shown door-symmetric again before it takes the reduced path.
     """
     check_built_for(config, "hider", hider)
     rule = config.reveal
     guesses = all_guesses(config)
+    door_sets = [frozenset(guess) for guess in guesses]
+    symmetric = rule != LOWEST_INDEX and hider.door_symmetric
     unit = lcm(*range(1, max(config.k, config.d) + 1))
     denom = common_denominator(hider.distribution)
     nodes = [0]
     memo: dict = {}
     reveals: dict[tuple[int, ...], list] = {}
+    every = range(len(guesses))
+    classes: dict[frozenset[int], list[int]] = {}
+    index = {guess: i for i, guess in enumerate(guesses)}
+    by_size = [(((tuple(range(config.n)), size),), 1) for size in range(1, config.k + 1)]
+
+    def expanded(touched: frozenset[int]):
+        # The guesses to expand: all of them, or one per class.
+        if not symmetric:
+            return every
+        reps = classes.get(touched)
+        if reps is None:
+            low = min((door for door in range(config.n) if door not in touched), default=0)
+            starts = [door if door in touched else low for door in range(config.n)]
+            reps = classes[touched] = [index[guess] for guess, _ in orbit_representatives(by_size, starts)]
+        return reps
 
     def reveal_steps(remaining: tuple[int, ...]) -> list:
         # Per guess: (door, remaining after, weight over unit) of each reveal,
@@ -376,7 +409,7 @@ def searcher_best_response_value(
                 table.append(tuple((o, _dec(remaining, o), w * scale) for o, w in zip(doors, weights)))
         return table
 
-    def best_value(posterior: tuple[tuple[tuple[int, ...], int], ...]) -> int:
+    def best_value(posterior: tuple[tuple[tuple[int, ...], int], ...], touched: frozenset[int]) -> int:
         if sum(posterior[0][0]) == 0:
             return sum(w for _, w in posterior)  # every surviving allocation is found
         cached = memo.get(posterior)
@@ -392,7 +425,7 @@ def searcher_best_response_value(
                 table = reveals[remaining] = reveal_steps(remaining)
             rows.append((table, w))
         best = 0
-        for i in range(len(guesses)):
+        for i in expanded(touched):
             branches: dict[int, dict[tuple[int, ...], int]] = {}
             for table, w in rows:
                 steps = table[i]
@@ -406,21 +439,25 @@ def searcher_best_response_value(
                         branch = branches[o] = {}
                     branch[after] = branch.get(after, 0) + w * weight
             total = 0
-            for o in sorted(branches):
-                total += best_value(tuple(sorted(branches[o].items())))
+            if branches:
+                now = touched | door_sets[i]
+                for o in sorted(branches):
+                    total += best_value(tuple(sorted(branches[o].items())), now)
             if total > best:
                 best = total
         memo[posterior] = best
         return best
 
     initial = tuple(sorted((tuple(a), p.numerator * (denom // p.denominator)) for a, p in hider.distribution))
-    value = Fraction(best_value(initial), denom * unit**config.d)
+    value = Fraction(best_value(initial, frozenset()), denom * unit**config.d)
+    notes = ("door-symmetric hider: one guess expanded per class of untouched doors",) if symmetric else ()
     return ValueReport(
         config=config,
         value=value,
         method=SEARCHER_BEST_RESPONSE,
         tight=None,
         details={"counting_bound": counting_upper_bound(config)},
+        notes=notes,
     )
 
 

@@ -17,7 +17,7 @@ from itertools import accumulate, chain, combinations, product
 from math import comb, lcm
 from typing import Callable, Mapping, Sequence
 
-from .combinatorics import MULTI, SINGLE, Allocation, enumerate_allocations
+from .combinatorics import MULTI, SINGLE, Allocation, allocation_shape, enumerate_allocations, partition_weight
 from .errors import DoorBudgetError, InvalidTableError, MissingDiagramError
 from .game import GameConfig, History, discovery_counts, guessed_doors
 from .jsonio import fraction_from_json, int_from_json
@@ -62,6 +62,19 @@ class HiderStrategy:
                 raise ValueError("hider probabilities must be positive")
             seen.add(allocation)
         common_denominator(self.distribution)
+
+    @property
+    def door_symmetric(self) -> bool:
+        """True when no relabeling of the doors changes the distribution:
+        for every shape it holds, it holds all ``partition_weight(shape, n)``
+        allocations of that shape, each with one common probability."""
+        held: dict[tuple[int, ...], list] = {}
+        for allocation, p in self.distribution:
+            held.setdefault(allocation_shape(allocation), []).append(p)
+        return all(
+            len(ps) == partition_weight(shape, self.config.n) and len(set(ps)) == 1
+            for shape, ps in held.items()
+        )
 
     def sampler(self, rng) -> "_HiderSampler":
         return _HiderSampler(self.distribution, rng)

@@ -355,14 +355,26 @@ def test_searcher_best_response_rejects_live_adversarial():
 
 def _oracle_grid_hiders(cfg):
     """The uniform hider, a seeded rational hider on a random half of the
-    allocations, and one allocation held with the int probability 1."""
+    allocations, one allocation held with the int probability 1, a seeded
+    door-symmetric hider whose mass is set by shape, the all-in-one hider
+    (multi only), and the uniform hider minus its first allocation."""
     allocations = enumerate_allocations(cfg.n, cfg.d, cfg.occupancy)
     rng = random.Random(repr(cfg))
     support = rng.sample(allocations, (len(allocations) + 1) // 2)
     weights = [rng.randint(1, 9) for _ in support]
     skewed = tuple((a, F(w, sum(weights))) for a, w in zip(support, weights))
     one = HiderStrategy(cfg, ((rng.choice(allocations), 1),))
-    return [uniform_hider(cfg), HiderStrategy(cfg, skewed), one]
+    mass = {rep: rng.randint(1, 9) for rep in shape_representatives(cfg.n, cfg.d, cfg.occupancy)}
+    weights = [mass[tuple(sorted(a))] for a in allocations]
+    by_shape = HiderStrategy(cfg, tuple((a, F(w, sum(weights))) for a, w in zip(allocations, weights)))
+    assert by_shape.door_symmetric
+    hiders = [uniform_hider(cfg), HiderStrategy(cfg, skewed), one, by_shape]
+    if cfg.occupancy == "multi":
+        hiders.append(all_in_one_hider(cfg))
+    if len(allocations) > 1:
+        rest = allocations[1:]
+        hiders.append(HiderStrategy(cfg, tuple((a, F(1, len(rest))) for a in rest)))
+    return hiders
 
 
 def test_searcher_best_response_matches_the_posterior_oracle():
@@ -394,14 +406,61 @@ def test_searcher_best_response_caps_at_4_3_3():
         assert posterior_best_response(cfg, uniform_hider(cfg)) == cap
 
 
-def test_searcher_best_response_node_count_is_pinned():
-    # 163 positions expanded at (5,3,2): the memo merges exactly the
-    # posteriors that the Fraction-weight solver merged.
+def test_searcher_best_response_node_count_is_pinned(monkeypatch):
+    # 26 posteriors expanded at (5,3,2) against the door-symmetric uniform
+    # hider, one guess per class of untouched doors.
     cfg = GameConfig(5, 3, 2, reveal="uniform-treasures")
     hider = uniform_hider(cfg)
+    assert searcher_best_response_value(cfg, hider, node_budget=26).value == F(8, 35)
+    with pytest.raises(BudgetExceededError, match="25 nodes"):
+        searcher_best_response_value(cfg, hider, node_budget=25)
+    # 163 on the full loop: the memo merges exactly the posteriors that the
+    # Fraction-weight solver merged.
+    monkeypatch.setattr(HiderStrategy, "door_symmetric", False)
     assert searcher_best_response_value(cfg, hider, node_budget=163).value == F(8, 35)
     with pytest.raises(BudgetExceededError, match="162 nodes"):
         searcher_best_response_value(cfg, hider, node_budget=162)
+
+
+@pytest.mark.parametrize(
+    "cfg, value",
+    [
+        (GameConfig(7, 3, 3, reveal="uniform-treasures"), F(9, 28)),
+        (GameConfig(6, 4, 2, reveal="uniform-doors"), F(8, 63)),
+    ],
+)
+def test_door_symmetric_best_response_matches_the_full_loop(monkeypatch, cfg, value):
+    # Sizes beyond the memo-free oracle: one guess per class of untouched
+    # doors against every guess.
+    hider = uniform_hider(cfg)
+    assert searcher_best_response_value(cfg, hider).value == value
+    monkeypatch.setattr(HiderStrategy, "door_symmetric", False)
+    assert searcher_best_response_value(cfg, hider).value == value
+
+
+def test_door_symmetric_best_response_raises_like_the_full_loop(monkeypatch):
+    cfg = GameConfig(4, 2, 2, reveal="adversarial")
+    hider = uniform_hider(cfg)
+    with pytest.raises(AdversarialRevealError) as symmetric:
+        searcher_best_response_value(cfg, hider)
+    monkeypatch.setattr(HiderStrategy, "door_symmetric", False)
+    with pytest.raises(AdversarialRevealError) as full:
+        searcher_best_response_value(cfg, hider)
+    assert str(symmetric.value) == str(full.value)
+
+
+def test_best_response_notes_name_the_door_symmetric_path():
+    cfg = GameConfig(5, 3, 2, reveal="uniform-treasures")
+    allocations = enumerate_allocations(cfg.n, cfg.d, cfg.occupancy)
+    skewed = HiderStrategy(cfg, ((allocations[0], F(1, 2)), (allocations[1], F(1, 2))))
+
+    def noted(config, hider):
+        return any("door-symmetric" in note for note in searcher_best_response_value(config, hider).notes)
+
+    assert noted(cfg, uniform_hider(cfg))
+    assert not noted(cfg, skewed)
+    lowest = replace(cfg, reveal=LOWEST_INDEX)
+    assert not noted(lowest, uniform_hider(lowest))
 
 
 def test_deterministic_win_sets():

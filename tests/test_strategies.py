@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from treasurehunt.combinatorics import count_allocations
+from treasurehunt.combinatorics import count_allocations, enumerate_allocations, shape_representatives
 from treasurehunt.errors import DoorBudgetError, MissingDiagramError
 from treasurehunt.game import (
     GameConfig,
@@ -57,6 +57,41 @@ def test_custom_hider_validation():
         HiderStrategy(cfg, (((2, 0), Fraction(1, 2)),))
     with pytest.raises(ValueError):
         HiderStrategy(cfg, (((3, -1), Fraction(1)),))
+
+
+def _by_shape(cfg, mass):
+    """The hider that gives each allocation the mass of its shape's entry in
+    ``mass`` (keyed by the ascending-sorted allocation), renormalized."""
+    allocations = enumerate_allocations(cfg.n, cfg.d, cfg.occupancy)
+    weights = [mass[tuple(sorted(a))] for a in allocations]
+    return HiderStrategy(cfg, tuple((a, Fraction(w, sum(weights))) for a, w in zip(allocations, weights)))
+
+
+@pytest.mark.parametrize("occupancy", ["multi", "single"])
+def test_hider_door_symmetry(occupancy):
+    cfg = GameConfig(4, 2, 2, occupancy=occupancy)
+    uniform = uniform_hider(cfg)
+    assert uniform.door_symmetric
+    allocations = [a for a, _ in uniform.distribution]
+    # Uniform minus one allocation: its shape is no longer held whole.
+    rest = allocations[1:]
+    assert not HiderStrategy(cfg, tuple((a, Fraction(1, len(rest))) for a in rest)).door_symmetric
+    # One allocation alone holds only one relabeling of its shape.
+    assert not HiderStrategy(cfg, ((allocations[0], 1),)).door_symmetric
+    # Every allocation held, but two of one shape with unequal mass.
+    share = Fraction(1, len(allocations) + 1)
+    skewed = ((allocations[0], 2 * share),) + tuple((a, share) for a in allocations[1:])
+    assert not HiderStrategy(cfg, skewed).door_symmetric
+    # Unequal mass across shapes, equal within each: still symmetric (the
+    # single game has one shape, so this is its uniform hider again).
+    reps = shape_representatives(cfg.n, cfg.d, occupancy)
+    assert _by_shape(cfg, {rep: i + 1 for i, rep in enumerate(reps)}).door_symmetric
+    if occupancy == "multi":
+        assert all_in_one_hider(cfg).door_symmetric
+        # The shape (2,) held whole, and (1,1) at one allocation only.
+        held = all_in_one_hider(cfg).distribution
+        partial = tuple((a, p / 2) for a, p in held) + (((1, 1, 0, 0), Fraction(1, 2)),)
+        assert not HiderStrategy(cfg, partial).door_symmetric
 
 
 @pytest.mark.parametrize("p", [0.5, True, "1/2"], ids=["float", "bool", "string"])
