@@ -439,10 +439,9 @@ def searcher_best_response_value(
                         branch = branches[o] = {}
                     branch[after] = branch.get(after, 0) + w * weight
             total = 0
-            if branches:
-                now = touched | door_sets[i]
-                for o in sorted(branches):
-                    total += best_value(tuple(sorted(branches[o].items())), now)
+            now = touched | door_sets[i] if symmetric else touched
+            for o in sorted(branches):
+                total += best_value(tuple(sorted(branches[o].items())), now)
             if total > best:
                 best = total
         memo[posterior] = best
