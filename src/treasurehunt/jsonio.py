@@ -16,7 +16,8 @@ def fraction_to_json(value: Fraction) -> dict:
 
 
 def int_from_json(obj, name: str) -> int:
-    """A JSON integer; floats, booleans and strings are rejected."""
+    """An exact integer, as JSON holds it; floats, booleans and strings
+    are rejected."""
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ValueError(f"{name} must be an integer, got {obj!r}")
     return obj

@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import sqrt
 
 from .errors import AdversarialRevealError, DoorBudgetError, MissingDiagramError
-from .game import CHANCE_REVEALS, GameConfig, chance_reveal, check_guess
-from .jsonio import fraction_to_json
-from .strategies import HiderStrategy, SearcherStrategy, check_built_for, draw_guess, draw_table, randbelow
+from .game import CHANCE_REVEALS, GameConfig, chance_reveal
+from .jsonio import fraction_to_json, int_from_json
+from .strategies import HiderStrategy, SearcherStrategy, check_built_for, guess_table, randbelow
 
 _MASK64 = (1 << 64) - 1
 MIN_CHECK_TRIALS = 100  # fewest trials compare_to_exact accepts
@@ -47,6 +47,8 @@ class McReport:
     seed: int
 
     def __post_init__(self):
+        for name in ("trials", "wins", "seed"):
+            int_from_json(getattr(self, name), name)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not 0 <= self.wins <= self.trials:
@@ -84,6 +86,8 @@ class McReport:
 
 
 def _check_run(trials: int, seed: int) -> None:
+    int_from_json(trials, "trials")
+    int_from_json(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= seed <= _MASK64:  # random.Random drops a seed's sign
@@ -105,16 +109,17 @@ def run_mc(
     strategies, trials) always reproduces the same wins within this
     implementation.
 
-    Each trial draws its allocation as ``hider.sampler(rng)`` would, inline
-    from one ``draw_table`` per call. A searcher with a ``fresh_door_stays``
-    rule plays the stay-rule loop: each trial shuffles one door list
-    partially, Fisher-Yates style, so the first ``live`` entries are the
-    never-guessed doors, and every door index and stay coin is an exact
-    rejection draw from ``getrandbits``. Any other searcher plays the
-    draw-table loop: each history's ``draw_table`` of ``guess_distribution``
-    is built and checked (``game.check_guess``) once per call; ``draw_guess``
-    draws as a ``sampler(rng)`` cursor does, so the wins are the same. Both
-    loops resolve a guess that finds two doors or more by ``chance_reveal``.
+    Every draw reads the stream by one rule, ``strategies.randbelow``'s
+    rejection draw over ``(m - 1).bit_length()`` bits, inlined in the
+    loops. Each trial draws its allocation from the hider's ``table``. A
+    searcher with a ``fresh_door_stays`` rule plays the stay-rule loop:
+    each trial shuffles one door list partially, Fisher-Yates style, so
+    the first ``live`` entries are the never-guessed doors, and every door
+    index and stay coin is such a draw. Any other searcher plays the
+    draw-table loop: each history's checked ``guess_table`` is built once
+    per call and drawn from as ``strategies.draw_from`` draws, so a
+    ``sampler(rng)`` cursor per trial wins the same trials. Both loops
+    resolve a guess that finds two doors or more by ``chance_reveal``.
     """
     _check_run(trials, seed)
     if config.reveal not in CHANCE_REVEALS:
@@ -124,9 +129,9 @@ def run_mc(
     # Chosen by attribute, not by type, so a wrapper that forwards
     # attributes plays the same path and random stream as its searcher.
     play = _play_table if getattr(searcher, "fresh_door_stays", None) is None else _play_stays
-    den, bounds, allocations = draw_table(hider.distribution)
+    den, bits, bounds, allocations = hider.table
     # den positive probabilities make the bounds 1..den: the search returns r.
-    hider_draw = (den, (den - 1).bit_length(), bounds, allocations, den == len(bounds))
+    hider_draw = (den, bits, bounds, allocations, den == len(bounds))
     wins = play(config, searcher, hider_draw, trials, random.Random(seed))
     return McReport(config, searcher.name, hider.name, trials, wins, seed)
 
@@ -216,7 +221,7 @@ def _play_table(config, searcher, hider_draw, trials, rng) -> int:
     """Wins of a searcher played from its ``guess_distribution`` draw tables."""
     getrandbits = rng.getrandbits
     den, hider_bits, bounds, allocations, uniform = hider_draw
-    tables: dict = {}  # history -> draw table, shared by this call's trials
+    tables: dict = {}  # history -> its guess_table, shared by this call's trials
     wins = 0
     for _ in range(trials):
         r = getrandbits(hider_bits)
@@ -227,10 +232,13 @@ def _play_table(config, searcher, hider_draw, trials, rng) -> int:
         for _ in range(config.d):
             table = tables.get(history)
             if table is None:
-                table = tables[history] = draw_table(searcher.guess_distribution(history))
-                for guess in table[2]:
-                    check_guess(config, guess, history)
-            guess = draw_guess(table, rng)
+                table = tables[history] = guess_table(config, searcher, history)
+            # strategies.draw_from(table, getrandbits), inlined.
+            guess_den, guess_bits, sums, guesses = table
+            r = getrandbits(guess_bits)
+            while r >= guess_den:
+                r = getrandbits(guess_bits)
+            guess = guesses[bisect_right(sums, r)]
             found = options = None
             for door in guess:
                 if remaining[door]:

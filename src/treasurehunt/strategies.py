@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
 from math import comb, lcm
@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .combinatorics import MULTI, SINGLE, Allocation, allocation_shape, enumerate_allocations, partition_weight
 from .errors import DoorBudgetError, InvalidTableError, MissingDiagramError
-from .game import GameConfig, History, discovery_counts, guessed_doors
+from .game import GameConfig, History, check_guess, discovery_counts, guessed_doors
 from .jsonio import fraction_from_json, int_from_json
 from .staytables import StayTable, scaled_stay_table
 
@@ -43,11 +43,17 @@ def check_built_for(config: GameConfig, role: str, strategy) -> None:
 
 @dataclass(frozen=True)
 class HiderStrategy:
-    """A finite distribution over allocations, with exact probabilities."""
+    """A finite distribution over allocations, with exact probabilities.
+
+    ``table`` is the distribution's ``draw_table``, built once by the
+    constructor (the build checks that the probabilities sum to 1); every
+    Monte Carlo draw of an allocation reads it.
+    """
 
     config: GameConfig
     distribution: tuple[tuple[Allocation, Fraction], ...]
     name: str = "custom"
+    table: DrawTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: set[Allocation] = set()
@@ -61,7 +67,7 @@ class HiderStrategy:
             if p <= 0:
                 raise ValueError("hider probabilities must be positive")
             seen.add(allocation)
-        common_denominator(self.distribution)
+        object.__setattr__(self, "table", draw_table(self.distribution))
 
     @property
     def door_symmetric(self) -> bool:
@@ -77,12 +83,15 @@ class HiderStrategy:
         )
 
     def sampler(self, rng) -> "_HiderSampler":
-        return _HiderSampler(self.distribution, rng)
+        return _HiderSampler(self.table, rng)
 
 
 def randbelow(getrandbits, m: int) -> int:
     """A uniform integer in [0, m), by rejection from ``getrandbits``.
 
+    The one rule by which the simulator reads its stream: allocations,
+    guesses, stay coins, door indices and chance reveals are all drawn
+    this way (some inlined), over ``(m - 1).bit_length()`` bits.
     Exact for every m >= 1; m = 1 consumes no randomness, since
     ``getrandbits(0)`` returns 0. m = 0 has no value to draw, and the
     rejection loop would never end, so it is refused.
@@ -96,7 +105,8 @@ def randbelow(getrandbits, m: int) -> int:
     return r
 
 
-DrawTable = tuple[int, list[int], list]
+# (denominator, bits of a draw below it, running sums, outcomes)
+DrawTable = tuple[int, int, list[int], list]
 
 
 def common_denominator(distribution: Sequence[tuple[object, Fraction]]) -> int:
@@ -111,23 +121,31 @@ def common_denominator(distribution: Sequence[tuple[object, Fraction]]) -> int:
 
 def draw_table(distribution: Sequence[tuple[object, Fraction]]) -> DrawTable:
     """A finite distribution as integers, for exact draws: the common
-    denominator of its probabilities, the running sums of the numerators
-    over it, and the outcomes in the same order."""
+    denominator of its probabilities, the bit width ``randbelow`` draws
+    below it with, the running sums of the numerators over it, and the
+    outcomes in the same order."""
     denom = common_denominator(distribution)
     bounds = list(accumulate(p.numerator * (denom // p.denominator) for _, p in distribution))
-    return denom, bounds, [outcome for outcome, _ in distribution]
+    return denom, (denom - 1).bit_length(), bounds, [outcome for outcome, _ in distribution]
+
+
+def draw_from(table: DrawTable, getrandbits):
+    """One exact draw from a ``draw_table``: the first outcome whose
+    running sum exceeds ``randbelow(getrandbits, denominator)``. A
+    one-outcome table reads nothing from the stream."""
+    denom, _, bounds, outcomes = table
+    return outcomes[bisect_right(bounds, randbelow(getrandbits, denom))]
 
 
 class _HiderSampler:
-    """Exact integer-arithmetic sampling from a fixed hider distribution."""
+    """Exact integer-arithmetic sampling from a hider's draw table."""
 
-    def __init__(self, distribution, rng):
-        self._den, self._bounds, self._allocations = draw_table(distribution)
+    def __init__(self, table: DrawTable, rng):
+        self._table = table
         self._getrandbits = rng.getrandbits
 
     def sample(self) -> Allocation:
-        r = randbelow(self._getrandbits, self._den)
-        return self._allocations[bisect_right(self._bounds, r)]
+        return draw_from(self._table, self._getrandbits)
 
 
 def uniform_hider(config: GameConfig) -> HiderStrategy:
@@ -204,9 +222,8 @@ class SearcherStrategy:
     ``MissingDiagramError``. Fresh-k and the stay tables read their
     ``guess_orbits`` from this mapping, so the rule is written once.
     ``run_mc`` plays such a rule inline; every other searcher is simulated
-    by exact draws from ``guess_distribution``, through the same
-    ``draw_table`` and ``draw_guess`` as the per-game cursor
-    ``sampler(rng)``.
+    from each history's ``guess_table``, with the draw of ``draw_from``,
+    as the per-game cursor ``sampler(rng)`` draws.
     """
 
     config: GameConfig
@@ -228,28 +245,32 @@ class SearcherStrategy:
         return _DistributionSampler(self, rng)
 
 
+def guess_table(config: GameConfig, searcher: SearcherStrategy, history: History) -> DrawTable:
+    """The checked ``draw_table`` of ``searcher.guess_distribution(history)``:
+    raises ValueError unless its probabilities sum to 1 and every guess is
+    legal in the config (``game.check_guess``)."""
+    table = draw_table(searcher.guess_distribution(history))
+    for guess in table[3]:
+        check_guess(config, guess, history)
+    return table
+
+
 class _DistributionSampler:
     """Per-game cursor: alternate next_guess() and observe(). Draws each
-    guess from the exact distribution of the history so far, which is
+    guess from the checked ``guess_table`` of the history so far, which is
     correct for any strategy."""
 
     def __init__(self, strategy: SearcherStrategy, rng):
         self._strategy = strategy
-        self._rng = rng
+        self._getrandbits = rng.getrandbits
         self._history: History = ()
 
     def next_guess(self) -> frozenset[int]:
-        return draw_guess(draw_table(self._strategy.guess_distribution(self._history)), self._rng)
+        strategy = self._strategy
+        return draw_from(guess_table(strategy.config, strategy, self._history), self._getrandbits)
 
     def observe(self, guess, revealed):
         self._history = self._history + ((guess, revealed),)
-
-
-def draw_guess(table: DrawTable, rng) -> frozenset[int]:
-    """One exact draw from the ``draw_table`` of a guess distribution: the
-    first guess whose running sum exceeds ``rng.randrange(denominator)``."""
-    denom, bounds, guesses = table
-    return guesses[bisect_right(bounds, rng.randrange(denom))]
 
 
 def _stay_or_move_orbits(self, history: History) -> list[GuessOrbit]:

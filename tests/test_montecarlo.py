@@ -19,8 +19,9 @@ from treasurehunt.montecarlo import (
     run_mc,
     run_mc_batched,
 )
-from treasurehunt.solver import evaluate_under_reveal
+from treasurehunt.solver import evaluate_under_reveal, sequence_form_value
 from treasurehunt.staytables import StayTable
+from treasurehunt import strategies
 from treasurehunt.strategies import (
     HiderStrategy,
     all_in_one_hider,
@@ -70,6 +71,47 @@ def test_batched_trials_below_one_rejected(trials, monkeypatch):
     cfg = GameConfig(9, 3, 2)
     with pytest.raises(ValueError, match="trials must be positive"):
         run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), trials, 0, 4)
+
+
+_NOT_INTS = [True, False, 2.5, 10.0, "10", None]
+
+
+@pytest.mark.parametrize("value", _NOT_INTS, ids=repr)
+@pytest.mark.parametrize("name", ["trials", "seed"])
+def test_trials_and_seed_must_be_exact_ints(name, value):
+    # trials=True would play one trial and report "trials": true, and a
+    # float seed would run in run_mc but fail inside derive_seed's mask.
+    cfg = GameConfig(4, 2, 2)
+    searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
+    args = {"trials": 10, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_mc(cfg, searcher, hider, **args)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_mc_batched(cfg, searcher, hider, batches=2, **args)
+
+
+@pytest.mark.parametrize("value", _NOT_INTS, ids=repr)
+@pytest.mark.parametrize("name", ["trials", "wins", "seed"])
+def test_report_counts_and_seed_must_be_exact_ints(name, value):
+    args = {"trials": 10, "wins": 1, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        McReport(GameConfig(4, 2, 2), "a", "b", **args)
+
+
+def test_hider_table_is_built_once_at_construction(monkeypatch):
+    # run_mc, every batch of run_mc_batched and the cursor read the table
+    # the constructor built; none of them builds another.
+    cfg = GameConfig(9, 3, 2)
+    searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
+    assert hider.table == strategies.draw_table(hider.distribution)
+    expected = run_mc_batched(cfg, searcher, hider, 200, 5, batches=4).wins
+
+    def no_build(distribution):
+        raise AssertionError("built a draw table for the hider again")
+
+    monkeypatch.setattr(strategies, "draw_table", no_build)
+    assert run_mc_batched(cfg, searcher, hider, 200, 5, batches=4).wins == expected
+    assert hider.sampler(random.Random(1)).sample() in dict(hider.distribution)
 
 
 def test_seed_range_ends_accepted():
@@ -271,6 +313,16 @@ def test_point_mass_runs_match_exact_values(name, base, make, path):
             if variance:
                 z = (wins - mean) / variance**0.5
                 assert abs(z) <= 4, (rule, shape, wins, mean, z)
+
+
+def test_table_path_wins_pinned_where_tables_have_power_of_two_denominators():
+    # Most third-round tables of the (6,3,2) lifted LP plan split between
+    # two guesses; randbelow draws below 2 from one bit, not from two bits
+    # with half of them rejected, so these wins pin that width.
+    plan = sequence_form_value(GameConfig(6, 3, 2)).certificate.searcher_strategy
+    for rule, wins in zip(CHANCE_REVEALS, (418, 421, 410)):
+        cfg = GameConfig(6, 3, 2, reveal=rule)
+        assert run_mc(cfg, plan, uniform_hider(cfg), 3000, seed=2026).wins == wins, rule
 
 
 class _RecordingSearcher(WithoutDoorSymmetry):

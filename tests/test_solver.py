@@ -613,6 +613,16 @@ def test_evaluators_reject_an_illegal_rule(evaluate, searcher, case):
         evaluate(searcher)
 
 
+@pytest.mark.parametrize("searcher, case", _ILLEGAL_RULES)
+def test_simulation_rejects_an_illegal_rule(searcher, case):
+    # The cursor checks each history's guess table as run_mc's loop does.
+    message = "probabilities sum to" if case.startswith("sum") else "illegal guess"
+    with pytest.raises(ValueError, match=message):
+        searcher.sampler(random.Random(0)).next_guess()
+    with pytest.raises(ValueError, match=message):
+        run_mc(_ILLEGAL_CFG, searcher, uniform_hider(_ILLEGAL_CFG), 100, 0)
+
+
 def test_closed_form_reports():
     single = closed_form_value(GameConfig(4, 2, 2, occupancy="single"))
     assert single.value == F(2, 3) and single.tight is True

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from oracle_utils import TabularSearcher
 from treasurehunt.combinatorics import count_allocations, enumerate_allocations, shape_representatives
 from treasurehunt.errors import DoorBudgetError, MissingDiagramError
 from treasurehunt.game import (
@@ -23,6 +24,8 @@ from treasurehunt.strategies import (
     FreshDoorsSearcher,
     HiderStrategy,
     all_in_one_hider,
+    draw_from,
+    draw_table,
     fresh_doors_searcher,
     load_hider_json,
     mimic_searcher,
@@ -264,6 +267,28 @@ def test_samplers_track_distributions():
         sigma = (float(p) * (1 - float(p)) / matched) ** 0.5
         assert abs(freq - float(p)) <= 5 * sigma + 1e-9
     assert sum(counts.values()) == matched  # nothing outside the support
+
+
+def test_a_one_entry_table_reads_nothing_from_the_stream():
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert draw_from(draw_table([("only", Fraction(1))]), rng.getrandbits) == "only"
+    cfg = GameConfig(4, 2, 2)
+    only = frozenset({0, 1})
+    cursor = TabularSearcher(cfg, {(): ((only, Fraction(1)),)}).sampler(rng)
+    assert cursor.next_guess() == only
+    hider = HiderStrategy(cfg, (((1, 1, 0, 0), Fraction(1)),))
+    assert hider.sampler(rng).sample() == (1, 1, 0, 0)
+    assert rng.getstate() == state
+
+
+def test_draws_read_the_bits_of_randbelow():
+    # A denominator of 4 draws from (4 - 1).bit_length() = 2 bits, with no
+    # rejection: the draw is the outcome at those bits.
+    quarters = [(outcome, Fraction(1, 4)) for outcome in "abcd"]
+    rng, twin = random.Random(11), random.Random(11)
+    draws = [draw_from(draw_table(quarters), rng.getrandbits) for _ in range(50)]
+    assert draws == ["abcd"[twin.getrandbits(2)] for _ in range(50)]
 
 
 def test_hider_sampler_is_exact_and_seeded():
