@@ -89,6 +89,13 @@ def all_guesses(config: GameConfig) -> list[tuple[int, ...]]:
     return [g for size in range(1, config.k + 1) for g in combinations(range(config.n), size)]
 
 
+def every_guess(config: GameConfig) -> list:
+    """``all_guesses`` by orbits, in the form of ``guess_orbits``: one orbit
+    per size 1 to k, taking that many doors from the pool of all doors, at
+    mass 1. ``orbit_representatives`` splits it by a position's cells."""
+    return [(((tuple(range(config.n)), size),), 1) for size in range(1, config.k + 1)]
+
+
 def check_guess(config: GameConfig, guess: Collection[int], history: History) -> None:
     """Raise ValueError unless the guess is legal: 1 to k doors of range(n)."""
     if not 1 <= len(guess) <= config.k or any(not 0 <= o < config.n for o in guess):

@@ -282,6 +282,7 @@ def run_mc_batched(
     batches: int,
 ) -> McReport:
     """Split trials over batches with derived seeds and add up their wins."""
+    int_from_json(batches, "batches")
     if batches < 1:
         raise ValueError("need at least one batch")
     _check_run(trials, seed)  # derive_seed masks the root seed to 64 bits

@@ -54,6 +54,7 @@ from .game import (
     GameConfig,
     History,
     cell_pools,
+    every_guess,
     orbit_key,
     orbit_representatives,
     refine,
@@ -96,7 +97,7 @@ class _QuotientGame:
 
 def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: int) -> _QuotientGame:
     n, d = config.n, config.d
-    every_guess = [(((tuple(range(n)), size),), 1) for size in range(1, config.k + 1)]
+    guess_set = every_guess(config)
 
     s_infosets: list[_SInfoset] = []
     s_infoset_by_hist: dict[Events, _SInfoset] = {}
@@ -110,7 +111,7 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
     @cache  # one list per tuple of cell starts, shared by positions and infosets
     def representatives(starts: tuple[int, ...]) -> list:
         """(guess, orbit size) pairs, in the order all_guesses first reaches each orbit."""
-        return sorted(orbit_representatives(every_guess, starts), key=lambda rep: (len(rep[0]), rep[0]))
+        return sorted(orbit_representatives(guess_set, starts), key=lambda rep: (len(rep[0]), rep[0]))
 
     def new_s_infoset(hist: Events, starts: tuple[int, ...]) -> _SInfoset:
         # hist is canonical, so its prefix is too and each guess is its own orbit_key.
@@ -411,9 +412,8 @@ class LiftedPlanStrategy(SearcherStrategy):
         info = self._game.s_infoset_by_hist.get(canon_hist)
         parent_mass = 0 if info is None else self._plan[info.parent_seq]
         if parent_mass == 0:
-            doors = tuple(range(n))
             share = Fraction(1, sum(comb(n, size) for size in range(1, self.config.k + 1)))
-            return [(((doors, size),), share) for size in range(1, self.config.k + 1)]
+            return [(parts, share) for parts, _ in every_guess(self.config)]
         pools = cell_pools(range(n), starts)  # ascending inside each cell
         start_of = sorted(starts)  # label -> its cell's first label
         out = []

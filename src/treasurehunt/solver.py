@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from math import lcm
 from typing import Callable, Mapping
 
@@ -32,9 +33,9 @@ from .game import (
     LOWEST_INDEX,
     GameConfig,
     History,
-    all_guesses,
     chance_reveal,
     check_guess,
+    every_guess,
     orbit_representatives,
     refine,
     relabeling,
@@ -345,69 +346,60 @@ def searcher_best_response_value(
 
     The posterior runs on integer weights over one scale per depth: after
     t reveals a weight counts units of 1 / (denom * unit**t), where denom
-    is the hider's common denominator and unit = lcm(1..max(k, d)), which
-    the total weight of every reveal divides (at most k doors, at most d
-    treasures). Every leaf lies at depth d, so all values share one scale
-    and become a ``Fraction`` only at the end. The reveal steps of a
-    remaining-count vector under every guess are computed once per call.
+    is the denominator of the hider's ``table`` and unit = lcm(1..max(k, d)),
+    which the total weight of every reveal divides (at most k doors, at
+    most d treasures). Every leaf lies at depth d, so all values share one
+    scale and become a ``Fraction`` only at the end. The reveal steps of a
+    remaining-count vector under a guess are computed once per call, when
+    first expanded.
 
-    Against a ``door_symmetric`` hider, under every rule but
-    ``lowest-index`` (the one rule that reads door labels), one guess is
-    expanded per class of guesses that differ only in which untouched
-    doors they take, and the report's notes say so. The reduction is
-    exact: the hider's prior and the reveal weights are unchanged by a
-    relabeling that fixes every touched door, so the posterior after a
-    history is too, and such a relabeling maps one guess's branches onto
-    the other's. The classes are ``orbit_representatives`` of the cells
-    that hold each touched door alone and every untouched door together,
-    and their representatives take the lowest untouched doors. A value
-    depends on the posterior alone, so the touched doors are carried
-    beside it and stay out of the memo key. Every other hider, and
-    ``lowest-index``, expands every guess. A reveal rule added later that
-    may read labels, such as a policy read from a certificate, must be
-    shown door-symmetric again before it takes the reduced path.
+    Each posterior expands one guess per class of guesses that differ only
+    in which untouched doors they take: the ``orbit_representatives`` of
+    ``every_guess`` over the cells that hold each touched door alone and
+    every untouched door together. The classes are exact against a
+    ``door_symmetric`` hider under every rule but ``lowest-index`` (the one
+    rule that reads door labels): the hider's prior and the reveal weights
+    are unchanged by a relabeling that fixes every touched door, so the
+    posterior after a history is too, and such a relabeling maps one
+    guess's branches onto the other's. There play starts with no door
+    touched, and the report's notes say so. Every other hider, and
+    ``lowest-index``, starts with every door touched, so each guess is a
+    class of its own and every guess is expanded. A value depends on the
+    posterior alone, so the touched doors are carried beside it and stay
+    out of the memo key. A reveal rule added later that may read labels,
+    such as a policy read from a certificate, must be shown door-symmetric
+    again before it starts with no door touched.
     """
     check_built_for(config, "hider", hider)
-    rule = config.reveal
-    guesses = all_guesses(config)
-    door_sets = [frozenset(guess) for guess in guesses]
-    symmetric = rule != LOWEST_INDEX and hider.door_symmetric
+    n, rule = config.n, config.reveal
+    guess_set = every_guess(config)
     unit = lcm(*range(1, max(config.k, config.d) + 1))
-    denom = common_denominator(hider.distribution)
+    denom, _, bounds, allocations = hider.table
     nodes = [0]
     memo: dict = {}
-    reveals: dict[tuple[int, ...], list] = {}
-    every = range(len(guesses))
-    classes: dict[frozenset[int], list[int]] = {}
-    index = {guess: i for i, guess in enumerate(guesses)}
-    by_size = [(((tuple(range(config.n)), size),), 1) for size in range(1, config.k + 1)]
+    reveals: dict[tuple[int, ...], dict] = {}
+    classes: dict[frozenset[int], list] = {}
 
-    def expanded(touched: frozenset[int]):
-        # The guesses to expand: all of them, or one per class.
-        if not symmetric:
-            return every
+    def expanded(touched: frozenset[int]) -> list:
+        # One guess per class; the untouched doors share the lowest one's cell.
         reps = classes.get(touched)
         if reps is None:
-            low = min((door for door in range(config.n) if door not in touched), default=0)
-            starts = [door if door in touched else low for door in range(config.n)]
-            reps = classes[touched] = [index[guess] for guess, _ in orbit_representatives(by_size, starts)]
+            low = min((door for door in range(n) if door not in touched), default=0)
+            starts = [door if door in touched else low for door in range(n)]
+            reps = classes[touched] = [guess for guess, _ in orbit_representatives(guess_set, starts)]
         return reps
 
-    def reveal_steps(remaining: tuple[int, ...]) -> list:
-        # Per guess: (door, remaining after, weight over unit) of each reveal,
-        # or None for a real adversarial choice.
-        table: list = []
-        for guess in guesses:
-            options = [o for o in guess if remaining[o]]
-            if rule == ADVERSARIAL and len(options) > 1:
-                table.append(None)
-            elif not options:
-                table.append(())  # that allocation mass is lost under this guess
-            else:
-                doors, weights = chance_reveal(remaining, options, rule)
-                scale = unit // sum(weights)
-                table.append(tuple((o, _dec(remaining, o), w * scale) for o, w in zip(doors, weights)))
-        return table
+    def reveal_steps(remaining: tuple[int, ...], guess: tuple[int, ...]) -> tuple:
+        # (door, remaining after, weight over unit) of each reveal; none when
+        # the guess finds nothing, so that allocation mass is lost.
+        options = [o for o in guess if remaining[o]]
+        if rule == ADVERSARIAL and len(options) > 1:
+            raise AdversarialRevealError("adversarial reveal with a real choice; use the LP solver")
+        if not options:
+            return ()
+        doors, weights = chance_reveal(remaining, options, rule)
+        scale = unit // sum(weights)
+        return tuple((o, _dec(remaining, o), w * scale) for o, w in zip(doors, weights))
 
     def best_value(posterior: tuple[tuple[tuple[int, ...], int], ...], touched: frozenset[int]) -> int:
         if sum(posterior[0][0]) == 0:
@@ -420,26 +412,24 @@ def searcher_best_response_value(
             raise BudgetExceededError(f"best response exceeded {node_budget} nodes")
         rows = []
         for remaining, w in posterior:
-            table = reveals.get(remaining)
-            if table is None:
-                table = reveals[remaining] = reveal_steps(remaining)
-            rows.append((table, w))
+            steps_of = reveals.get(remaining)
+            if steps_of is None:
+                steps_of = reveals[remaining] = {}
+            rows.append((remaining, steps_of, w))
         best = 0
-        for i in expanded(touched):
+        for guess in expanded(touched):
             branches: dict[int, dict[tuple[int, ...], int]] = {}
-            for table, w in rows:
-                steps = table[i]
+            for remaining, steps_of, w in rows:
+                steps = steps_of.get(guess)
                 if steps is None:
-                    raise AdversarialRevealError(
-                        "adversarial reveal with a real choice; use the LP solver"
-                    )
+                    steps = steps_of[guess] = reveal_steps(remaining, guess)
                 for o, after, weight in steps:
                     branch = branches.get(o)
                     if branch is None:
                         branch = branches[o] = {}
                     branch[after] = branch.get(after, 0) + w * weight
             total = 0
-            now = touched | door_sets[i] if symmetric else touched
+            now = touched.union(guess) if len(touched) < n else touched
             for o in sorted(branches):
                 total += best_value(tuple(sorted(branches[o].items())), now)
             if total > best:
@@ -447,9 +437,12 @@ def searcher_best_response_value(
         memo[posterior] = best
         return best
 
-    initial = tuple(sorted((tuple(a), p.numerator * (denom // p.denominator)) for a, p in hider.distribution))
-    value = Fraction(best_value(initial, frozenset()), denom * unit**config.d)
-    notes = ("door-symmetric hider: one guess expanded per class of untouched doors",) if symmetric else ()
+    # Door symmetry is decided here alone: with every door touched, each door
+    # is a cell of its own and each guess a class of its own.
+    touched = frozenset() if rule != LOWEST_INDEX and hider.door_symmetric else frozenset(range(n))
+    initial = tuple(sorted(zip(map(tuple, allocations), (b - a for a, b in pairwise([0, *bounds])))))
+    value = Fraction(best_value(initial, touched), denom * unit**config.d)
+    notes = () if touched else ("door-symmetric hider: one guess expanded per class of untouched doors",)
     return ValueReport(
         config=config,
         value=value,

@@ -135,7 +135,11 @@ class StayTable:
     @classmethod
     def load(cls, path) -> "StayTable":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+            try:
+                doc = json.load(handle)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise TableEntryError(f"malformed table document: {exc}") from exc
+        return cls.from_json(doc)
 
 
 def scaled_stay_table(n: int, d: int, k: int) -> StayTable:

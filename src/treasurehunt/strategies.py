@@ -47,7 +47,8 @@ class HiderStrategy:
 
     ``table`` is the distribution's ``draw_table``, built once by the
     constructor (the build checks that the probabilities sum to 1); every
-    Monte Carlo draw of an allocation reads it.
+    Monte Carlo draw of an allocation reads it, and the posterior best
+    response reads its integer weights from the running sums.
     """
 
     config: GameConfig

@@ -467,6 +467,19 @@ def test_malformed_input_file_exits_without_traceback(capsys, tmp_path, argv, do
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code, line", [
+    pytest.param(_CERTIFY, 3, "invalid table: malformed table document: Expecting value: line 1 column 38 (char 37)",
+                 id="table"),
+    pytest.param(_SIMULATE, 2, "error: Expecting value: line 1 column 38 (char 37)", id="hider"),
+])
+def test_truncated_input_file_exits_without_traceback(capsys, tmp_path, argv, code, line):
+    # Not JSON at all: a stay-table file is a malformed table like any other.
+    path = tmp_path / "input.json"
+    path.write_text('{"n": 9, "d": 3, "k": 2, "entries": [')
+    got, out, err = run_cli(capsys, *argv, str(path))
+    assert (got, out, err) == (code, "", line + "\n")
+
+
 def test_hider_file_with_half_treasures_exit_2(capsys, tmp_path):
     # Counts summing to d are not enough: half treasures once got an "exact"
     # value from simulate --check-exact.

@@ -26,6 +26,7 @@ from treasurehunt.game import (
     all_guesses,
     check_guess,
     discovery_counts,
+    every_guess,
     orbit_key,
     orbit_representatives,
     refine,
@@ -99,6 +100,16 @@ def test_all_guesses_order():
     # The LP's columns follow this order: sizes 1 to k, lexicographic within a size.
     assert all_guesses(GameConfig(3, 1, 2)) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
     assert len(all_guesses(GameConfig(5, 2, 3))) == 5 + 10 + 10
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (5, 3), (7, 3)])
+def test_every_guess_with_every_door_alone_is_all_guesses(n, k):
+    # The best response's full loop: with each door a cell of its own, every
+    # guess is an orbit of its own, so each one comes out once, at mass 1.
+    cfg = GameConfig(n, 1, k)
+    reps = list(orbit_representatives(every_guess(cfg), range(n)))
+    assert sorted(guess for guess, _ in reps) == sorted(all_guesses(cfg))
+    assert {mass for _, mass in reps} == {1}
 
 
 def test_apply_guess_round_trip():
@@ -320,7 +331,6 @@ def test_orbit_representatives_of_all_guesses_follow_all_guesses(n, d, k):
     # first member, in first-appearance order. On a canonical form (of a
     # position, or of a history alone) a representative is its own key.
     cfg = GameConfig(n, d, k)
-    every_guess = [(((tuple(range(n)), size),), 1) for size in range(1, k + 1)]
     rng = random.Random(n * 100 + d * 10 + k)
     positions = [(allocation, (), False) for allocation in enumerate_allocations(n, d, "multi")]
     for allocation in rng.sample(enumerate_allocations(n, d, "multi"), 30):
@@ -344,7 +354,7 @@ def test_orbit_representatives_of_all_guesses_follow_all_guesses(n, d, k):
         for g in all_guesses(cfg):
             first, size = grouped.get(orbit_key(starts, g), (g, 0))
             grouped[orbit_key(starts, g)] = (first, size + 1)
-        reps = sorted(orbit_representatives(every_guess, starts), key=lambda rep: (len(rep[0]), rep[0]))
+        reps = sorted(orbit_representatives(every_guess(cfg), starts), key=lambda rep: (len(rep[0]), rep[0]))
         assert reps == list(grouped.values())
         if canonical:
             assert all(orbit_key(starts, g) == g for g, _ in reps)

@@ -91,6 +91,14 @@ def test_trials_and_seed_must_be_exact_ints(name, value):
 
 
 @pytest.mark.parametrize("value", _NOT_INTS, ids=repr)
+def test_batches_must_be_an_exact_int(value):
+    # batches=True would run as one batch, and 2.5 or "2" raise TypeError.
+    cfg = GameConfig(4, 2, 2)
+    with pytest.raises(ValueError, match="batches must be an integer"):
+        run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, 0, value)
+
+
+@pytest.mark.parametrize("value", _NOT_INTS, ids=repr)
 @pytest.mark.parametrize("name", ["trials", "wins", "seed"])
 def test_report_counts_and_seed_must_be_exact_ints(name, value):
     args = {"trials": 10, "wins": 1, "seed": 0, name: value}

@@ -422,6 +422,17 @@ def test_searcher_best_response_node_count_is_pinned(monkeypatch):
         searcher_best_response_value(cfg, hider, node_budget=162)
 
 
+def test_lowest_index_best_response_node_count_is_pinned():
+    # lowest-index reads door labels, so the rule alone starts the uniform
+    # hider's best response with every door touched: the full loop.
+    cfg = GameConfig(5, 3, 2, reveal=LOWEST_INDEX)
+    hider = uniform_hider(cfg)
+    report = searcher_best_response_value(cfg, hider, node_budget=17)
+    assert (report.value, report.notes) == (F(8, 35), ())
+    with pytest.raises(BudgetExceededError, match="16 nodes"):
+        searcher_best_response_value(cfg, hider, node_budget=16)
+
+
 @pytest.mark.parametrize(
     "cfg, value",
     [
