@@ -120,7 +120,14 @@ def evaluate_exact(
     orbit of the position's stabilizer is expanded, weighted by the orbit's
     size times its members' probability; every other strategy is scored
     guess by guess from ``guess_distribution``. ``node_budget`` caps the
-    positions one call expands.
+    positions one call expands; a memo hit expands nothing.
+
+    A searcher with a ``fresh_door_stays`` rule never guesses a door again
+    once it has guessed it and moved off it, so a position that leaves a
+    treasure behind such a door (another guessed door of the last guess,
+    or the door the searcher just moved off) is lost: it scores 0 under
+    every reveal rule and is neither expanded, memoized nor counted. A
+    final find is scored before that test, so it is never cut.
     """
     return _evaluate(config, searcher, allocation, ADVERSARIAL, node_budget, _memo)
 
@@ -165,6 +172,9 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
     last = config.d - 1
     canonical = searcher.door_symmetric
     orbits = searcher.guess_orbits if canonical else None
+    # run_mc's test for a stay rule: such a searcher never guesses a door
+    # again once it has guessed it and moved off it.
+    stay_or_move = getattr(searcher, "fresh_door_stays", None) is not None
 
     def value(key, history: History, remaining: tuple[int, ...], found: int, starts) -> Fraction:
         # starts: the cell starts before history's last event; key[1]: the canonical form.
@@ -176,6 +186,7 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
             raise BudgetExceededError(f"evaluation exceeded {node_budget} nodes")
         if canonical and history:
             starts = split_cells(starts, *history[-1])
+        current = history[-1][1] if history else None
 
         def child(guess: frozenset[int], o: int) -> Fraction:
             history_o = history + ((guess, o),)
@@ -200,6 +211,10 @@ def _evaluate(config, searcher, allocation, reveal, node_budget, memo) -> Fracti
                 total += p  # every reveal finds the last treasure
                 continue
             options = sorted(live.intersection(guess))
+            if stay_or_move and (
+                len(options) > 1 or current is not None and current not in guess and remaining[current]
+            ):
+                continue  # every reveal leaves a treasure behind a door the searcher moved off
             if reveal == ADVERSARIAL:
                 branch = None
                 for o in options:

@@ -3,8 +3,8 @@
 Searcher strategies expose an exact action distribution per observable
 history, which the solver consumes and the simulator samples. The bundled
 searchers also publish their stay rule (``fresh_door_stays``), which the
-simulator plays directly. Hider strategies are explicit finite
-distributions over allocations.
+simulator plays directly and the evaluator uses to cut lost positions.
+Hider strategies are explicit finite distributions over allocations.
 """
 
 from __future__ import annotations
@@ -222,9 +222,14 @@ class SearcherStrategy:
     must hold every diagram that play reaches, or ``run_mc`` raises
     ``MissingDiagramError``. Fresh-k and the stay tables read their
     ``guess_orbits`` from this mapping, so the rule is written once.
-    ``run_mc`` plays such a rule inline; every other searcher is simulated
-    from each history's ``guess_table``, with the draw of ``draw_from``,
-    as the per-game cursor ``sampler(rng)`` draws.
+    Two callers rely on the attribute. ``run_mc`` plays such a rule
+    inline; every other searcher is simulated from each history's
+    ``guess_table``, with the draw of ``draw_from``, as the per-game cursor
+    ``sampler(rng)`` draws. The exact evaluator reads it as a promise that
+    the searcher never guesses a door again once it has guessed it and
+    moved off it, so it scores a position that leaves a treasure behind
+    such a door as lost without expanding it. A rule that may return to a
+    door it left must leave the attribute None.
     """
 
     config: GameConfig

@@ -19,7 +19,9 @@ response carries ``Fraction`` posteriors through ``replay`` and
 The canonical-key evaluator builds every memo key with a fresh
 ``relabeling`` and scores guess by guess from ``guess_distribution``, the
 reference for the evaluator's one-step child keys and for its scoring by
-guess orbits. The ``Fraction`` realization-plan check and best response
+guess orbits. ``WithoutStayRule`` hides a searcher's stay rule from the
+evaluator, whose uncut path is then the reference for its cut of lost
+positions. The ``Fraction`` realization-plan check and best response
 are the reference for the integer certificate check in
 ``treasurehunt.seqform``.
 """
@@ -310,6 +312,23 @@ class WithoutDoorSymmetry(SearcherStrategy):
     def __init__(self, inner):
         self.inner = inner
         self.config = inner.config
+
+    def guess_distribution(self, history):
+        return self.inner.guess_distribution(history)
+
+
+class WithoutStayRule(SearcherStrategy):
+    """The same door-symmetric rule, scored by the same guess orbits, with
+    no ``fresh_door_stays`` rule: the evaluator then expands the positions
+    it cuts as lost for a stay-or-move searcher, the reference for that cut."""
+
+    fresh_door_stays = None
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config = inner.config
+        self.door_symmetric = inner.door_symmetric
+        self.guess_orbits = inner.guess_orbits
 
     def guess_distribution(self, history):
         return self.inner.guess_distribution(history)

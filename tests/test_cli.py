@@ -199,13 +199,24 @@ def test_lp_budget_exit_5(capsys):
 
 
 def test_certify_node_budget_boundary_n30_d4_k3(capsys):
-    # The largest single evaluation of the (30,4,3) shape pass expands 31
-    # positions; the budget counts expanded positions, not child keys.
+    # The largest single evaluation of the (30,4,3) shape pass expands 12
+    # positions; the budget counts expanded positions, not child keys, and
+    # a position that leaves a treasure behind a door the searcher moved
+    # off scores 0 unexpanded.
     argv = ("certify", "-n", "30", "-d", "4", "-k", "3", "--node-budget")
-    code, out, _ = run_cli(capsys, *argv, "31")
+    code, out, _ = run_cli(capsys, *argv, "12")
     assert code == 0 and json.loads(out)["tight"] is True
-    code, out, err = run_cli(capsys, *argv, "30")
-    assert code == 5 and out == "" and "exceeded 30 nodes" in err
+    code, out, err = run_cli(capsys, *argv, "11")
+    assert code == 5 and out == "" and "exceeded 11 nodes" in err
+
+
+def test_certify_node_budget_boundary_n29_d5_k2(capsys):
+    # 20 expanded positions, 65 without the cut of lost positions.
+    argv = ("certify", "-n", "29", "-d", "5", "-k", "2", "--node-budget")
+    code, out, _ = run_cli(capsys, *argv, "20")
+    assert code == 0 and json.loads(out)["tight"] is True
+    code, out, err = run_cli(capsys, *argv, "19")
+    assert code == 5 and out == "" and "exceeded 19 nodes" in err
 
 
 def test_lp_failed_certificate_check_exit_6(capsys, monkeypatch):

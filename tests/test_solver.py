@@ -9,6 +9,7 @@ import pytest
 from oracle_utils import (
     TabularSearcher,
     WithoutDoorSymmetry,
+    WithoutStayRule,
     apply_counts,
     canonical_key_evaluate,
     full_enumeration_best_response,
@@ -21,6 +22,7 @@ from treasurehunt.errors import (
     BudgetExceededError,
     DoorBudgetError,
     ExceedsUnitError,
+    MissingDiagramError,
 )
 from treasurehunt.game import (
     CHANCE_REVEALS,
@@ -47,6 +49,7 @@ from treasurehunt.strategies import (
     SearcherStrategy,
     all_in_one_hider,
     fresh_doors_searcher,
+    mimic_searcher,
     scaled_searcher,
     stay_table_searcher,
     uniform_hider,
@@ -768,16 +771,33 @@ def _memo_grid_searchers(cfg):
     return searchers
 
 
+def _stranded(key) -> bool:
+    """Whether a memo key, canonical or raw, leaves a treasure behind a
+    guessed door other than the last revealed one: a door a stay-or-move
+    searcher never guesses again. A canonical form lists each label's
+    treasure count in ``counts``, ascending, as a raw key lists each door's."""
+    counts, events = key[1:] if len(key) == 3 else key[1]
+    left = list(counts)
+    guessed: set[int] = set()
+    for doors, o in events:
+        guessed.update(doors)
+        left[o] -= 1
+    last = events[-1][1] if events else None
+    return any(left[x] for x in guessed if x != last)
+
+
 def test_evaluator_memo_matches_canonical_form_keys_on_small_grid():
     # Child keys come from one refinement step of the parent's relabeling,
     # and the bundled door-symmetric searchers are scored by guess orbits;
     # the shared memo must hold exactly the keys and values that keying
     # every position by relabeling(allocation, history)[0], guess by guess,
     # gives, over the adversarial rule and the two door-symmetric chance
-    # rules. Lowest-index reveals by door label, so there the evaluator
-    # scores every option of a guess and label-blind keys are no reference:
-    # every value is checked against raw-history keys instead, and so is
-    # every raw-key memo entry; a searcher without the flag keeps them all.
+    # rules, but for the stranded positions of a stay-or-move searcher:
+    # those are lost, score 0 and stay out of the memo. Lowest-index
+    # reveals by door label, so there the evaluator scores every option of
+    # a guess and label-blind keys are no reference: every value is checked
+    # against raw-history keys instead, and so is every raw-key memo entry;
+    # a searcher without the flag keeps them all.
     games = 0
     for n in range(1, 8):
         for d in range(1, 4):
@@ -806,10 +826,84 @@ def test_evaluator_memo_matches_canonical_form_keys_on_small_grid():
                                 else:
                                     assert v == canonical_key_evaluate(cfg, searcher, allocation, reveal, reference)
                         lowest = {key: v for key, v in memo.items() if key[0] == LOWEST_INDEX}
-                        assert {key: v for key, v in memo.items() if key[0] != LOWEST_INDEX} == reference
+                        kept = {key: v for key, v in memo.items() if key[0] != LOWEST_INDEX}
+                        cut = searcher.fresh_door_stays is not None
+                        assert kept.items() <= reference.items(), (cfg, searcher.name)
+                        for key in reference.keys() - kept.keys():
+                            assert cut and _stranded(key) and reference[key] == 0, (cfg, searcher.name, key)
+                        assert not (cut and any(map(_stranded, memo))), (cfg, searcher.name)
                         if searcher.door_symmetric:
                             fallback = {key: v for key, v in lowest.items() if len(key) == 3}
                             assert fallback.items() <= raw.items(), (cfg, searcher.name)
                         else:
                             assert lowest == raw, (cfg, searcher.name)
     assert games > 50
+
+
+def _stay_or_move_searchers(cfg):
+    """Every bundled stay-or-move searcher that fits the game: fresh-k, and
+    in the multi game the scaled table, the mimic (k = 1) and three tables
+    as a table file may hold them, each diagram staying with probability
+    1/3, 0 or 1 in turn."""
+    searchers = []
+    builders = [fresh_doors_searcher]
+    if cfg.occupancy == "multi":
+        builders.append(scaled_searcher)
+        if cfg.k == 1:
+            builders.append(mimic_searcher)
+        diagrams = decision_diagrams(cfg.n, cfg.d)
+        for shift in range(3):
+            entries = {lam: (F(1, 3), F(0), F(1))[(i + shift) % 3] for i, lam in enumerate(diagrams)}
+            builders.append(lambda c, e=entries: stay_table_searcher(c, StayTable(c.n, c.d, c.k, e)))
+    for build in builders:
+        try:
+            searchers.append(build(cfg))
+        except (DoorBudgetError, ExceedsUnitError, MissingDiagramError):
+            pass
+    return searchers
+
+
+def _assert_cut_is_exact(cfg, searcher, allocations):
+    # The uncut path, with its own memo, scores every position it reaches.
+    uncut = WithoutStayRule(searcher)
+    memo: dict = {}
+    reference: dict = {}
+    for allocation in allocations:
+        assert evaluate_exact(cfg, searcher, allocation, _memo=memo) == evaluate_exact(
+            cfg, uncut, allocation, _memo=reference
+        ), (cfg, searcher.name, allocation)
+        for rule in CHANCE_REVEALS:
+            assert evaluate_under_reveal(cfg, searcher, allocation, rule, _memo=memo) == evaluate_under_reveal(
+                cfg, uncut, allocation, rule, _memo=reference
+            ), (cfg, searcher.name, allocation, rule)
+    assert hider_best_response_value(cfg, searcher) == hider_best_response_value(cfg, uncut)
+
+
+def test_cut_of_lost_positions_keeps_every_value_on_small_grid():
+    # A stay-or-move searcher never guesses a door again once it moved off
+    # it, so the evaluator scores a position that leaves a treasure behind
+    # such a door as 0 without expanding it. WithoutStayRule keeps the same
+    # rule and orbits but hides the stay rule, so the evaluator expands
+    # those positions; every value and report must agree.
+    games = 0
+    for n in range(1, 8):
+        for d in range(1, 4):
+            for k in range(1, min(3, n) + 1):
+                for occupancy in ("multi", "single"):
+                    if occupancy == "single" and d > n:
+                        continue
+                    cfg = GameConfig(n, d, k, occupancy=occupancy)
+                    for searcher in _stay_or_move_searchers(cfg):
+                        games += 1
+                        _assert_cut_is_exact(cfg, searcher, enumerate_allocations(n, d, occupancy))
+    assert games > 150
+
+
+@pytest.mark.parametrize("n, d, k", [(50, 5, 3), (42, 4, 4), (20, 4, 2)])
+def test_cut_of_lost_positions_keeps_every_value_at_benchmark_sizes(n, d, k):
+    # Every shape, under every rule; under a second in all.
+    cfg = GameConfig(n, d, k)
+    searchers = _stay_or_move_searchers(cfg)
+    assert len(searchers) >= 2
+    for searcher in searchers:
+        _assert_cut_is_exact(cfg, searcher, shape_representatives(n, d, "multi"))
