@@ -37,7 +37,6 @@ from .montecarlo import (
     McReport,
     compare_to_exact,
     derive_seed,
-    merge_reports,
     run_mc,
     run_mc_batched,
 )

@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, factorial, prod
 from typing import Collection, Sequence
 
@@ -82,17 +81,11 @@ class GameConfig:
         return True
 
 
-def all_guesses(config: GameConfig) -> list[tuple[int, ...]]:
-    """Every legal guess as a sorted door tuple: sizes 1 to k, each size in
-    lexicographic order. The LP build lists guess orbits in the order this
-    list first reaches them, by ``orbit_representatives``."""
-    return [g for size in range(1, config.k + 1) for g in combinations(range(config.n), size)]
-
-
 def every_guess(config: GameConfig) -> list:
-    """``all_guesses`` by orbits, in the form of ``guess_orbits``: one orbit
-    per size 1 to k, taking that many doors from the pool of all doors, at
-    mass 1. ``orbit_representatives`` splits it by a position's cells."""
+    """Every legal guess by orbits, in the form of ``guess_orbits``: one
+    orbit per size 1 to k, taking that many doors from the pool of all
+    doors, at mass 1. ``orbit_representatives`` splits it by a position's
+    cells; the LP build lists the orbits by size, then lexicographically."""
     return [(((tuple(range(config.n)), size),), 1) for size in range(1, config.k + 1)]
 
 
@@ -205,8 +198,8 @@ def orbit_key(starts: Sequence[int], doors: Collection[int]) -> tuple[int, ...]:
     relabelings move doors only inside their cells, so the smallest image
     takes the first c_j labels of each cell j that c_j of the doors lie in.
     Door sets share a key exactly when they lie in one orbit. On the
-    canonical form itself the key is its orbit's first member in
-    ``all_guesses`` order.
+    canonical form itself the key is its orbit's first member as sorted door
+    tuples, by size, then lexicographically.
     """
     labels: list[int] = []
     for start in sorted(starts[door] for door in doors):

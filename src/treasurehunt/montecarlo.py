@@ -258,21 +258,6 @@ def _play_table(config, searcher, hider_draw, trials, rng) -> int:
     return wins
 
 
-def merge_reports(first: McReport, second: McReport) -> McReport:
-    """Combine two runs of the same experiment: wins and trials add up."""
-    for attr in ("config", "searcher", "hider"):
-        if getattr(first, attr) != getattr(second, attr):
-            raise ValueError(f"cannot merge reports with different {attr}")
-    return McReport(
-        config=first.config,
-        searcher=first.searcher,
-        hider=first.hider,
-        trials=first.trials + second.trials,
-        wins=first.wins + second.wins,
-        seed=first.seed,
-    )
-
-
 def run_mc_batched(
     config: GameConfig,
     searcher: SearcherStrategy,

@@ -110,7 +110,7 @@ def build_quotient_game(config: GameConfig, *, node_budget: int, column_budget: 
 
     @cache  # one list per tuple of cell starts, shared by positions and infosets
     def representatives(starts: tuple[int, ...]) -> list:
-        """(guess, orbit size) pairs, in the order all_guesses first reaches each orbit."""
+        """(guess, orbit size) pairs, by size, then lexicographically."""
         return sorted(orbit_representatives(guess_set, starts), key=lambda rep: (len(rep[0]), rep[0]))
 
     def new_s_infoset(hist: Events, starts: tuple[int, ...]) -> _SInfoset:

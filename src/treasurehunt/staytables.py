@@ -24,7 +24,7 @@ from .jsonio import fraction_from_json, fraction_to_json, int_from_json
 
 
 def decision_diagrams(n: int, d: int) -> list[Partition]:
-    """All diagrams a table must cover: sizes 1..d-1, at most n parts.
+    """The scaled table's keys: partitions of sizes 1..d-1, at most n parts.
 
     Sorted by size then reverse-lexicographically, the canonical listing
     order for tables and reports.
@@ -70,10 +70,14 @@ def stay_probability(n: int, d: int, diagram: Partition) -> Fraction:
 
 @dataclass(frozen=True)
 class StayTable:
-    """Exact stay probabilities per diagram for one game size.
+    """Exact stay probabilities per discovery order for one game size.
 
-    entries maps each decision diagram (size 1..d-1) to the probability of
-    staying on the current door after a find with that diagram.
+    entries maps a discovery order (the per-door find counts, in the order
+    the doors were first found; size 1..d-1) to the probability of staying
+    on the current door after a find that leaves those counts. A partition
+    key covers every order that a table which never stays after a flat find,
+    such as (1, 1), reaches; a table that does stay there also needs orders
+    such as (1, 2).
     """
 
     n: int
@@ -83,8 +87,8 @@ class StayTable:
 
     def __post_init__(self):
         for diagram, p in self.entries.items():
-            if not is_partition(diagram):
-                raise TableEntryError(f"{diagram} is not a partition")
+            if not isinstance(diagram, tuple) or not all(type(c) is int and c >= 1 for c in diagram):
+                raise TableEntryError(f"{diagram} is not a discovery order")
             if not 1 <= sum(diagram) <= self.d - 1:
                 raise TableEntryError(f"diagram {diagram} has size outside 1..{self.d - 1}")
             if not isinstance(p, Fraction):

@@ -219,9 +219,11 @@ class SearcherStrategy:
     uniformly; after a find with discovery-order counts c, it guesses the
     current door plus k-1 fresh doors with probability ``mapping[c]``, and
     k fresh doors otherwise. An empty mapping never stays; a nonempty one
-    must hold every diagram that play reaches, or ``run_mc`` raises
-    ``MissingDiagramError``. Fresh-k and the stay tables read their
-    ``guess_orbits`` from this mapping, so the rule is written once.
+    must hold every discovery order that play reaches, or ``run_mc`` raises
+    ``MissingDiagramError``. A partition key covers every order that a rule
+    which never stays after a flat find reaches. Fresh-k and the stay
+    tables read their ``guess_orbits`` from this mapping, so the rule is
+    written once.
     Two callers rely on the attribute. ``run_mc`` plays such a rule
     inline; every other searcher is simulated from each history's
     ``guess_table``, with the draw of ``draw_from``, as the per-game cursor
@@ -339,8 +341,8 @@ def fresh_doors_searcher(config: GameConfig) -> FreshDoorsSearcher:
 class StayTableSearcher(SearcherStrategy):
     """Table-driven searcher for the multi-occupancy game.
 
-    Round one guesses k fresh doors uniformly. After a find with diagram
-    lambda, it guesses the current door plus k-1 fresh doors with the
+    Round one guesses k fresh doors uniformly. After a find with discovery
+    order c, it guesses the current door plus k-1 fresh doors with the
     table's stay probability, and k fresh doors otherwise; fresh subsets
     are uniform, and fresh means never guessed in any round.
     """
@@ -368,11 +370,13 @@ class StayTableSearcher(SearcherStrategy):
 
 
 def _validate_reachable(config: GameConfig, table: StayTable) -> None:
-    """Walk every diagram state the table can reach and check it is playable.
+    """Walk every state the table can reach and check it is playable.
 
-    Each state pairs the discovery-order counts with the number of doors
-    guessed so far; a branch with positive probability must find enough
-    fresh doors, and every reachable decision state must have an entry.
+    Each state pairs the discovery order with the number of doors guessed
+    so far; a branch with positive probability must find enough fresh
+    doors, and every reachable discovery order must have an entry. A
+    partition-keyed table reaches only partitions unless it stays after a
+    flat find such as (1, 1) with two rounds or more left.
     """
     n, d, k = config.n, config.d, config.k
     start = ((1,), k)
@@ -382,11 +386,6 @@ def _validate_reachable(config: GameConfig, table: StayTable) -> None:
         counts, used = stack.pop()
         if sum(counts) >= d:
             continue
-        if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
-            # Discovery counts stopped being a diagram, so no partition key
-            # can cover this state; only tables that stay at a flat diagram
-            # with two rounds left can reach it.
-            raise MissingDiagramError(counts)
         stay = table.stay(counts)  # raises MissingDiagramError when absent
         successors: list[tuple[tuple[int, ...], int]] = []
         if stay > 0:

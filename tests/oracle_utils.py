@@ -431,6 +431,12 @@ def _all_guesses(n, k):
     return out
 
 
+def all_guesses(config: GameConfig) -> list[tuple[int, ...]]:
+    """Every legal guess as a sorted door tuple: sizes 1 to k, each size in
+    lexicographic order."""
+    return [tuple(sorted(g)) for g in _all_guesses(config.n, config.k)]
+
+
 def _payoff(row, col, d):
     alloc, policy = col
     remaining = list(alloc)

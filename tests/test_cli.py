@@ -130,6 +130,48 @@ def test_certify_custom_table_file(capsys, tmp_path):
     assert doc["tight"] is True
 
 
+# A discovery-order table at n = dk that stays after the flat find (1, 1).
+_ORDERS_842 = [
+    ([1], 1), ([2], {"num": 1, "den": 2}), ([1, 1], 1), ([3], {"num": 64, "den": 165}),
+    ([2, 1], {"num": 224, "den": 495}), ([1, 2], {"num": 91, "den": 165}), ([1, 1, 1], {"num": 10, "den": 33}),
+]
+
+
+def _table_file_842(tmp_path, entries=_ORDERS_842):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": 8, "d": 4, "k": 2, "entries": [{"diagram": key, "p": p} for key, p in entries]}))
+    return str(path)
+
+
+def test_certify_discovery_order_table_file(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "certify", "-n", "8", "-d", "4", "-k", "2",
+        "--searcher", "ptable-file", "--ptable-file", _table_file_842(tmp_path),
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["value"], doc["tight"]) == ({"num": 8, "den": 165}, True)
+
+
+def test_simulate_discovery_order_table_file_with_check(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "simulate", "-n", "8", "-d", "4", "-k", "2", "--reveal", "uniform-treasures",
+        "--searcher", "ptable-file", "--ptable-file", _table_file_842(tmp_path),
+        "--trials", "20000", "--seed", "7", "--check-exact",
+    )
+    assert code == 0
+    assert json.loads(out)["check"]["passed"] is True
+
+
+def test_partition_table_missing_a_reached_order_exit_3(capsys, tmp_path):
+    entries = [(key, p) for key, p in _ORDERS_842 if key != [1, 2]]
+    code, out, err = run_cli(
+        capsys, "certify", "-n", "8", "-d", "4", "-k", "2",
+        "--searcher", "ptable-file", "--ptable-file", _table_file_842(tmp_path, entries),
+    )
+    assert (code, out, err) == (3, "", "invalid table: no table entry for reachable diagram (1, 2)\n")
+
+
 def test_certify_fresh_single(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "--variant", "single", "-n", "4", "-d", "2", "-k", "2",

@@ -9,6 +9,7 @@ from oracle_utils import (
     LOST,
     ONGOING,
     WON,
+    all_guesses,
     apply_counts,
     apply_events,
     apply_guess,
@@ -23,7 +24,6 @@ from oracle_utils import (
 from treasurehunt.combinatorics import enumerate_allocations
 from treasurehunt.game import (
     GameConfig,
-    all_guesses,
     check_guess,
     discovery_counts,
     every_guess,

@@ -15,7 +15,6 @@ from treasurehunt.montecarlo import (
     McReport,
     compare_to_exact,
     derive_seed,
-    merge_reports,
     run_mc,
     run_mc_batched,
 )
@@ -147,21 +146,9 @@ def test_merge_is_addition():
     searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
     a = run_mc(cfg, searcher, hider, 3000, seed=derive_seed(7, 0))
     b = run_mc(cfg, searcher, hider, 3000, seed=derive_seed(7, 1))
-    m1 = merge_reports(a, b)
-    m2 = merge_reports(b, a)
-    assert (m1.wins, m1.trials) == (m2.wins, m2.trials) == (a.wins + b.wins, 6000)
     batched = run_mc_batched(cfg, searcher, hider, 6000, seed=7, batches=2)
     assert batched.wins == a.wins + b.wins
     assert batched.seed == 7
-
-
-def test_merge_rejects_mismatched_runs():
-    cfg = GameConfig(4, 2, 2)
-    a = run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 100, 1)
-    other = GameConfig(5, 2, 2)
-    b = run_mc(other, scaled_searcher(other), uniform_hider(other), 100, 1)
-    with pytest.raises(ValueError):
-        merge_reports(a, b)
 
 
 def test_report_without_trials_rejected():

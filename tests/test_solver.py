@@ -10,6 +10,7 @@ from oracle_utils import (
     TabularSearcher,
     WithoutDoorSymmetry,
     WithoutStayRule,
+    all_guesses,
     apply_counts,
     canonical_key_evaluate,
     full_enumeration_best_response,
@@ -28,7 +29,6 @@ from treasurehunt.game import (
     CHANCE_REVEALS,
     LOWEST_INDEX,
     GameConfig,
-    all_guesses,
 )
 from treasurehunt.montecarlo import compare_to_exact, run_mc
 from treasurehunt.solver import (

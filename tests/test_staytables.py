@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -6,11 +7,12 @@ import pytest
 
 from oracle_utils import (
     WithoutDoorSymmetry,
+    WithoutStayRule,
     full_enumeration_best_response,
     mimic_continuation_oracle,
 )
 from treasurehunt.combinatorics import enumerate_partitions
-from treasurehunt.errors import DoorBudgetError, ExceedsUnitError, TableEntryError
+from treasurehunt.errors import DoorBudgetError, ExceedsUnitError, MissingDiagramError, TableEntryError
 from treasurehunt.game import GameConfig
 from treasurehunt.staytables import (
     StayTable,
@@ -20,7 +22,7 @@ from treasurehunt.staytables import (
     scaled_stay_table,
     stay_probability,
 )
-from treasurehunt.solver import verify_equalizing
+from treasurehunt.solver import hider_best_response_value, verify_equalizing
 from treasurehunt.strategies import stay_table_searcher
 
 
@@ -223,7 +225,11 @@ def test_table_validation():
     with pytest.raises(TableEntryError):
         StayTable(4, 2, 2, {(2,): Fraction(1, 2)})  # size d, not a decision
     with pytest.raises(TableEntryError):
-        StayTable(4, 3, 2, {(1, 2): Fraction(1, 2)})  # not a partition
+        StayTable(4, 3, 2, {(1, 2): Fraction(1, 2)})  # size 3, outside 1..d-1
+    for key in [(0,), (1, 0), (-1,)]:
+        with pytest.raises(TableEntryError, match=rf"^{re.escape(str(key))} is not a discovery order$"):
+            StayTable(4, 3, 2, {key: Fraction(1, 2)})
+    assert StayTable(8, 4, 2, {(1, 2): Fraction(1, 2)}).stay((1, 2)) == Fraction(1, 2)
 
 
 def test_table_rejects_bool_diagram_parts():
@@ -248,3 +254,82 @@ def test_table_json_rejects_decimals(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(TableEntryError):
         StayTable.load(path)
+
+
+F = Fraction
+
+# A discovery-order rule at n = dk = 8 that reaches the counting bound 8/165.
+# It stays after the flat find (1, 1), so play reaches the order (1, 2),
+# which no partition names; (1, 2) and (2, 1) hold different entries.
+ORDERS_842 = {
+    (1,): F(1), (1, 1): F(1), (2,): F(1, 2), (3,): F(64, 165),
+    (1, 2): F(91, 165), (2, 1): F(224, 495), (1, 1, 1): F(10, 33),
+}
+
+
+def test_discovery_order_table_reaches_the_bound_at_n_equal_dk():
+    cfg = GameConfig(8, 4, 2)
+    report = hider_best_response_value(cfg, stay_table_searcher(cfg, StayTable(8, 4, 2, ORDERS_842)))
+    assert (report.value, report.tight) == (F(8, 165), True)
+    checked = report.certificate["checked"]
+    assert len(checked) == 5 and {v for _, v in checked} == {F(8, 165)}
+
+
+@pytest.mark.parametrize("wrap", [WithoutStayRule, WithoutDoorSymmetry], ids=lambda w: w.__name__)
+def test_discovery_order_table_scores_the_bound_on_every_allocation(wrap):
+    # WithoutDoorSymmetry scores raw histories, about 7 s.
+    cfg = GameConfig(8, 4, 2)
+    searcher = wrap(stay_table_searcher(cfg, StayTable(8, 4, 2, ORDERS_842)))
+    _, _, rows = full_enumeration_best_response(cfg, searcher)
+    assert len(rows) == 330
+    assert {v for _, v in rows} == {F(8, 165)}
+
+
+def test_discovery_order_table_json_round_trip(tmp_path):
+    table = StayTable(8, 4, 2, ORDERS_842)
+    doc = table.to_json()
+    assert [e["diagram"] for e in doc["entries"]] == [[1], [2], [1, 1], [3], [2, 1], [1, 2], [1, 1, 1]]
+    assert [tuple(e["diagram"]) for e in doc["entries"]] == [key for key, _ in table.sorted_items()]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    loaded = StayTable.load(path)
+    assert loaded == table
+    assert (loaded.stay((1, 2)), loaded.stay((2, 1))) == (F(91, 165), F(224, 495))
+
+
+def test_partition_table_that_stays_after_a_flat_find_misses_an_order():
+    entries = {key: p for key, p in ORDERS_842.items() if key != (1, 2)}
+    cfg = GameConfig(8, 4, 2)
+    with pytest.raises(MissingDiagramError) as err:
+        stay_table_searcher(cfg, StayTable(8, 4, 2, entries))
+    assert err.value.diagram == (1, 2)
+    assert str(err.value) == "no table entry for reachable diagram (1, 2)"
+
+
+def _bound_rows():
+    # Partition tables that reach k^d / C(n+d-1, d) below min_scalable_doors.
+    rows = []
+    triples = zip(range(9, 18), (216, 236, 248, 250, 240, 216, 176, 118, 40), (
+        F(16, 37), F(36, 103), F(20, 69), F(88, 359), F(4, 19), F(13, 71), F(14, 87), F(120, 841), F(32, 251)))
+    for n, flat, p21 in triples:
+        total = comb(n + 3, 3)
+        rows.append(pytest.param(n, 4, 2, {
+            (1,): F(1), (1, 1): F(0), (2,): F(16 * n, total), (3,): F(2, n),
+            (2, 1): p21, (1, 1, 1): F(flat, total),
+        }, id=f"{n}-4-2"))
+    for d, k, ns, twos, flats in [
+        (3, 2, (6, 7, 8), (F(3, 7), F(1, 3), F(4, 15)), (F(4, 7), F(1, 3), F(2, 15))),
+        (3, 3, range(9, 15), (F(27, 55), F(9, 22), F(9, 26), F(27, 91), F(9, 35), F(9, 40)),
+         (F(39, 55), F(6, 11), F(21, 52), F(51, 182), F(6, 35), F(3, 40))),
+    ]:
+        for n, two, flat in zip(ns, twos, flats):
+            rows.append(pytest.param(n, d, k, {(1,): F(1), (2,): two, (1, 1): flat}, id=f"{n}-{d}-{k}"))
+    return rows
+
+
+@pytest.mark.parametrize("n, d, k, entries", _bound_rows())
+def test_partition_tables_reach_the_bound_below_the_scaling_threshold(n, d, k, entries):
+    assert n < min_scalable_doors(d, k)
+    cfg = GameConfig(n, d, k)
+    report = hider_best_response_value(cfg, stay_table_searcher(cfg, StayTable(n, d, k, entries)))
+    assert (report.value, report.tight) == (F(k**d, comb(n + d - 1, d)), True)

@@ -6,12 +6,11 @@ from math import comb
 
 import pytest
 
-from oracle_utils import TabularSearcher
+from oracle_utils import TabularSearcher, all_guesses
 from treasurehunt.combinatorics import count_allocations, enumerate_allocations, shape_representatives
 from treasurehunt.errors import DoorBudgetError, MissingDiagramError
 from treasurehunt.game import (
     GameConfig,
-    all_guesses,
     discovery_counts,
     guessed_doors,
     orbit_key,
