@@ -83,7 +83,7 @@ class StayTable:
     n: int
     d: int
     k: int
-    entries: Mapping[Partition, Fraction]
+    entries: Mapping[tuple[int, ...], Fraction]
 
     def __post_init__(self):
         for diagram, p in self.entries.items():
@@ -96,13 +96,17 @@ class StayTable:
             if not 0 <= p <= 1:
                 raise TableEntryError(f"entry {p} for {diagram} outside [0, 1]")
 
-    def stay(self, diagram: Partition) -> Fraction:
+    def stay(self, order: tuple[int, ...]) -> Fraction:
+        """0 for the empty table, which never stays; otherwise the entry,
+        or ``MissingDiagramError`` for an order the table lacks."""
+        if not self.entries:
+            return Fraction(0)
         try:
-            return self.entries[tuple(diagram)]
+            return self.entries[tuple(order)]
         except KeyError:
-            raise MissingDiagramError(diagram) from None
+            raise MissingDiagramError(order) from None
 
-    def sorted_items(self) -> list[tuple[Partition, Fraction]]:
+    def sorted_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.entries.items(), key=lambda kv: (sum(kv[0]), tuple(-p for p in kv[0])))
 
     def to_json(self) -> dict:
@@ -123,7 +127,9 @@ class StayTable:
             raw_entries = obj["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise TableEntryError(f"malformed table document: {exc}") from exc
-        entries: dict[Partition, Fraction] = {}
+        if not isinstance(raw_entries, list):
+            raise TableEntryError(f"malformed table entries: a list expected, got {type(raw_entries).__name__}")
+        entries: dict[tuple[int, ...], Fraction] = {}
         try:
             for item in raw_entries:
                 diagram = tuple(int_from_json(part, "diagram part") for part in item["diagram"])

@@ -18,7 +18,7 @@ from math import comb, lcm
 from typing import Callable, Mapping, Sequence
 
 from .combinatorics import MULTI, SINGLE, Allocation, allocation_shape, enumerate_allocations, partition_weight
-from .errors import DoorBudgetError, InvalidTableError, MissingDiagramError
+from .errors import DoorBudgetError, InvalidTableError
 from .game import GameConfig, History, check_guess, discovery_counts, guessed_doors
 from .jsonio import fraction_from_json, int_from_json
 from .staytables import StayTable, scaled_stay_table
@@ -177,7 +177,10 @@ def load_hider_json(config: GameConfig, path) -> HiderStrategy:
         for name, size in (("n", config.n), ("d", config.d)):
             if int_from_json(obj.get(name, size), name) != size:
                 raise ValueError("hider file was written for a different game size")
-        entries = tuple((tuple(item["allocation"]), fraction_from_json(item["p"])) for item in obj["entries"])
+        raw = obj["entries"]
+        if not isinstance(raw, list):
+            raise ValueError(f"malformed hider entries: a list expected, got {type(raw).__name__}")
+        entries = tuple((tuple(item["allocation"]), fraction_from_json(item["p"])) for item in raw)
         return HiderStrategy(config, entries, name="file")
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed hider file: {type(exc).__name__}: {exc}") from exc
@@ -221,9 +224,9 @@ class SearcherStrategy:
     k fresh doors otherwise. An empty mapping never stays; a nonempty one
     must hold every discovery order that play reaches, or ``run_mc`` raises
     ``MissingDiagramError``. A partition key covers every order that a rule
-    which never stays after a flat find reaches. Fresh-k and the stay
-    tables read their ``guess_orbits`` from this mapping, so the rule is
-    written once.
+    which never stays after a flat find reaches. ``FreshDoorsSearcher``
+    holds this one rule, the entries of its ``StayTable``: fresh-k is the
+    empty table, and ``StayTableSearcher`` only supplies a table.
     Two callers rely on the attribute. ``run_mc`` plays such a rule
     inline; every other searcher is simulated from each history's
     ``guess_table``, with the draw of ``draw_from``, as the per-game cursor
@@ -281,56 +284,62 @@ class _DistributionSampler:
         self._history = self._history + ((guess, revealed),)
 
 
-def _stay_or_move_orbits(self, history: History) -> list[GuessOrbit]:
-    """``guess_orbits`` of a searcher whose whole rule is its
-    ``fresh_door_stays`` mapping; round one moves."""
-    k = self.config.k
-    stay = Fraction(0)
-    if history:
-        counts = discovery_counts(history)
-        if sum(counts) >= self.config.d:
-            raise ValueError("game already won, no further guess")
-        if any(revealed is None for _, revealed in history):
-            raise ValueError("game already lost, no further guess")
-        stays = self.fresh_door_stays
-        if stays:  # an empty mapping never stays
-            if counts not in stays:
-                raise MissingDiagramError(counts)
-            stay = stays[counts]
-    guessed = guessed_doors(history)
-    fresh = tuple(door for door in range(self.config.n) if door not in guessed)
-    orbits: list[GuessOrbit] = []
-    if stay > 0:
-        if len(fresh) < k - 1:
-            raise DoorBudgetError("ran out of fresh doors on the stay branch")
-        current = next(r for _, r in reversed(history) if r is not None)
-        orbits.append(((((current,), 1), (fresh, k - 1)), stay / comb(len(fresh), k - 1)))
-    if stay < 1:
-        if len(fresh) < k:
-            raise DoorBudgetError("ran out of fresh doors on the move branch")
-        orbits.append((((fresh, k),), (1 - stay) / comb(len(fresh), k)))
-    return orbits
-
-
 @dataclass(frozen=True)
 class FreshDoorsSearcher(SearcherStrategy):
-    """Guess k never-guessed doors uniformly at random, every round."""
+    """The stay-or-move rule of ``fresh_door_stays``, read from ``table``.
+
+    Fresh-k is the table that never stays, the empty one built here; a
+    ``StayTableSearcher`` only supplies its own. Building walks every state
+    play reaches (``_validate_reachable``), so fresh-k needs n >= d*k, and
+    a table with entries needs the multi-occupancy game.
+    """
 
     config: GameConfig
+    table: StayTable = field(init=False, compare=False)
     name: str = "fresh-k"
     door_symmetric: bool = True
 
     def __post_init__(self):
-        if self.config.n < self.config.d * self.config.k:
-            raise DoorBudgetError(
-                f"fresh-door play needs n >= d*k, got n={self.config.n} < {self.config.d * self.config.k}"
+        config = self.config
+        if not hasattr(self, "table"):  # fresh-k: no table passed
+            object.__setattr__(self, "table", StayTable(config.n, config.d, config.k, {}))
+        table = self.table
+        if table.entries and config.occupancy != MULTI:
+            raise ValueError("stay-table play is defined for the multi-occupancy game")
+        if (table.n, table.d, table.k) != (config.n, config.d, config.k):
+            raise InvalidTableError(
+                f"table built for (n={table.n}, d={table.d}, k={table.k}), "
+                f"config wants (n={config.n}, d={config.d}, k={config.k})"
             )
-
-    guess_orbits = _stay_or_move_orbits
+        _validate_reachable(config, table)
 
     @property
     def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:
-        return {}
+        return self.table.entries
+
+    def guess_orbits(self, history: History) -> list[GuessOrbit]:
+        k = self.config.k
+        stay = Fraction(0)
+        if history:
+            counts = discovery_counts(history)
+            if sum(counts) >= self.config.d:
+                raise ValueError("game already won, no further guess")
+            if any(revealed is None for _, revealed in history):
+                raise ValueError("game already lost, no further guess")
+            stay = self.table.stay(counts)
+        guessed = guessed_doors(history)
+        fresh = tuple(door for door in range(self.config.n) if door not in guessed)
+        orbits: list[GuessOrbit] = []
+        if stay > 0:
+            if len(fresh) < k - 1:
+                raise DoorBudgetError("ran out of fresh doors on the stay branch")
+            current = next(r for _, r in reversed(history) if r is not None)
+            orbits.append(((((current,), 1), (fresh, k - 1)), stay / comb(len(fresh), k - 1)))
+        if stay < 1:
+            if len(fresh) < k:
+                raise DoorBudgetError("ran out of fresh doors on the move branch")
+            orbits.append((((fresh, k),), (1 - stay) / comb(len(fresh), k)))
+        return orbits
 
 
 def fresh_doors_searcher(config: GameConfig) -> FreshDoorsSearcher:
@@ -338,35 +347,11 @@ def fresh_doors_searcher(config: GameConfig) -> FreshDoorsSearcher:
 
 
 @dataclass(frozen=True)
-class StayTableSearcher(SearcherStrategy):
-    """Table-driven searcher for the multi-occupancy game.
+class StayTableSearcher(FreshDoorsSearcher):
+    """Fresh-door play over the table the caller passes."""
 
-    Round one guesses k fresh doors uniformly. After a find with discovery
-    order c, it guesses the current door plus k-1 fresh doors with the
-    table's stay probability, and k fresh doors otherwise; fresh subsets
-    are uniform, and fresh means never guessed in any round.
-    """
-
-    config: GameConfig
     table: StayTable
     name: str = "ptable"
-    door_symmetric: bool = True
-
-    def __post_init__(self):
-        if self.config.occupancy != MULTI:
-            raise ValueError("stay-table play is defined for the multi-occupancy game")
-        if (self.table.n, self.table.d, self.table.k) != (self.config.n, self.config.d, self.config.k):
-            raise InvalidTableError(
-                f"table built for (n={self.table.n}, d={self.table.d}, k={self.table.k}), "
-                f"config wants (n={self.config.n}, d={self.config.d}, k={self.config.k})"
-            )
-        _validate_reachable(self.config, self.table)
-
-    guess_orbits = _stay_or_move_orbits
-
-    @property
-    def fresh_door_stays(self) -> Mapping[tuple[int, ...], Fraction]:
-        return self.table.entries
 
 
 def _validate_reachable(config: GameConfig, table: StayTable) -> None:
@@ -374,9 +359,10 @@ def _validate_reachable(config: GameConfig, table: StayTable) -> None:
 
     Each state pairs the discovery order with the number of doors guessed
     so far; a branch with positive probability must find enough fresh
-    doors, and every reachable discovery order must have an entry. A
-    partition-keyed table reaches only partitions unless it stays after a
-    flat find such as (1, 1) with two rounds or more left.
+    doors, and every reachable discovery order must have an entry unless
+    the table is empty (``StayTable.stay``). A partition-keyed table
+    reaches only partitions unless it stays after a flat find such as
+    (1, 1) with two rounds or more left.
     """
     n, d, k = config.n, config.d, config.k
     start = ((1,), k)
@@ -386,7 +372,7 @@ def _validate_reachable(config: GameConfig, table: StayTable) -> None:
         counts, used = stack.pop()
         if sum(counts) >= d:
             continue
-        stay = table.stay(counts)  # raises MissingDiagramError when absent
+        stay = table.stay(counts)
         successors: list[tuple[tuple[int, ...], int]] = []
         if stay > 0:
             if used + (k - 1) > n:
@@ -414,8 +400,11 @@ def stay_table_searcher(config: GameConfig, table: StayTable) -> StayTableSearch
 
 
 def scaled_searcher(config: GameConfig) -> StayTableSearcher:
-    """The k-scaled table strategy for the config's size."""
+    """The k-scaled table strategy for the config's size; the table's
+    probabilities are multi-occupancy ones, also where d = 1 leaves it empty."""
     table = scaled_stay_table(config.n, config.d, config.k)
+    if config.occupancy != MULTI:
+        raise ValueError("stay-table play is defined for the multi-occupancy game")
     return StayTableSearcher(config, table, name="ptable-scaled")
 
 

@@ -181,6 +181,24 @@ def test_certify_fresh_single(capsys):
     assert json.loads(out)["value"] == {"num": 2, "den": 3}
 
 
+@pytest.mark.parametrize("variant, n, d, k, code", [("multi", 6, 2, 2, 4), ("single", 4, 2, 2, 0)])
+def test_certify_empty_table_file_as_fresh_k(capsys, tmp_path, variant, n, d, k, code):
+    # An empty table never stays, so it certifies what fresh-k certifies.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": n, "d": d, "k": k, "entries": []}))
+    size = ("--variant", variant, "-n", str(n), "-d", str(d), "-k", str(k))
+    got, out, err = run_cli(capsys, "certify", *size, "--searcher", "ptable-file", "--ptable-file", str(path))
+    fresh = run_cli(capsys, "certify", *size, "--searcher", "fresh-k")
+    assert (got, out.replace('"ptable"', '"fresh-k"'), err) == fresh
+    assert got == code and json.loads(out)["searcher"] == "ptable"
+
+
+def test_certify_fresh_k_below_dk_exit_3(capsys):
+    code, out, err = run_cli(capsys, "certify", "-n", "5", "-d", "3", "-k", "2", "--searcher", "fresh-k")
+    assert (code, out) == (3, "")
+    assert err == "invalid table: move branch at (1, 1) needs 2 fresh doors, only 1 left\n"
+
+
 def test_certify_not_tight_exit_4(capsys):
     # Fresh-door play in the multi game wastes mass on repeat hideouts.
     code, out, _ = run_cli(
@@ -491,8 +509,14 @@ _CERTIFY = ("certify", "-n", "9", "-d", "3", "-k", "2", "--searcher", "ptable-fi
                  "invalid table: malformed table entries: TypeError: list indices must be integers or slices, not str",
                  id="table-entry-list"),
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": 5}, 3,
-                 "invalid table: malformed table entries: TypeError: 'int' object is not iterable",
-                 id="table-entries-number"),
+                 "invalid table: malformed table entries: a list expected, got int", id="table-entries-number"),
+    # An object or a string iterates, and once read as an empty table.
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": {}}, 3,
+                 "invalid table: malformed table entries: a list expected, got dict", id="table-entries-object"),
+    pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": ""}, 3,
+                 "invalid table: malformed table entries: a list expected, got str", id="table-entries-string"),
+    pytest.param(_SIMULATE, {"n": 3, "d": 2, "entries": {}}, 2,
+                 "error: malformed hider entries: a list expected, got dict", id="hider-entries-object"),
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": [{"diagram": [True], "p": 1}]}, 3,
                  "invalid table: diagram part must be an integer, got True", id="table-bool-diagram-part"),
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": [{"diagram": [2.0], "p": 1}]}, 3,

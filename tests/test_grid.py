@@ -10,8 +10,8 @@ import grid
 # (entries, sha256) of the exactness grid in tests/grid.py. A change that
 # moves one value, report or error message on these games changes the
 # digest; `python tests/grid.py diff OLD NEW` names the keys it moved.
-SLICE_DIGEST = (9303, "580920ff3010e5805b61765eb1e94c6ab6466ace87c9ff857117a3461d472b2d")
-WIDE_DIGEST = (103397, "ac770612e44bb9d6efa29f7f7288d1dbec5135c26a330cc5cd11a28ff9ef20c7")
+SLICE_DIGEST = (9303, "191d11d5f42e4a1dc16d86f015b069c29671f13e0350b6019d7902c6857e494c")
+WIDE_DIGEST = (103397, "cdbcf0bcdc0609b8f58f16796d92b509dedfd619e3f46373789065c46ff657bf")
 
 
 def test_grid_slice_digest_is_pinned():

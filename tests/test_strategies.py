@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -17,7 +18,8 @@ from treasurehunt.game import (
     relabeling,
 )
 from treasurehunt.seqform import LiftedPlanStrategy
-from treasurehunt.solver import sequence_form_value
+from treasurehunt.montecarlo import run_mc
+from treasurehunt.solver import hider_best_response_value, sequence_form_value
 from treasurehunt.staytables import StayTable, scaled_stay_table, stay_probability
 from treasurehunt.strategies import (
     FreshDoorsSearcher,
@@ -113,6 +115,29 @@ def test_fresh_doors_searcher():
     assert after == [(frozenset({2, 3}), Fraction(1))]
     with pytest.raises(DoorBudgetError):
         fresh_doors_searcher(GameConfig(5, 3, 2, occupancy="single"))
+
+
+@pytest.mark.parametrize("occupancy", ["multi", "single"])
+def test_fresh_k_is_the_stay_table_that_never_stays(occupancy):
+    for n, d, k in [(2, 1, 2), (4, 2, 2), (5, 2, 1), (6, 3, 2), (6, 3, 1), (7, 2, 3)]:
+        cfg = GameConfig(n, d, k, occupancy=occupancy, reveal="uniform-doors")
+        fresh = fresh_doors_searcher(cfg)
+        empty = stay_table_searcher(cfg, StayTable(n, d, k, {}))
+        assert isinstance(empty, FreshDoorsSearcher) and empty.table == fresh.table
+        assert (fresh.name, empty.name) == ("fresh-k", "ptable")
+        assert hider_best_response_value(cfg, empty) == hider_best_response_value(cfg, fresh)
+        hider = uniform_hider(cfg)
+        assert run_mc(cfg, empty, hider, 500, 7).wins == run_mc(cfg, fresh, hider, 500, 7).wins
+    # The evaluator's memo test relabels fresh-k through dataclasses.replace.
+    plain = replace(fresh, door_symmetric=False)
+    assert plain.table == StayTable(n, d, k, {}) and not plain.door_symmetric
+
+
+def test_fresh_k_below_dk_fails_on_the_move_branch():
+    with pytest.raises(DoorBudgetError, match=r"^move branch at \(1, 1\) needs 2 fresh doors, only 1 left$"):
+        fresh_doors_searcher(GameConfig(5, 3, 2))
+    with pytest.raises(DoorBudgetError, match=r"^move branch at \(1,\) needs 3 fresh doors, only 1 left$"):
+        fresh_doors_searcher(GameConfig(4, 2, 3, occupancy="single"))
 
 
 def test_mimic_searcher_examples():
@@ -371,7 +396,7 @@ def _rule_read_guess_by_guess(searcher, history):
                 p = Fraction(1, len(all_guesses(cfg)))
             else:
                 p = searcher._plan[info.action_of[orbit_key(starts, g)]] / parent
-        elif isinstance(searcher, FreshDoorsSearcher) or not history:
+        elif type(searcher) is FreshDoorsSearcher or not history:
             p = Fraction(len(g) == k and g <= fresh, comb(len(fresh), k))
         else:
             current = history[-1][1]
