@@ -510,7 +510,7 @@ _CERTIFY = ("certify", "-n", "9", "-d", "3", "-k", "2", "--searcher", "ptable-fi
                  id="table-entry-list"),
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": 5}, 3,
                  "invalid table: malformed table entries: a list expected, got int", id="table-entries-number"),
-    # An object or a string iterates, and once read as an empty table.
+    # An object or a string iterates, but neither is a list of entries.
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": {}}, 3,
                  "invalid table: malformed table entries: a list expected, got dict", id="table-entries-object"),
     pytest.param(_CERTIFY, {"n": 9, "d": 3, "k": 2, "entries": ""}, 3,
