@@ -291,7 +291,8 @@ class FreshDoorsSearcher(SearcherStrategy):
     Fresh-k is the table that never stays, the empty one built here; a
     ``StayTableSearcher`` only supplies its own. Building walks every state
     play reaches (``_validate_reachable``), so fresh-k needs n >= d*k, and
-    a table with entries needs the multi-occupancy game.
+    a table that stays at a reachable order needs the multi-occupancy game;
+    one that never stays plays either game as fresh-k.
     """
 
     config: GameConfig
@@ -304,8 +305,6 @@ class FreshDoorsSearcher(SearcherStrategy):
         if not hasattr(self, "table"):  # fresh-k: no table passed
             object.__setattr__(self, "table", StayTable(config.n, config.d, config.k, {}))
         table = self.table
-        if table.entries and config.occupancy != MULTI:
-            raise ValueError("stay-table play is defined for the multi-occupancy game")
         if (table.n, table.d, table.k) != (config.n, config.d, config.k):
             raise InvalidTableError(
                 f"table built for (n={table.n}, d={table.d}, k={table.k}), "
@@ -360,7 +359,9 @@ def _validate_reachable(config: GameConfig, table: StayTable) -> None:
     Each state pairs the discovery order with the number of doors guessed
     so far; a branch with positive probability must find enough fresh
     doors, and every reachable discovery order must have an entry unless
-    the table is empty (``StayTable.stay``). A partition-keyed table
+    the table is empty (``StayTable.stay``). Only the multi-occupancy game
+    lets play stay, so in the single game the first reachable order with
+    a positive stay probability raises ValueError. A partition-keyed table
     reaches only partitions unless it stays after a flat find such as
     (1, 1) with two rounds or more left.
     """
@@ -375,6 +376,8 @@ def _validate_reachable(config: GameConfig, table: StayTable) -> None:
         stay = table.stay(counts)
         successors: list[tuple[tuple[int, ...], int]] = []
         if stay > 0:
+            if config.occupancy != MULTI:
+                raise ValueError("stay-table play is defined for the multi-occupancy game")
             if used + (k - 1) > n:
                 raise DoorBudgetError(
                     f"stay branch at {counts} needs {k - 1} fresh doors, only {n - used} left"
@@ -400,12 +403,10 @@ def stay_table_searcher(config: GameConfig, table: StayTable) -> StayTableSearch
 
 
 def scaled_searcher(config: GameConfig) -> StayTableSearcher:
-    """The k-scaled table strategy for the config's size; the table's
-    probabilities are multi-occupancy ones, also where d = 1 leaves it empty."""
-    table = scaled_stay_table(config.n, config.d, config.k)
-    if config.occupancy != MULTI:
-        raise ValueError("stay-table play is defined for the multi-occupancy game")
-    return StayTableSearcher(config, table, name="ptable-scaled")
+    """The k-scaled table strategy for the config's size. Its probabilities
+    are multi-occupancy ones; at d = 1 the table is empty, so in either
+    game it plays as fresh-k."""
+    return StayTableSearcher(config, scaled_stay_table(config.n, config.d, config.k), name="ptable-scaled")
 
 
 def mimic_searcher(config: GameConfig) -> StayTableSearcher:
@@ -413,11 +414,9 @@ def mimic_searcher(config: GameConfig) -> StayTableSearcher:
 
     Behaviorally it stays on the current door with the base stay
     probability and otherwise moves to a uniform fresh door, which is the
-    k=1 table strategy.
+    k=1 table strategy. A table that stays plays only the multi-occupancy
+    game; at d = 1 the table is empty, and it plays either game as fresh-k.
     """
     if config.k != 1:
         raise ValueError("the mimic strategy is defined for k = 1")
-    if config.occupancy != MULTI:
-        raise ValueError("the mimic strategy is defined for the multi-occupancy game")
-    table = scaled_stay_table(config.n, config.d, 1)
-    return StayTableSearcher(config, table, name="mu-mimic")
+    return StayTableSearcher(config, scaled_stay_table(config.n, config.d, 1), name="mu-mimic")

@@ -71,6 +71,11 @@ def test_ptable_exceeds_unit_exit_3(capsys):
     pytest.param(("-n", "5", "-d", "2", "-k", "0"), "guess size k must satisfy 1 <= k <= n", id="k0"),
     pytest.param(("-n", "5", "-d", "0", "-k", "2"), "need at least one treasure", id="d0"),
     pytest.param(("-n", "-3", "-d", "1", "-k", "0"), "need at least one door", id="n-3"),
+    pytest.param(("--min-valid-n", "-d", "2"), "--min-valid-n needs -d and -k", id="min-valid-n-without-k"),
+    pytest.param(("-d", "2", "-k", "2"), "ptable needs -n, -d and -k", id="without-n"),
+    # A table is printed, not played, so it has no never-staying special case.
+    pytest.param(("--variant", "single", "-n", "4", "-d", "1", "-k", "2"),
+                 "stay tables belong to the multi-occupancy game", id="single"),
 ])
 def test_ptable_invalid_game_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "ptable", *flags)
@@ -137,10 +142,14 @@ _ORDERS_842 = [
 ]
 
 
-def _table_file_842(tmp_path, entries=_ORDERS_842):
+def _table_file(tmp_path, n, d, k, entries):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps({"n": 8, "d": 4, "k": 2, "entries": [{"diagram": key, "p": p} for key, p in entries]}))
+    path.write_text(json.dumps({"n": n, "d": d, "k": k, "entries": [{"diagram": key, "p": p} for key, p in entries]}))
     return str(path)
+
+
+def _table_file_842(tmp_path, entries=_ORDERS_842):
+    return _table_file(tmp_path, 8, 4, 2, entries)
 
 
 def test_certify_discovery_order_table_file(capsys, tmp_path):
@@ -181,16 +190,46 @@ def test_certify_fresh_single(capsys):
     assert json.loads(out)["value"] == {"num": 2, "den": 3}
 
 
-@pytest.mark.parametrize("variant, n, d, k, code", [("multi", 6, 2, 2, 4), ("single", 4, 2, 2, 0)])
-def test_certify_empty_table_file_as_fresh_k(capsys, tmp_path, variant, n, d, k, code):
-    # An empty table never stays, so it certifies what fresh-k certifies.
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"n": n, "d": d, "k": k, "entries": []}))
+@pytest.mark.parametrize("variant, n, d, k, code, entries", [
+    pytest.param("multi", 6, 2, 2, 4, [], id="multi-6-2-2-4"),
+    pytest.param("single", 4, 2, 2, 0, [], id="single-4-2-2-0"),
+    pytest.param("single", 4, 2, 2, 0, [([1], 0)], id="single-4-2-2-0-zero"),
+])
+def test_certify_empty_table_file_as_fresh_k(capsys, tmp_path, variant, n, d, k, code, entries):
+    # An empty or all-zero table never stays, so it certifies what fresh-k
+    # certifies, in the single game too.
+    path = _table_file(tmp_path, n, d, k, entries)
     size = ("--variant", variant, "-n", str(n), "-d", str(d), "-k", str(k))
-    got, out, err = run_cli(capsys, "certify", *size, "--searcher", "ptable-file", "--ptable-file", str(path))
+    got, out, err = run_cli(capsys, "certify", *size, "--searcher", "ptable-file", "--ptable-file", path)
     fresh = run_cli(capsys, "certify", *size, "--searcher", "fresh-k")
     assert (got, out.replace('"ptable"', '"fresh-k"'), err) == fresh
     assert got == code and json.loads(out)["searcher"] == "ptable"
+
+
+_STAYS = "error: stay-table play is defined for the multi-occupancy game"
+
+
+@pytest.mark.parametrize("n, entries, code, line", [
+    pytest.param(6, [([1], {"num": 1, "den": 2}), ([2], 0), ([1, 1], 0)], 2, _STAYS, id="stays-at-1"),
+    pytest.param(6, [([1], 0), ([1, 1], 1), ([2], 0)], 2, _STAYS, id="stays-at-1-1"),
+    # A malformed table reports its own fault first, whatever the game.
+    pytest.param(6, [([1], 0)], 3, "invalid table: no table entry for reachable diagram (1, 1)", id="missing-order"),
+    pytest.param(5, [([1], 0)], 3,
+                 "invalid table: table built for (n=5, d=3, k=2), config wants (n=6, d=3, k=2)", id="other-size"),
+])
+def test_single_game_table_file_refusals(capsys, tmp_path, n, entries, code, line):
+    path = _table_file(tmp_path, n, 3, 2, entries)
+    got = run_cli(capsys, "certify", "--variant", "single", "-n", "6", "-d", "3", "-k", "2",
+                  "--searcher", "ptable-file", "--ptable-file", path)
+    assert got == (code, "", line + "\n")
+
+
+def test_certify_single_d1_with_the_default_searcher(capsys):
+    # The scaled table is empty at d = 1, so it plays as fresh-k.
+    code, out, _ = run_cli(capsys, "certify", "--variant", "single", "-n", "4", "-d", "1", "-k", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["value"], doc["tight"], doc["searcher"]) == ({"num": 1, "den": 2}, True, "ptable-scaled")
 
 
 def test_certify_fresh_k_below_dk_exit_3(capsys):
@@ -454,6 +493,35 @@ def test_sweep_records_errors_and_continues(capsys):
     assert rows[2][-1] == "" and rows[3][-1] == ""
 
 
+def _sweep_rows(capsys, *argv):
+    code, out, err = run_cli(capsys, "sweep", "--param", "n", "--method", "certify", *argv)
+    assert (code, err) == (0, "")
+    return [row[5:] for row in csv.reader(io.StringIO(out))][1:]
+
+
+def test_sweep_certify(capsys):
+    assert _sweep_rows(capsys, "--start", "9", "--stop", "10", "-d", "3", "-k", "2") == [
+        ["8", "165", "True", ""], ["2", "55", "True", ""],
+    ]
+    # n = 5 is below dk: the row records the walk's error and the sweep goes on.
+    assert _sweep_rows(capsys, "--variant", "single", "--searcher", "fresh-k",
+                       "--start", "5", "--stop", "6", "-d", "3", "-k", "2") == [
+        ["", "", "", "move branch at (1, 1) needs 2 fresh doors, only 1 left"], ["2", "5", "True", ""],
+    ]
+    assert _sweep_rows(capsys, "--searcher", "mu-mimic", "--start", "3", "--stop", "4", "-d", "2", "-k", "1") == [
+        ["1", "6", "True", ""], ["1", "10", "True", ""],
+    ]
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(("-n", "5", "-d", "2", "-k", "1"), "-n conflicts with --param n; drop the flag", id="n-conflict"),
+    pytest.param(("-d", "2"), "sweep needs the two fixed parameters set", id="without-k"),
+])
+def test_sweep_parameter_errors_exit_2(capsys, flags, message):
+    got = run_cli(capsys, "sweep", "--param", "n", "--start", "3", "--stop", "4", *flags)
+    assert got == (2, "", f"error: {message}\n")
+
+
 def test_sweep_usage_error_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--param", "n", "--start", "4", "--stop", "4",
@@ -481,6 +549,20 @@ def test_ptable_file_without_ptable_file_searcher_exit_2(capsys, tmp_path):
                              "--ptable-file", missing)
     assert code == 2 and out == ""
     assert "--ptable-file needs --searcher ptable-file" in err
+
+
+def test_file_hider_without_hider_file_exit_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "-n", "3", "-d", "2", "-k", "1",
+                             "--trials", "10", "--hider", "file")
+    assert (code, out, err) == (2, "", "error: --hider file needs --hider-file PATH\n")
+
+
+def test_simulate_all_in_one_hider_with_check(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "-n", "3", "-d", "2", "-k", "1", "--reveal", "uniform-doors",
+                           "--hider", "all-in-one", "--trials", "2000", "--seed", "3", "--check-exact")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["hider"] == "all-in-one" and doc["check"]["passed"] is True
 
 
 def test_hider_file_without_file_hider_exit_2(capsys, tmp_path):

@@ -6,16 +6,32 @@ from pathlib import Path
 import pytest
 
 import grid
+from treasurehunt.strategies import fresh_doors_searcher, mimic_searcher, scaled_searcher
 
 # (entries, sha256) of the exactness grid in tests/grid.py. A change that
 # moves one value, report or error message on these games changes the
 # digest; `python tests/grid.py diff OLD NEW` names the keys it moved.
-SLICE_DIGEST = (9303, "191d11d5f42e4a1dc16d86f015b069c29671f13e0350b6019d7902c6857e494c")
-WIDE_DIGEST = (103397, "cdbcf0bcdc0609b8f58f16796d92b509dedfd619e3f46373789065c46ff657bf")
+SLICE_DIGEST = (9750, "9874aaf98d5e7107ee4986969d6300b2d924f5725c18ffcfdb3d8b61df63e1ef")
+WIDE_DIGEST = (103844, "6cffba7b702b66dee25d55b5b6b36fb3f5e7e4a5e6a9243f6091cbe1181f772b")
 
 
 def test_grid_slice_digest_is_pinned():
     assert grid.digest() == SLICE_DIGEST
+
+
+def test_single_game_d1_tables_match_fresh_k_entry_for_entry():
+    # At d = 1 the scaled and mimic tables are empty and never stay, so every
+    # grid entry they record in the single game is fresh-k's under the same key.
+    def without_name(name, build, config):
+        entries = grid._searcher_entries(config, name, build, grid.ALLOCATIONS)
+        return {key[:5] + key[6:]: outcome for key, outcome in entries}
+
+    for config in grid.games():
+        if config.occupancy == "single" and config.d == 1:
+            fresh = without_name("fresh-k", fresh_doors_searcher, config)
+            assert without_name("ptable-scaled", scaled_searcher, config) == fresh
+            if config.k == 1:
+                assert without_name("mu-mimic", mimic_searcher, config) == fresh
 
 
 @pytest.mark.skipif(

@@ -118,6 +118,12 @@ def test_evaluate_fresh_doors_single():
         assert evaluate_exact(cfg, searcher, allocation) == F(2, 3)
 
 
+def test_evaluate_rejects_a_shared_door_in_the_single_game():
+    cfg = GameConfig(4, 2, 2, occupancy="single")
+    with pytest.raises(ValueError, match=r"allocation \(2, 0, 0, 0\) invalid for"):
+        evaluate_exact(cfg, fresh_doors_searcher(cfg), (2, 0, 0, 0))
+
+
 def test_evaluate_stay_table_small():
     cfg = GameConfig(3, 2, 2)
     strat = stay_table_searcher(cfg, StayTable(3, 2, 2, {(1,): F(1)}))
@@ -654,6 +660,11 @@ def test_closed_form_reports():
 
     certified = closed_form_value(GameConfig(9, 3, 2))
     assert certified.value == F(8, 165) and certified.tight is True
+
+    # Fresh-door play runs out of doors below n = dk, so the formula is only a bound.
+    short = closed_form_value(GameConfig(5, 3, 2, occupancy="single"))
+    assert (short.value, short.tight) == (F(4, 5), False)
+    assert short.notes == ("not-certified: needs n >= d*k, value is an upper bound only",)
 
 
 def test_bounds_helpers():

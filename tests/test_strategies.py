@@ -61,6 +61,10 @@ def test_custom_hider_validation():
         HiderStrategy(cfg, (((2, 0), Fraction(1, 2)),))
     with pytest.raises(ValueError):
         HiderStrategy(cfg, (((3, -1), Fraction(1)),))
+    with pytest.raises(ValueError, match=r"^duplicate allocation \(1, 1\)$"):
+        HiderStrategy(cfg, (((1, 1), Fraction(1, 2)), ((1, 1), Fraction(1, 2))))
+    with pytest.raises(ValueError, match="^hider probabilities must be positive$"):
+        HiderStrategy(cfg, (((2, 0), Fraction(1)), ((0, 2), Fraction(0))))
 
 
 def _by_shape(cfg, mass):
@@ -131,6 +135,47 @@ def test_fresh_k_is_the_stay_table_that_never_stays(occupancy):
     # The evaluator's memo test relabels fresh-k through dataclasses.replace.
     plain = replace(fresh, door_symmetric=False)
     assert plain.table == StayTable(n, d, k, {}) and not plain.door_symmetric
+
+
+@pytest.mark.parametrize("n, d, k, entries, value", [
+    (4, 2, 2, {(1,): Fraction(0)}, Fraction(2, 3)),
+    # (2,) is reached only by staying at (1,), so its 1/2 never plays.
+    (6, 3, 2, {(1,): Fraction(0), (1, 1): Fraction(0), (2,): Fraction(1, 2)}, Fraction(2, 5)),
+], ids=["4-2-2-zero", "6-3-2-unreached-stay"])
+def test_a_table_that_never_stays_plays_the_single_game_as_fresh_k(n, d, k, entries, value):
+    cfg = GameConfig(n, d, k, occupancy="single")
+    report = hider_best_response_value(cfg, stay_table_searcher(cfg, StayTable(n, d, k, entries)))
+    assert (report.value, report.tight) == (value, True)
+    assert report == hider_best_response_value(cfg, fresh_doors_searcher(cfg))
+
+
+def test_a_table_that_stays_at_a_reachable_order_is_refused_in_the_single_game():
+    message = "^stay-table play is defined for the multi-occupancy game$"
+    cfg = GameConfig(6, 3, 2, occupancy="single")
+    table = StayTable(6, 3, 2, {(1,): Fraction(0), (1, 1): Fraction(1, 2), (2,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=message):
+        stay_table_searcher(cfg, table)
+    assert stay_table_searcher(replace(cfg, occupancy="multi"), table).table is table
+    with pytest.raises(ValueError, match=message):
+        mimic_searcher(GameConfig(4, 2, 1, occupancy="single"))
+    with pytest.raises(ValueError, match=message):
+        scaled_searcher(GameConfig(9, 3, 2, occupancy="single"))
+
+
+def test_guess_orbits_refuse_histories_the_rule_cannot_continue():
+    fresh = fresh_doors_searcher(GameConfig(4, 2, 2, occupancy="single"))
+    with pytest.raises(ValueError, match="^game already won, no further guess$"):
+        fresh.guess_orbits(((frozenset({0, 1}), 0), (frozenset({2, 3}), 2)))
+    with pytest.raises(ValueError, match="^game already lost, no further guess$"):
+        fresh.guess_orbits(((frozenset({0, 1}), None),))
+    # Histories this table's own play never makes: both guesses take fresh doors.
+    foreign = ((frozenset({0, 1}), 0), (frozenset({2, 3}), 2))
+    all_stay = StayTable(4, 3, 2, {(1,): Fraction(1), (2,): Fraction(1), (1, 1): Fraction(1)})
+    with pytest.raises(DoorBudgetError, match="^ran out of fresh doors on the stay branch$"):
+        stay_table_searcher(GameConfig(4, 3, 2), all_stay).guess_orbits(foreign)
+    below_floor = StayTable(5, 3, 2, {(1,): Fraction(1), (2,): Fraction(4, 7), (1, 1): Fraction(6, 7)})
+    with pytest.raises(DoorBudgetError, match="^ran out of fresh doors on the move branch$"):
+        stay_table_searcher(GameConfig(5, 3, 2), below_floor).guess_orbits(foreign)
 
 
 def test_fresh_k_below_dk_fails_on_the_move_branch():
