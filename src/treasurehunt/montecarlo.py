@@ -5,11 +5,20 @@ Simulation uses Python's Mersenne Twister (`random.Random`), seeded with a
 SplitMix-style mix, so partitioned runs are reproducible and merging is
 plain addition of wins and trials. Estimates are reported as the exact
 fraction wins/trials plus a binomial standard error.
+
+`run_mc` plays its trials in blocks of `BLOCK_TRIALS`: block 0 reads the
+stream of the seed itself and block i >= 1 that of `derive_seed(seed, i)`,
+so a run of at most `BLOCK_TRIALS` trials reads the stream it always read.
+Longer runs deal their blocks round-robin to processes forked across the
+usable CPUs and add up the wins, which therefore do not depend on how many
+cores play them.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +31,8 @@ from .strategies import HiderStrategy, SearcherStrategy, check_built_for, guess_
 
 _MASK64 = (1 << 64) - 1
 MIN_CHECK_TRIALS = 100  # fewest trials compare_to_exact accepts
+BLOCK_TRIALS = 10_000  # trials per block; each block reads its own seeded stream
+_SIGKILL = 9  # POSIX fixes SIGKILL at 9, and os has no name for it
 
 CSV_HEADER = [
     "n", "d", "k", "variant", "reveal", "searcher", "hider",
@@ -117,9 +128,25 @@ def run_mc(
     the first ``live`` entries are the never-guessed doors, and every door
     index and stay coin is such a draw. Any other searcher plays the
     draw-table loop: each history's checked ``guess_table`` is built once
-    per call and drawn from as ``strategies.draw_from`` draws, so a
+    per call, in each process that plays its blocks, and drawn from as
+    ``strategies.draw_from`` draws, so a
     ``sampler(rng)`` cursor per trial wins the same trials. Both loops
     resolve a guess that finds two doors or more by ``chance_reveal``.
+
+    Trials are played in blocks of ``BLOCK_TRIALS``, the last one shorter.
+    Block 0 reads ``random.Random(seed)`` and block i >= 1 reads
+    ``random.Random(derive_seed(seed, i))``, each through a fresh call of
+    its loop, and the wins are their sum; so a run of at most
+    ``BLOCK_TRIALS`` trials reads the stream of ``seed`` alone, as it
+    always has. Where there are two blocks or more, ``os.fork`` exists, the
+    process runs one thread and ``os.sched_getaffinity`` reports two CPUs
+    or more, the blocks are dealt round-robin to forked child processes,
+    one per usable CPU beyond the first, and the caller plays the first
+    share. The wins do not depend on the number of cores. Otherwise the
+    blocks are played here in order, and so is the share of a child whose
+    fork raises ``OSError``. If any share fails, every child is killed and
+    reaped and all blocks are replayed here in order, so the caller gets
+    the error that serial play raises. No child outlives the call.
     """
     _check_run(trials, seed)
     if config.reveal not in CHANCE_REVEALS:
@@ -128,12 +155,90 @@ def run_mc(
     check_built_for(config, "hider", hider)
     # Chosen by attribute, not by type, so a wrapper that forwards
     # attributes plays the same path and random stream as its searcher.
-    play = _play_table if getattr(searcher, "fresh_door_stays", None) is None else _play_stays
+    stays = getattr(searcher, "fresh_door_stays", None) is not None
+    tables: dict = {}  # history -> its guess_table, shared by the blocks a process plays
     den, bits, bounds, allocations = hider.table
     # den positive probabilities make the bounds 1..den: the search returns r.
     hider_draw = (den, bits, bounds, allocations, den == len(bounds))
-    wins = play(config, searcher, hider_draw, trials, random.Random(seed))
+
+    def play_block(index: int) -> int:
+        size = min(BLOCK_TRIALS, trials - index * BLOCK_TRIALS)
+        rng = random.Random(derive_seed(seed, index) if index else seed)
+        if stays:
+            return _play_stays(config, searcher, hider_draw, size, rng)
+        return _play_table(config, searcher, hider_draw, size, rng, tables)
+
+    wins = _play_blocks(play_block, -(-trials // BLOCK_TRIALS))
     return McReport(config, searcher.name, hider.name, trials, wins, seed)
+
+
+def _usable_cpus() -> int:
+    """CPUs a fork may use: 1 without ``os.fork``, with threads, or unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or threading.active_count() != 1 or affinity is None:
+        return 1
+    return len(affinity(0))
+
+
+def _play_blocks(play_block, blocks: int) -> int:
+    """Sum of ``play_block(i)`` over ``range(blocks)``, forked across CPUs."""
+    shares = min(blocks, _usable_cpus())
+    if shares < 2:
+        return sum(map(play_block, range(blocks)))
+    children: list = []  # (pid, pipe it writes its wins to), until reaped
+    try:
+        return _play_shares(play_block, blocks, shares, children)
+    except Exception:  # a share failed: the serial replay below raises its error
+        pass
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    return sum(map(play_block, range(blocks)))
+
+
+def _play_shares(play_block, blocks: int, shares: int, children: list) -> int:
+    """Fork a child for each share but the first, play the rest, add the wins."""
+    dealt = [range(share, blocks, shares) for share in range(shares)]
+    mine = dealt[:1]
+    for share in dealt[1:]:
+        try:
+            children.append(_fork_share(play_block, share))
+        except OSError:  # no process to spare: play the share here
+            mine.append(share)
+    wins = sum(play_block(index) for share in mine for index in share)
+    while children:
+        pid, pipe = children[-1]
+        data = pipe.read()
+        pipe.close()
+        _, status = os.waitpid(pid, 0)
+        children.pop()
+        if status or not data:
+            raise ChildProcessError(f"process {pid} did not play its share")
+        wins += int(data)
+    return wins
+
+
+def _fork_share(play_block, share: range):
+    """A child process that plays ``share``: its pid and the pipe it writes to."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the child leaves only through os._exit, whatever it raises
+        code = 1
+        try:
+            os.close(read)
+            os.write(write, str(sum(map(play_block, share))).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
 
 
 def _reveal(remaining: list, options: list, reveal: str, getrandbits) -> int:
@@ -217,11 +322,14 @@ def _play_stays(config, searcher, hider_draw, trials, rng) -> int:
     return wins
 
 
-def _play_table(config, searcher, hider_draw, trials, rng) -> int:
-    """Wins of a searcher played from its ``guess_distribution`` draw tables."""
+def _play_table(config, searcher, hider_draw, trials, rng, tables: dict) -> int:
+    """Wins of a searcher played from its ``guess_distribution`` draw tables.
+
+    ``tables`` maps each history met so far to its ``guess_table``; a history
+    not in it gets its table built and added.
+    """
     getrandbits = rng.getrandbits
     den, hider_bits, bounds, allocations, uniform = hider_draw
-    tables: dict = {}  # history -> its guess_table, shared by this call's trials
     wins = 0
     for _ in range(trials):
         r = getrandbits(hider_bits)

@@ -32,16 +32,23 @@ def test_only_the_lp_import_sits_inside_a_function():
     assert _imports_inside_functions() == [("solver", "sequence_form_value", "seqform")]
 
 
-def test_cli_import_loads_no_lp_module():
-    code = (
-        "import sys, treasurehunt.cli\n"
-        "print(sorted(m for m in ('treasurehunt.seqform', 'treasurehunt.simplex') if m in sys.modules))"
-    )
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh interpreter holds after importing the CLI."""
+    code = f"import sys, treasurehunt.cli\nprint(sorted(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_lp_module():
+    assert _loaded_by_cli_import(("treasurehunt.seqform", "treasurehunt.simplex")) == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # run_mc forks with os.fork and os.pipe alone: no pickling, no pool threads.
+    assert _loaded_by_cli_import(("multiprocessing", "concurrent.futures")) == "[]"
 
 
 def _module_level_imports(tree):

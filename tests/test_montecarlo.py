@@ -1,3 +1,4 @@
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -419,3 +420,155 @@ def test_wins_pinned_at_fixed_seeds(name):
         else:
             report = run_mc_batched(cfg, searcher, hider, 3000, seed=2026, batches=batches)
         assert report.wins == wins, (rule, report.wins)
+
+
+# Wins at 25,000 trials and seed 2026 per rule in CHANCE_REVEALS order: three
+# blocks, which read the streams of 2026, derive_seed(2026, 1) and
+# derive_seed(2026, 2) and play 10,000, 10,000 and 5,000 trials.
+BLOCKED_STREAM_PINS = {
+    "scaled-9-3-2-uniform": (1175, 1186, 1162),
+    "fresh-single-6-3-2-uniform": (9908, 9908, 9854),
+}
+BLOCKED_TRIALS = 25_000
+
+
+@pytest.mark.parametrize("name", list(BLOCKED_STREAM_PINS))
+def test_blocked_wins_pinned_at_a_fixed_seed(name):
+    base, make_searcher, make_hider, _, _ = STREAM_PINS[name]
+    for rule, wins in zip(CHANCE_REVEALS, BLOCKED_STREAM_PINS[name]):
+        cfg = replace(base, reveal=rule)
+        searcher, hider = make_searcher(cfg), make_hider(cfg)
+        assert run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins == wins, rule
+        # Each block is a run of its own at its block seed.
+        blocks = zip((2026, derive_seed(2026, 1), derive_seed(2026, 2)), (10_000, 10_000, 5_000))
+        assert sum(run_mc(cfg, searcher, hider, size, seed).wins for seed, size in blocks) == wins
+
+
+def test_blocks_played_in_one_process_share_the_draw_tables(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    cfg = GameConfig(6, 3, 2)
+    searcher = _RecordingSearcher(stay_table_searcher(cfg, CUSTOM_TABLE))
+    run_mc(cfg, searcher, uniform_hider(cfg), BLOCKED_TRIALS, seed=31)
+    assert len(searcher.asked) == len(set(searcher.asked))
+
+
+def _fake_cpus(monkeypatch, cpus):
+    """Make os.sched_getaffinity report ``cpus`` usable CPUs (at most 3)."""
+    assert cpus <= 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _count_forks(monkeypatch):
+    """Wrap os.fork; the list it returns grows by each child's pid."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CORE_CASES = [
+    ("stay-rule", scaled_searcher),
+    ("draw-table", lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg))),
+]
+
+
+@pytest.mark.parametrize("name, make", CORE_CASES, ids=[c[0] for c in CORE_CASES])
+def test_wins_do_not_depend_on_cores(name, make, monkeypatch):
+    cfg = GameConfig(9, 3, 2, reveal="uniform-doors")
+    searcher, hider = make(cfg), uniform_hider(cfg)
+    wins = {}
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            _fake_cpus(patch, cpus)
+            forks = _count_forks(patch)
+            wins[cpus] = run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins
+            assert len(forks) == cpus - 1, cpus
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        wins["no fork"] = run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins
+    assert len(set(wins.values())) == 1, wins
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("trials", [1, 3000, 10_000])
+def test_runs_of_one_block_never_fork(trials, monkeypatch):
+    cfg = GameConfig(9, 3, 2)
+    _fake_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), trials, seed=2026)
+    assert forks == []
+
+
+def test_a_second_thread_keeps_play_serial(monkeypatch):
+    cfg = GameConfig(9, 3, 2)
+    _fake_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(montecarlo.threading, "active_count", lambda: 2)
+    run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), BLOCKED_TRIALS, seed=2026)
+    assert forks == []
+
+
+def test_a_fork_that_raises_leaves_its_share_to_the_caller(monkeypatch):
+    cfg = GameConfig(9, 3, 2)
+    searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
+    expected = BLOCKED_STREAM_PINS["scaled-9-3-2-uniform"][CHANCE_REVEALS.index(cfg.reveal)]
+    _fake_cpus(monkeypatch, 3)
+
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins == expected
+    _assert_no_child_left()
+
+
+def _failing_at(size, play):
+    """``play`` that raises DoorBudgetError for a block of ``size`` trials."""
+
+    def failing(config, searcher, hider_draw, trials, rng):
+        if trials == size:
+            raise DoorBudgetError(f"no doors for a block of {trials} trials")
+        return play(config, searcher, hider_draw, trials, rng)
+
+    return failing
+
+
+# (trials, usable CPUs, size of the block that fails): at 15,000 trials on two
+# CPUs the child plays the 5,000-trial block and the caller the first one; at
+# 25,000 on three CPUs the second child plays the last block.
+FAILURE_CASES = [
+    ("child", 15_000, 2, 5_000),
+    ("caller", 15_000, 2, 10_000),
+    ("second-child", 25_000, 3, 5_000),
+]
+
+
+@pytest.mark.parametrize("name, trials, cpus, size", FAILURE_CASES, ids=[c[0] for c in FAILURE_CASES])
+def test_a_failed_share_raises_the_serial_error(name, trials, cpus, size, monkeypatch):
+    cfg = GameConfig(9, 3, 2)
+    searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
+    monkeypatch.setattr(montecarlo, "_play_stays", _failing_at(size, montecarlo._play_stays))
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        with pytest.raises(DoorBudgetError) as serial:
+            run_mc(cfg, searcher, hider, trials, seed=2026)
+    _fake_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(DoorBudgetError) as forked:
+        run_mc(cfg, searcher, hider, trials, seed=2026)
+    assert len(forks) == cpus - 1
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value)
+    _assert_no_child_left()
