@@ -3,7 +3,8 @@
 Simulation uses Python's Mersenne Twister (`random.Random`), seeded with a
 64-bit integer. Batch runs derive per-batch seeds from the root seed with a
 SplitMix-style mix, so partitioned runs are reproducible and merging is
-plain addition of wins and trials. Estimates are reported as the exact
+plain addition of wins and trials; their blocks are dealt across the CPUs
+with those of every other batch. Estimates are reported as the exact
 fraction wins/trials plus a binomial standard error.
 
 `run_mc` plays its trials in blocks of `BLOCK_TRIALS`: block 0 reads the
@@ -149,6 +150,22 @@ def run_mc(
     the error that serial play raises. No child outlives the call.
     """
     _check_run(trials, seed)
+    wins = _play(config, searcher, hider, _blocks(trials, seed))
+    return McReport(config, searcher.name, hider.name, trials, wins, seed)
+
+
+def _blocks(trials: int, seed: int) -> list[tuple[int, int]]:
+    """(trials, seed) of each block of a ``run_mc`` call, in order."""
+    return [
+        (min(BLOCK_TRIALS, trials - index * BLOCK_TRIALS), derive_seed(seed, index) if index else seed)
+        for index in range(-(-trials // BLOCK_TRIALS))
+    ]
+
+
+def _play(config: GameConfig, searcher: SearcherStrategy, hider: HiderStrategy, blocks: list) -> int:
+    """Check the game and both strategies, and return the wins of every
+    block (trials, seed) of ``blocks``, each on ``random.Random(seed)``,
+    dealt across the usable CPUs by ``_play_blocks``."""
     if config.reveal not in CHANCE_REVEALS:
         raise AdversarialRevealError("simulation needs a chance reveal rule")
     check_built_for(config, "searcher", searcher)
@@ -162,14 +179,13 @@ def run_mc(
     hider_draw = (den, bits, bounds, allocations, den == len(bounds))
 
     def play_block(index: int) -> int:
-        size = min(BLOCK_TRIALS, trials - index * BLOCK_TRIALS)
-        rng = random.Random(derive_seed(seed, index) if index else seed)
+        size, seed = blocks[index]
+        rng = random.Random(seed)
         if stays:
             return _play_stays(config, searcher, hider_draw, size, rng)
         return _play_table(config, searcher, hider_draw, size, rng, tables)
 
-    wins = _play_blocks(play_block, -(-trials // BLOCK_TRIALS))
-    return McReport(config, searcher.name, hider.name, trials, wins, seed)
+    return _play_blocks(play_block, len(blocks))
 
 
 def _usable_cpus() -> int:
@@ -374,17 +390,21 @@ def run_mc_batched(
     seed: int,
     batches: int,
 ) -> McReport:
-    """Split trials over batches with derived seeds and add up their wins."""
+    """Split trials over batches with derived seeds and add up their wins.
+
+    Batch i is played as the blocks of a ``run_mc`` call over its trials
+    at seed ``derive_seed(seed, i)``, so the wins are those of one such
+    call per batch. The blocks of every batch are dealt across the usable
+    CPUs together, as ``run_mc`` deals its own.
+    """
     int_from_json(batches, "batches")
     if batches < 1:
         raise ValueError("need at least one batch")
     _check_run(trials, seed)  # derive_seed masks the root seed to 64 bits
     base, extra = divmod(trials, batches)
     sizes = [base + (index < extra) for index in range(batches)]
-    wins = sum(
-        run_mc(config, searcher, hider, size, derive_seed(seed, index)).wins
-        for index, size in enumerate(sizes) if size
-    )
+    blocks = [block for index, size in enumerate(sizes) if size for block in _blocks(size, derive_seed(seed, index))]
+    wins = _play(config, searcher, hider, blocks)
     return McReport(config, searcher.name, hider.name, trials, wins, seed)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
 from math import lcm
 from typing import Callable, Mapping
 
@@ -43,7 +42,9 @@ from .game import (
 )
 from .jsonio import fraction_to_json
 from .staytables import StayTable, scaled_stay_table
-from .strategies import HiderStrategy, SearcherStrategy, check_built_for, common_denominator, stay_table_searcher
+from .strategies import (
+    HiderStrategy, SearcherStrategy, check_built_for, common_denominator, stay_table_searcher, table_weights,
+)
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -389,7 +390,7 @@ def searcher_best_response_value(
     n, rule = config.n, config.reveal
     guess_set = every_guess(config)
     unit = lcm(*range(1, max(config.k, config.d) + 1))
-    denom, _, bounds, allocations = hider.table
+    denom, _, _, allocations = hider.table
     nodes = [0]
     memo: dict = {}
     reveals: dict[tuple[int, ...], dict] = {}
@@ -455,7 +456,7 @@ def searcher_best_response_value(
     # Door symmetry is decided here alone: with every door touched, each door
     # is a cell of its own and each guess a class of its own.
     touched = frozenset() if rule != LOWEST_INDEX and hider.door_symmetric else frozenset(range(n))
-    initial = tuple(sorted(zip(map(tuple, allocations), (b - a for a, b in pairwise([0, *bounds])))))
+    initial = tuple(sorted(zip(map(tuple, allocations), table_weights(hider.table))))
     value = Fraction(best_value(initial, touched), denom * unit**config.d)
     notes = () if touched else ("door-symmetric hider: one guess expanded per class of untouched doors",)
     return ValueReport(

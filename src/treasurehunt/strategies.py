@@ -4,7 +4,11 @@ Searcher strategies expose an exact action distribution per observable
 history, which the solver consumes and the simulator samples. The bundled
 searchers also publish their stay rule (``fresh_door_stays``), which the
 simulator plays directly and the evaluator uses to cut lost positions.
-Hider strategies are explicit finite distributions over allocations.
+Hider strategies are explicit finite distributions over allocations, each
+stored as one integer draw table (``draw_table``): the probabilities as
+weights over a common denominator, summed as ``range(1, N + 1)`` when all
+are equal, beside the allocations. Their ``distribution`` pairs are read
+from that table.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations, pairwise, product
 from math import comb, lcm
-from typing import Callable, Mapping, Sequence
+from operator import sub
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import MULTI, SINGLE, Allocation, allocation_shape, enumerate_allocations, partition_weight
 from .errors import DoorBudgetError, InvalidTableError
@@ -41,50 +46,82 @@ def check_built_for(config: GameConfig, role: str, strategy) -> None:
 # Hider side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HiderStrategy:
     """A finite distribution over allocations, with exact probabilities.
 
-    ``table`` is the distribution's ``draw_table``, built once by the
-    constructor (the build checks that the probabilities sum to 1); every
-    Monte Carlo draw of an allocation reads it, and the posterior best
-    response reads its integer weights from the running sums.
+    The one stored form is ``table``, the distribution's ``draw_table``:
+    the common denominator, the draw bits, the running sums of the integer
+    weights (``range(1, N + 1)`` when all N are equal) and the allocations
+    in input order. The constructor checks every entry and builds the
+    table without keeping a pair per allocation. Every Monte Carlo draw of
+    an allocation reads the table, and so does the posterior best
+    response; ``distribution`` rebuilds the (allocation, probability)
+    pairs from it, in input order.
     """
 
     config: GameConfig
-    distribution: tuple[tuple[Allocation, Fraction], ...]
-    name: str = "custom"
-    table: DrawTable = field(init=False, repr=False, compare=False)
+    name: str
+    table: DrawTable = field(repr=False, hash=False)
 
-    def __post_init__(self):
-        seen: set[Allocation] = set()
-        for allocation, p in self.distribution:
-            if not self.config.is_valid_allocation(allocation):
-                raise ValueError(f"allocation {allocation} invalid for {self.config}")
-            if allocation in seen:
-                raise ValueError(f"duplicate allocation {allocation}")
-            if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
-                raise ValueError(f"hider probability {p!r} is not an exact fraction")
-            if p <= 0:
-                raise ValueError("hider probabilities must be positive")
-            seen.add(allocation)
-        object.__setattr__(self, "table", draw_table(self.distribution))
+    def __init__(self, config: GameConfig, distribution: Iterable[tuple[Allocation, Fraction]], name: str = "custom"):
+        allocations: list[Allocation] = []
+        probabilities: list = []
+        invalid = None
+        for allocation, p in distribution:
+            if not config.is_valid_allocation(allocation):
+                invalid = allocation
+                break
+            allocations.append(allocation)
+            probabilities.append(p)
+        # The entries before the first invalid allocation fail first.
+        _check_entries(allocations, probabilities)
+        if invalid is not None:
+            raise ValueError(f"allocation {invalid} invalid for {config}")
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "table", _draw_table(allocations, probabilities))
+
+    @property
+    def distribution(self) -> tuple[tuple[Allocation, Fraction], ...]:
+        """The (allocation, probability) pairs in input order, read from
+        ``table``: one ``Fraction`` per distinct weight."""
+        denom, _, _, allocations = self.table
+        probability = {w: Fraction(w, denom) for w in set(table_weights(self.table))}
+        return tuple(zip(allocations, map(probability.__getitem__, table_weights(self.table))))
 
     @property
     def door_symmetric(self) -> bool:
         """True when no relabeling of the doors changes the distribution:
         for every shape it holds, it holds all ``partition_weight(shape, n)``
-        allocations of that shape, each with one common probability."""
-        held: dict[tuple[int, ...], list] = {}
-        for allocation, p in self.distribution:
-            held.setdefault(allocation_shape(allocation), []).append(p)
+        allocations of that shape, each with one common weight."""
+        held: dict[tuple[int, ...], list[int]] = {}
+        for allocation, w in zip(self.table[3], table_weights(self.table)):
+            held.setdefault(allocation_shape(allocation), []).append(w)
         return all(
-            len(ps) == partition_weight(shape, self.config.n) and len(set(ps)) == 1
-            for shape, ps in held.items()
+            len(ws) == partition_weight(shape, self.config.n) and len(set(ws)) == 1
+            for shape, ws in held.items()
         )
 
     def sampler(self, rng) -> "_HiderSampler":
         return _HiderSampler(self.table, rng)
+
+
+def _check_entries(allocations: list[Allocation], probabilities: list) -> None:
+    """Raise ValueError at the first entry, in input order, that repeats an
+    allocation or has a probability that is not an exact positive fraction.
+    Repeats are found among sorted references, not in a set of them all."""
+    repeats = {a for a, b in pairwise(sorted(allocations)) if a == b}
+    seen: set[Allocation] = set()  # the repeated allocations met so far
+    for allocation, p in zip(allocations, probabilities):
+        if repeats and allocation in repeats:
+            if allocation in seen:
+                raise ValueError(f"duplicate allocation {allocation}")
+            seen.add(allocation)
+        if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+            raise ValueError(f"hider probability {p!r} is not an exact fraction")
+        if p <= 0:
+            raise ValueError("hider probabilities must be positive")
 
 
 def randbelow(getrandbits, m: int) -> int:
@@ -106,28 +143,47 @@ def randbelow(getrandbits, m: int) -> int:
     return r
 
 
-# (denominator, bits of a draw below it, running sums, outcomes)
-DrawTable = tuple[int, int, list[int], list]
+# (denominator, bits of a draw below it, running sums, outcomes); the sums
+# are range(1, N + 1) when all N weights are equal.
+DrawTable = tuple[int, int, Sequence[int], list]
+
+
+def _integer_weights(probabilities: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator of exact probabilities and each one's
+    numerator over it; raises ValueError naming their sum unless it is 1."""
+    denom = lcm(*{p.denominator for p in probabilities})
+    weights = [p.numerator * (denom // p.denominator) for p in probabilities]
+    total = sum(weights)
+    if total != denom:
+        raise ValueError(f"probabilities sum to {Fraction(total, denom)}, not 1")
+    return denom, weights
 
 
 def common_denominator(distribution: Sequence[tuple[object, Fraction]]) -> int:
     """The least common denominator of a distribution's probabilities;
     raises ValueError naming their sum unless it is exactly 1."""
-    denom = lcm(*(p.denominator for _, p in distribution))
-    total = sum(p.numerator * (denom // p.denominator) for _, p in distribution)
-    if total != denom:
-        raise ValueError(f"probabilities sum to {Fraction(total, denom)}, not 1")
-    return denom
+    return _integer_weights([p for _, p in distribution])[0]
+
+
+def _draw_table(outcomes: list, probabilities: Sequence[Fraction]) -> DrawTable:
+    denom, weights = _integer_weights(probabilities)
+    bounds = range(1, denom + 1) if weights.count(1) == len(weights) else list(accumulate(weights))
+    return denom, (denom - 1).bit_length(), bounds, outcomes
 
 
 def draw_table(distribution: Sequence[tuple[object, Fraction]]) -> DrawTable:
     """A finite distribution as integers, for exact draws: the common
     denominator of its probabilities, the bit width ``randbelow`` draws
     below it with, the running sums of the numerators over it, and the
-    outcomes in the same order."""
-    denom = common_denominator(distribution)
-    bounds = list(accumulate(p.numerator * (denom // p.denominator) for _, p in distribution))
-    return denom, (denom - 1).bit_length(), bounds, [outcome for outcome, _ in distribution]
+    outcomes in the same order. Equal weights sum as ``range(1, N + 1)``."""
+    return _draw_table([outcome for outcome, _ in distribution], [p for _, p in distribution])
+
+
+def table_weights(table: DrawTable) -> Iterator[int]:
+    """The integer weight of each outcome of a ``draw_table``, over its
+    denominator, in outcome order."""
+    bounds = table[2]
+    return map(sub, bounds, chain((0,), bounds))
 
 
 def draw_from(table: DrawTable, getrandbits):
@@ -153,7 +209,7 @@ def uniform_hider(config: GameConfig) -> HiderStrategy:
     """Hide uniformly over every allocation of the configured variant."""
     allocations = enumerate_allocations(config.n, config.d, config.occupancy)
     p = Fraction(1, len(allocations))
-    return HiderStrategy(config, tuple((a, p) for a in allocations), name="uniform")
+    return HiderStrategy(config, ((a, p) for a in allocations), name="uniform")
 
 
 def all_in_one_hider(config: GameConfig) -> HiderStrategy:

@@ -478,26 +478,35 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# (name, searcher, batches or None); three batches of 25,000 trials are
+# three runs of one block each.
 CORE_CASES = [
-    ("stay-rule", scaled_searcher),
-    ("draw-table", lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg))),
+    ("stay-rule", scaled_searcher, None),
+    ("draw-table", lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg)), None),
+    ("batched", scaled_searcher, 3),
 ]
 
 
-@pytest.mark.parametrize("name, make", CORE_CASES, ids=[c[0] for c in CORE_CASES])
-def test_wins_do_not_depend_on_cores(name, make, monkeypatch):
+@pytest.mark.parametrize("name, make, batches", CORE_CASES, ids=[c[0] for c in CORE_CASES])
+def test_wins_do_not_depend_on_cores(name, make, batches, monkeypatch):
     cfg = GameConfig(9, 3, 2, reveal="uniform-doors")
     searcher, hider = make(cfg), uniform_hider(cfg)
+
+    def run():
+        if batches is None:
+            return run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins
+        return run_mc_batched(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026, batches=batches).wins
+
     wins = {}
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
             _fake_cpus(patch, cpus)
             forks = _count_forks(patch)
-            wins[cpus] = run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins
+            wins[cpus] = run()
             assert len(forks) == cpus - 1, cpus
     with monkeypatch.context() as patch:
         patch.delattr(os, "fork")
-        wins["no fork"] = run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins
+        wins["no fork"] = run()
     assert len(set(wins.values())) == 1, wins
     _assert_no_child_left()
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,8 @@ from math import comb
 
 import pytest
 
+import grid
+from grid import by_shape_hider
 from oracle_utils import TabularSearcher, all_guesses
 from treasurehunt.combinatorics import count_allocations, enumerate_allocations, shape_representatives
 from treasurehunt.errors import DoorBudgetError, MissingDiagramError
@@ -390,6 +393,92 @@ def test_load_hider_json(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_hider_json(cfg, path)
+
+
+def test_hider_checks_fail_at_the_first_bad_entry_in_input_order():
+    cfg = GameConfig(2, 2, 1)
+    half = Fraction(1, 2)
+    # (1, 1) sorts first, but (2, 0) is the first to repeat in input order.
+    with pytest.raises(ValueError, match=r"^duplicate allocation \(2, 0\)$"):
+        HiderStrategy(cfg, (((1, 1), half), ((2, 0), half), ((2, 0), half), ((1, 1), half)))
+    with pytest.raises(ValueError, match="^duplicate allocation"):
+        HiderStrategy(cfg, (((1, 1), half), ((1, 1), half), ((3, -1), half)))
+    with pytest.raises(ValueError, match="invalid for"):
+        HiderStrategy(cfg, (((1, 1), half), ((3, -1), half), ((1, 1), half)))
+    with pytest.raises(ValueError, match="not an exact fraction"):
+        HiderStrategy(cfg, (((1, 1), 0.5), ((1, 1), half)))
+    with pytest.raises(ValueError, match="must be positive"):
+        HiderStrategy(cfg, (((1, 1), -half), ((3, -1), half)))
+
+
+def _hider_inputs(cfg, tmp_path, monkeypatch):
+    """(hider, the pairs it was built from) for the uniform, all-in-one,
+    by-shape and file-loaded hiders of the game."""
+    allocations = enumerate_allocations(cfg.n, cfg.d, cfg.occupancy)
+    yield uniform_hider(cfg), [(a, Fraction(1, len(allocations))) for a in allocations]
+    if cfg.occupancy == "multi" or cfg.d == 1:
+        corners = [tuple(cfg.d if door == i else 0 for door in range(cfg.n)) for i in range(cfg.n)]
+        yield all_in_one_hider(cfg), [(a, Fraction(1, cfg.n)) for a in corners]
+    given = []
+
+    def recording(config, distribution, name):
+        given.extend(distribution)
+        return HiderStrategy(config, given, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "HiderStrategy", recording)
+        by_shape = by_shape_hider(cfg)
+    pairs = list(given)
+    yield by_shape, pairs
+    path = tmp_path / f"{cfg.occupancy}-{cfg.n}-{cfg.d}.json"
+    entries = [{"allocation": list(a), "p": {"num": p.numerator, "den": p.denominator}} for a, p in pairs]
+    path.write_text(json.dumps({"n": cfg.n, "d": cfg.d, "entries": entries[::-1]}))
+    yield load_hider_json(cfg, path), pairs[::-1]
+
+
+@pytest.mark.parametrize("occupancy", ["multi", "single"])
+def test_hiders_read_back_their_input_from_the_table(occupancy, tmp_path, monkeypatch):
+    for n in range(1, 7):
+        for d in range(1, min(3, n if occupancy == "single" else 3) + 1):
+            cfg = GameConfig(n, d, 1, occupancy=occupancy)
+            for hider, pairs in _hider_inputs(cfg, tmp_path, monkeypatch):
+                at = (cfg, hider.name)
+                assert hider.distribution == tuple(pairs), at
+                assert HiderStrategy(cfg, hider.distribution).table == hider.table, at
+                den, bits, bounds, outcomes = hider.table
+                equal = len({p for _, p in pairs}) == 1
+                assert isinstance(bounds, range if equal else list), at
+                # The same draws from range and list bounds on one stream.
+                listed = (den, bits, list(bounds), outcomes)
+                rng, twin = random.Random(n * 10 + d), random.Random(n * 10 + d)
+                draws = [draw_from(hider.table, rng.getrandbits) for _ in range(60)]
+                assert draws == [draw_from(listed, twin.getrandbits) for _ in range(60)], at
+
+
+def test_equal_weight_guess_tables_sum_as_a_range():
+    thirds = [(door, Fraction(1, 3)) for door in "abc"]
+    assert draw_table(thirds) == (3, 2, range(1, 4), ["a", "b", "c"])
+    skewed = [("a", Fraction(1, 2)), ("b", Fraction(1, 4)), ("c", Fraction(1, 4))]
+    assert draw_table(skewed) == (4, 2, [2, 3, 4], ["a", "b", "c"])
+
+
+def test_uniform_hider_build_peak_memory():
+    # The (20,4,2) hider holds 8,855 allocation tuples, about 1.76 MB; its
+    # build may add a list or two of references, not a pair, a set entry
+    # and a running sum per allocation (3.2 MB in all).
+    cfg = GameConfig(20, 4, 2)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        hider = uniform_hider(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(hider.table[3]) == 8855
+    assert peak <= 2.4 * 2**20, peak / 2**20
 
 
 def test_scaled_searcher_counts(subtests=None):
