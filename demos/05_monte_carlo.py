@@ -1,8 +1,8 @@
 """Seeded simulation as a cross-check on the exact values.
 
-Runs are reproducible from a single 64-bit seed, batches merge by plain
-addition of wins, and estimates are compared to exact values with a
-four-sigma z-test.
+Runs are reproducible from a single 64-bit seed, a run's 10,000-trial
+blocks merge by plain addition of wins, and estimates are compared to
+exact values with a four-sigma z-test.
 """
 
 from fractions import Fraction
@@ -10,9 +10,9 @@ from fractions import Fraction
 from treasurehunt import (
     GameConfig,
     compare_to_exact,
+    derive_seed,
     fresh_doors_searcher,
     run_mc,
-    run_mc_batched,
     scaled_searcher,
     uniform_hider,
 )
@@ -32,7 +32,11 @@ print(f"single n=4 d=2 k=2, fresh pairs: estimate {float(rep2.estimate):.5f} vs 
       f"z = {check2.z_score:+.2f}, passed: {check2.passed}")
 print()
 
-batched = run_mc_batched(single, fresh_doors_searcher(single), uniform_hider(single),
-                         trials=200_000, seed=7, batches=8)
-print(f"same run split over 8 derived-seed batches: {batched.wins} wins of {batched.trials}")
-print("batches merge by addition, so parallel workers need no coordination")
+searcher, hider = fresh_doors_searcher(single), uniform_hider(single)
+whole = run_mc(single, searcher, hider, trials=20_000, seed=7)
+first = run_mc(single, searcher, hider, trials=10_000, seed=7)
+second = run_mc(single, searcher, hider, trials=10_000, seed=derive_seed(7, 1))
+print(f"20000 trials at seed 7: {whole.wins} wins; its two blocks as runs of their own, "
+      f"at seeds 7 and derive_seed(7, 1): {first.wins} + {second.wins} = {first.wins + second.wins}")
+assert whole.wins == first.wins + second.wins
+print("blocks merge by addition, so partitioned runs need no coordination")

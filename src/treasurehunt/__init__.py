@@ -38,7 +38,6 @@ from .montecarlo import (
     compare_to_exact,
     derive_seed,
     run_mc,
-    run_mc_batched,
 )
 from .solver import (
     EqualizingReport,

@@ -233,7 +233,11 @@ def cmd_value(args) -> int:
 
 
 def cmd_ptable(args) -> int:
+    if args.variant != MULTI:
+        raise UsageError("stay tables belong to the multi-occupancy game")
     if args.min_valid_n:
+        if args.n is not None:
+            raise UsageError("-n conflicts with --min-valid-n; drop the flag")
         if args.d is None or args.k is None:
             raise UsageError("--min-valid-n needs -d and -k")
         n = min_scalable_doors(args.d, args.k)
@@ -242,8 +246,6 @@ def cmd_ptable(args) -> int:
     if args.n is None or args.d is None or args.k is None:
         raise UsageError("ptable needs -n, -d and -k")
     _config(args)  # a usage error for n, d or k outside the game's ranges
-    if args.variant != MULTI:
-        raise UsageError("stay tables belong to the multi-occupancy game")
     try:
         table = scaled_stay_table(args.n, args.d, args.k)
     except ExceedsUnitError as exc:

@@ -1,18 +1,17 @@
 """Seeded Monte Carlo estimation of win probabilities.
 
 Simulation uses Python's Mersenne Twister (`random.Random`), seeded with a
-64-bit integer. Batch runs derive per-batch seeds from the root seed with a
-SplitMix-style mix, so partitioned runs are reproducible and merging is
-plain addition of wins and trials; their blocks are dealt across the CPUs
-with those of every other batch. Estimates are reported as the exact
-fraction wins/trials plus a binomial standard error.
+64-bit integer. Estimates are reported as the exact fraction wins/trials
+plus a binomial standard error.
 
 `run_mc` plays its trials in blocks of `BLOCK_TRIALS`: block 0 reads the
 stream of the seed itself and block i >= 1 that of `derive_seed(seed, i)`,
-so a run of at most `BLOCK_TRIALS` trials reads the stream it always read.
-Longer runs deal their blocks round-robin to processes forked across the
-usable CPUs and add up the wins, which therefore do not depend on how many
-cores play them.
+a SplitMix-style mix of the seed and the block index. So a run of at most
+`BLOCK_TRIALS` trials reads the stream it always read, and a run's wins
+are the sum of its blocks' wins, each that of a run of its own at its
+block seed. Longer runs deal their blocks round-robin to processes forked
+across the usable CPUs and add up the wins, which therefore do not depend
+on how many cores play them.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ CSV_HEADER = [
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Child seed for batch `index`: a SplitMix64 mix of seed and index."""
+    """Child seed `index` of `seed`, a SplitMix64 mix of the two; `run_mc`
+    seeds its block i >= 1 with ``derive_seed(seed, i)``."""
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -97,15 +97,6 @@ class McReport:
         }
 
 
-def _check_run(trials: int, seed: int) -> None:
-    int_from_json(trials, "trials")
-    int_from_json(seed, "seed")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not 0 <= seed <= _MASK64:  # random.Random drops a seed's sign
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-
-
 def run_mc(
     config: GameConfig,
     searcher: SearcherStrategy,
@@ -149,23 +140,12 @@ def run_mc(
     reaped and all blocks are replayed here in order, so the caller gets
     the error that serial play raises. No child outlives the call.
     """
-    _check_run(trials, seed)
-    wins = _play(config, searcher, hider, _blocks(trials, seed))
-    return McReport(config, searcher.name, hider.name, trials, wins, seed)
-
-
-def _blocks(trials: int, seed: int) -> list[tuple[int, int]]:
-    """(trials, seed) of each block of a ``run_mc`` call, in order."""
-    return [
-        (min(BLOCK_TRIALS, trials - index * BLOCK_TRIALS), derive_seed(seed, index) if index else seed)
-        for index in range(-(-trials // BLOCK_TRIALS))
-    ]
-
-
-def _play(config: GameConfig, searcher: SearcherStrategy, hider: HiderStrategy, blocks: list) -> int:
-    """Check the game and both strategies, and return the wins of every
-    block (trials, seed) of ``blocks``, each on ``random.Random(seed)``,
-    dealt across the usable CPUs by ``_play_blocks``."""
+    int_from_json(trials, "trials")
+    int_from_json(seed, "seed")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if not 0 <= seed <= _MASK64:  # random.Random drops a seed's sign
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if config.reveal not in CHANCE_REVEALS:
         raise AdversarialRevealError("simulation needs a chance reveal rule")
     check_built_for(config, "searcher", searcher)
@@ -179,13 +159,14 @@ def _play(config: GameConfig, searcher: SearcherStrategy, hider: HiderStrategy, 
     hider_draw = (den, bits, bounds, allocations, den == len(bounds))
 
     def play_block(index: int) -> int:
-        size, seed = blocks[index]
-        rng = random.Random(seed)
+        size = min(BLOCK_TRIALS, trials - index * BLOCK_TRIALS)
+        rng = random.Random(derive_seed(seed, index) if index else seed)
         if stays:
             return _play_stays(config, searcher, hider_draw, size, rng)
         return _play_table(config, searcher, hider_draw, size, rng, tables)
 
-    return _play_blocks(play_block, len(blocks))
+    wins = _play_blocks(play_block, -(-trials // BLOCK_TRIALS))
+    return McReport(config, searcher.name, hider.name, trials, wins, seed)
 
 
 def _usable_cpus() -> int:
@@ -380,32 +361,6 @@ def _play_table(config, searcher, hider_draw, trials, rng, tables: dict) -> int:
         else:
             wins += 1
     return wins
-
-
-def run_mc_batched(
-    config: GameConfig,
-    searcher: SearcherStrategy,
-    hider: HiderStrategy,
-    trials: int,
-    seed: int,
-    batches: int,
-) -> McReport:
-    """Split trials over batches with derived seeds and add up their wins.
-
-    Batch i is played as the blocks of a ``run_mc`` call over its trials
-    at seed ``derive_seed(seed, i)``, so the wins are those of one such
-    call per batch. The blocks of every batch are dealt across the usable
-    CPUs together, as ``run_mc`` deals its own.
-    """
-    int_from_json(batches, "batches")
-    if batches < 1:
-        raise ValueError("need at least one batch")
-    _check_run(trials, seed)  # derive_seed masks the root seed to 64 bits
-    base, extra = divmod(trials, batches)
-    sizes = [base + (index < extra) for index in range(batches)]
-    blocks = [block for index, size in enumerate(sizes) if size for block in _blocks(size, derive_seed(seed, index))]
-    wins = _play(config, searcher, hider, blocks)
-    return McReport(config, searcher.name, hider.name, trials, wins, seed)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from .game import (
 )
 from .jsonio import fraction_to_json
 from .simplex import LEQ, EQ, OPTIMAL, solve_lp
-from .strategies import SearcherStrategy
+from .strategies import SearcherStrategy, over_one_denominator
 
 
 @dataclass
@@ -287,12 +287,6 @@ def _searcher_lp(game: _QuotientGame):
 # Certificate check: both plans and both best responses, in exact integers
 # ---------------------------------------------------------------------------
 
-def _over_one_denominator(plan) -> tuple[list[int], int]:
-    """The plan's entries as ints over D, the lcm of their denominators, and D."""
-    den = lcm(*(p.denominator for p in plan))
-    return [p.numerator * (den // p.denominator) for p in plan], den
-
-
 def _check_plan(infosets, plan, side: str) -> None:
     """Raise InternalError unless plan is a realization plan on infosets.
 
@@ -300,7 +294,7 @@ def _check_plan(infosets, plan, side: str) -> None:
     entry below 0, and every infoset's mult-weighted action entries sum to
     its parent sequence's entry.
     """
-    scaled, den = _over_one_denominator(plan)
+    scaled, den = over_one_denominator(plan)
     flows = all(
         sum(mult * scaled[seq] for _, mult, seq in info.actions) == scaled[info.parent_seq]
         for info in infosets
@@ -325,7 +319,7 @@ def _best_response(infosets, payoff, plan, pick) -> Fraction:
     pick(V[a] // mult) over actions a at depth t + 1, where mult divides L,
     so every division is exact. The root's value is V[0] / (D * S).
     """
-    scaled, den = _over_one_denominator(plan)
+    scaled, den = over_one_denominator(plan)
     depth = {0: 0}
     for info in infosets:
         below = depth[info.parent_seq] + 1

@@ -148,25 +148,30 @@ def randbelow(getrandbits, m: int) -> int:
 DrawTable = tuple[int, int, Sequence[int], list]
 
 
-def _integer_weights(probabilities: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The least common denominator of exact probabilities and each one's
-    numerator over it; raises ValueError naming their sum unless it is 1."""
-    denom = lcm(*{p.denominator for p in probabilities})
-    weights = [p.numerator * (denom // p.denominator) for p in probabilities]
+def over_one_denominator(fractions: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Each fraction's numerator over D, the lcm of their denominators, and D."""
+    denom = lcm(*{p.denominator for p in fractions})
+    return [p.numerator * (denom // p.denominator) for p in fractions], denom
+
+
+def _integer_weights(probabilities: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``over_one_denominator`` of exact probabilities; raises ValueError
+    naming their sum unless it is 1."""
+    weights, denom = over_one_denominator(probabilities)
     total = sum(weights)
     if total != denom:
         raise ValueError(f"probabilities sum to {Fraction(total, denom)}, not 1")
-    return denom, weights
+    return weights, denom
 
 
 def common_denominator(distribution: Sequence[tuple[object, Fraction]]) -> int:
     """The least common denominator of a distribution's probabilities;
     raises ValueError naming their sum unless it is exactly 1."""
-    return _integer_weights([p for _, p in distribution])[0]
+    return _integer_weights([p for _, p in distribution])[1]
 
 
 def _draw_table(outcomes: list, probabilities: Sequence[Fraction]) -> DrawTable:
-    denom, weights = _integer_weights(probabilities)
+    weights, denom = _integer_weights(probabilities)
     bounds = range(1, denom + 1) if weights.count(1) == len(weights) else list(accumulate(weights))
     return denom, (denom - 1).bit_length(), bounds, outcomes
 

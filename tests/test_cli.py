@@ -76,6 +76,10 @@ def test_ptable_exceeds_unit_exit_3(capsys):
     # A table is printed, not played, so it has no never-staying special case.
     pytest.param(("--variant", "single", "-n", "4", "-d", "1", "-k", "2"),
                  "stay tables belong to the multi-occupancy game", id="single"),
+    pytest.param(("--variant", "single", "--min-valid-n", "-d", "3", "-k", "2"),
+                 "stay tables belong to the multi-occupancy game", id="min-valid-n-single"),
+    pytest.param(("--min-valid-n", "-n", "4", "-d", "3", "-k", "2"),
+                 "-n conflicts with --min-valid-n; drop the flag", id="min-valid-n-with-n"),
 ])
 def test_ptable_invalid_game_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "ptable", *flags)

@@ -17,7 +17,6 @@ from treasurehunt.montecarlo import (
     compare_to_exact,
     derive_seed,
     run_mc,
-    run_mc_batched,
 )
 from treasurehunt.solver import evaluate_under_reveal, sequence_form_value
 from treasurehunt.staytables import StayTable
@@ -53,26 +52,6 @@ def test_seed_outside_64_bits_rejected(seed):
         run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed)
 
 
-@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 7])
-def test_batched_root_seed_outside_64_bits_rejected(seed):
-    # derive_seed masks to 64 bits, so -5 would replay the root seed 2**64 - 5.
-    cfg = GameConfig(9, 3, 2)
-    with pytest.raises(ValueError, match="seed"):
-        run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), 2000, seed, 4)
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_batched_trials_below_one_rejected(trials, monkeypatch):
-    # run_mc's ValueError, before any batch seed is derived.
-    def no_derive(seed, index):
-        raise AssertionError("derived a seed")
-
-    monkeypatch.setattr(montecarlo, "derive_seed", no_derive)
-    cfg = GameConfig(9, 3, 2)
-    with pytest.raises(ValueError, match="trials must be positive"):
-        run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), trials, 0, 4)
-
-
 _NOT_INTS = [True, False, 2.5, 10.0, "10", None]
 
 
@@ -80,22 +59,12 @@ _NOT_INTS = [True, False, 2.5, 10.0, "10", None]
 @pytest.mark.parametrize("name", ["trials", "seed"])
 def test_trials_and_seed_must_be_exact_ints(name, value):
     # trials=True would play one trial and report "trials": true, and a
-    # float seed would run in run_mc but fail inside derive_seed's mask.
+    # float seed would fail inside derive_seed's mask at the second block.
     cfg = GameConfig(4, 2, 2)
     searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
     args = {"trials": 10, "seed": 0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run_mc(cfg, searcher, hider, **args)
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        run_mc_batched(cfg, searcher, hider, batches=2, **args)
-
-
-@pytest.mark.parametrize("value", _NOT_INTS, ids=repr)
-def test_batches_must_be_an_exact_int(value):
-    # batches=True would run as one batch, and 2.5 or "2" raise TypeError.
-    cfg = GameConfig(4, 2, 2)
-    with pytest.raises(ValueError, match="batches must be an integer"):
-        run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, 0, value)
 
 
 @pytest.mark.parametrize("value", _NOT_INTS, ids=repr)
@@ -107,18 +76,18 @@ def test_report_counts_and_seed_must_be_exact_ints(name, value):
 
 
 def test_hider_table_is_built_once_at_construction(monkeypatch):
-    # run_mc, every batch of run_mc_batched and the cursor read the table
-    # the constructor built; none of them builds another.
+    # run_mc, in the caller and in every forked block, and the cursor read
+    # the table the constructor built; none of them builds another.
     cfg = GameConfig(9, 3, 2)
     searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
     assert hider.table == strategies.draw_table(hider.distribution)
-    expected = run_mc_batched(cfg, searcher, hider, 200, 5, batches=4).wins
+    expected = run_mc(cfg, searcher, hider, BLOCKED_TRIALS, 5).wins
 
     def no_build(distribution):
         raise AssertionError("built a draw table for the hider again")
 
     monkeypatch.setattr(strategies, "draw_table", no_build)
-    assert run_mc_batched(cfg, searcher, hider, 200, 5, batches=4).wins == expected
+    assert run_mc(cfg, searcher, hider, BLOCKED_TRIALS, 5).wins == expected
     assert hider.sampler(random.Random(1)).sample() in dict(hider.distribution)
 
 
@@ -126,7 +95,6 @@ def test_seed_range_ends_accepted():
     cfg = GameConfig(4, 2, 2)
     for seed in (0, 2**64 - 1):
         assert run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed).seed == seed
-        assert run_mc_batched(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed, 2).seed == seed
 
 
 def test_adversarial_rejected():
@@ -140,16 +108,6 @@ def test_single_trial_concentrated_hider():
     hider = HiderStrategy(cfg, (((2, 0, 0, 0), F(1)),))
     report = run_mc(cfg, scaled_searcher(cfg), hider, 1, seed=5)
     assert report.wins in (0, 1) and report.trials == 1
-
-
-def test_merge_is_addition():
-    cfg = GameConfig(4, 2, 2)
-    searcher, hider = scaled_searcher(cfg), uniform_hider(cfg)
-    a = run_mc(cfg, searcher, hider, 3000, seed=derive_seed(7, 0))
-    b = run_mc(cfg, searcher, hider, 3000, seed=derive_seed(7, 1))
-    batched = run_mc_batched(cfg, searcher, hider, 6000, seed=7, batches=2)
-    assert batched.wins == a.wins + b.wins
-    assert batched.seed == 7
 
 
 def test_report_without_trials_rejected():
@@ -390,35 +348,31 @@ def _fractional(cfg):
     return stay_table_searcher(cfg, FRACTIONAL_TABLE)
 
 
-# name: (game, searcher, hider, batches or None, wins per rule in CHANCE_REVEALS
-# order at 3000 trials and seed 2026). The wins pin the random stream: a change
-# to how run_mc draws, however exact, shows here.
+# name: (game, searcher, hider, wins per rule in CHANCE_REVEALS order at 3000
+# trials and seed 2026). The wins pin the random stream: a change to how run_mc
+# draws, however exact, shows here.
 STREAM_PINS = {
-    "scaled-9-3-2-uniform": (GameConfig(9, 3, 2), scaled_searcher, uniform_hider, None, (153, 154, 154)),
-    "scaled-20-4-2-uniform": (GameConfig(20, 4, 2), scaled_searcher, uniform_hider, None, (11, 11, 10)),
+    "scaled-9-3-2-uniform": (GameConfig(9, 3, 2), scaled_searcher, uniform_hider, (153, 154, 154)),
+    "scaled-20-4-2-uniform": (GameConfig(20, 4, 2), scaled_searcher, uniform_hider, (11, 11, 10)),
     "fresh-single-6-3-2-uniform": (
-        GameConfig(6, 3, 2, occupancy=SINGLE), fresh_doors_searcher, uniform_hider, None, (1189, 1189, 1176)),
-    "fresh-multi-7-2-3-uniform": (GameConfig(7, 2, 3), fresh_doors_searcher, uniform_hider, None, (956, 956, 977)),
-    "fractional-6-3-2-uniform": (GameConfig(6, 3, 2), _fractional, uniform_hider, None, (413, 404, 407)),
-    "fractional-6-3-2-skewed": (GameConfig(6, 3, 2), _fractional, _skewed_hider, None, (505, 503, 486)),
-    "scaled-4-2-2-all-in-one": (GameConfig(4, 2, 2), scaled_searcher, all_in_one_hider, None, (1215, 1215, 1215)),
+        GameConfig(6, 3, 2, occupancy=SINGLE), fresh_doors_searcher, uniform_hider, (1189, 1189, 1176)),
+    "fresh-multi-7-2-3-uniform": (GameConfig(7, 2, 3), fresh_doors_searcher, uniform_hider, (956, 956, 977)),
+    "fractional-6-3-2-uniform": (GameConfig(6, 3, 2), _fractional, uniform_hider, (413, 404, 407)),
+    "fractional-6-3-2-skewed": (GameConfig(6, 3, 2), _fractional, _skewed_hider, (505, 503, 486)),
+    "scaled-4-2-2-all-in-one": (GameConfig(4, 2, 2), scaled_searcher, all_in_one_hider, (1215, 1215, 1215)),
     "table-path-scaled-9-3-2-uniform": (
-        GameConfig(9, 3, 2), lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg)), uniform_hider, None,
+        GameConfig(9, 3, 2), lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg)), uniform_hider,
         (132, 131, 134)),
-    "batched-scaled-9-3-2-uniform": (GameConfig(9, 3, 2), scaled_searcher, uniform_hider, 3, (143, 142, 139)),
 }
 
 
 @pytest.mark.parametrize("name", list(STREAM_PINS))
 def test_wins_pinned_at_fixed_seeds(name):
-    base, make_searcher, make_hider, batches, pinned = STREAM_PINS[name]
+    base, make_searcher, make_hider, pinned = STREAM_PINS[name]
     for rule, wins in zip(CHANCE_REVEALS, pinned):
         cfg = replace(base, reveal=rule)
         searcher, hider = make_searcher(cfg), make_hider(cfg)
-        if batches is None:
-            report = run_mc(cfg, searcher, hider, 3000, seed=2026)
-        else:
-            report = run_mc_batched(cfg, searcher, hider, 3000, seed=2026, batches=batches)
+        report = run_mc(cfg, searcher, hider, 3000, seed=2026)
         assert report.wins == wins, (rule, report.wins)
 
 
@@ -434,7 +388,7 @@ BLOCKED_TRIALS = 25_000
 
 @pytest.mark.parametrize("name", list(BLOCKED_STREAM_PINS))
 def test_blocked_wins_pinned_at_a_fixed_seed(name):
-    base, make_searcher, make_hider, _, _ = STREAM_PINS[name]
+    base, make_searcher, make_hider, _ = STREAM_PINS[name]
     for rule, wins in zip(CHANCE_REVEALS, BLOCKED_STREAM_PINS[name]):
         cfg = replace(base, reveal=rule)
         searcher, hider = make_searcher(cfg), make_hider(cfg)
@@ -478,24 +432,20 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# (name, searcher, batches or None); three batches of 25,000 trials are
-# three runs of one block each.
+# (name, searcher): one case per loop of run_mc.
 CORE_CASES = [
-    ("stay-rule", scaled_searcher, None),
-    ("draw-table", lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg)), None),
-    ("batched", scaled_searcher, 3),
+    ("stay-rule", scaled_searcher),
+    ("draw-table", lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg))),
 ]
 
 
-@pytest.mark.parametrize("name, make, batches", CORE_CASES, ids=[c[0] for c in CORE_CASES])
-def test_wins_do_not_depend_on_cores(name, make, batches, monkeypatch):
+@pytest.mark.parametrize("name, make", CORE_CASES, ids=[c[0] for c in CORE_CASES])
+def test_wins_do_not_depend_on_cores(name, make, monkeypatch):
     cfg = GameConfig(9, 3, 2, reveal="uniform-doors")
     searcher, hider = make(cfg), uniform_hider(cfg)
 
     def run():
-        if batches is None:
-            return run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins
-        return run_mc_batched(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026, batches=batches).wins
+        return run_mc(cfg, searcher, hider, BLOCKED_TRIALS, seed=2026).wins
 
     wins = {}
     for cpus in (1, 2, 3):
