@@ -52,6 +52,29 @@ def test_seed_outside_64_bits_rejected(seed):
         run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 10, seed)
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 7])
+def test_seed_outside_64_bits_rejected_before_any_block_seed(seed, monkeypatch):
+    # derive_seed masks to 64 bits, so -5 would seed block 1 as 2**64 - 5 does.
+    def no_derive(seed, index):
+        raise AssertionError("derived a block seed")
+
+    monkeypatch.setattr(montecarlo, "derive_seed", no_derive)
+    cfg = GameConfig(9, 3, 2)
+    with pytest.raises(ValueError, match="seed"):
+        run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), 2 * montecarlo.BLOCK_TRIALS, seed)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trials_below_one_rejected_before_any_block(trials, monkeypatch):
+    def no_blocks(play_block, blocks):
+        raise AssertionError("played blocks")
+
+    monkeypatch.setattr(montecarlo, "_play_blocks", no_blocks)
+    cfg = GameConfig(9, 3, 2)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        run_mc(cfg, scaled_searcher(cfg), uniform_hider(cfg), trials, 0)
+
+
 _NOT_INTS = [True, False, 2.5, 10.0, "10", None]
 
 
@@ -437,6 +460,20 @@ CORE_CASES = [
     ("stay-rule", scaled_searcher),
     ("draw-table", lambda cfg: WithoutDoorSymmetry(scaled_searcher(cfg))),
 ]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("name, make", CORE_CASES, ids=[c[0] for c in CORE_CASES])
+def test_merge_is_addition(name, make, seed):
+    # Runs at a seed and at its derived block seeds merge by adding wins,
+    # with no coordination; the top seed's block seed wraps within 64 bits.
+    cfg = GameConfig(4, 2, 2)
+    searcher, hider = make(cfg), uniform_hider(cfg)
+    a = run_mc(cfg, searcher, hider, 10_000, seed)
+    b = run_mc(cfg, searcher, hider, 10_000, derive_seed(seed, 1))
+    merged = run_mc(cfg, searcher, hider, 20_000, seed)
+    assert merged.wins == a.wins + b.wins
+    assert merged.seed == seed
 
 
 @pytest.mark.parametrize("name, make", CORE_CASES, ids=[c[0] for c in CORE_CASES])
