@@ -253,12 +253,12 @@ def _searcher_lp(game: _QuotientGame):
     q_of = lambda uid: S + 1 + uid  # noqa: E731
     num_vars = S + 1 + len(game.h_infosets)
 
-    objective = {q_norm: Fraction(1)}
-    constraints: list = [({0: Fraction(1)}, EQ, Fraction(1))]
+    objective = {q_norm: 1}
+    constraints: list = [({0: 1}, EQ, 1)]
     for info in game.s_infosets:
-        row = {seq: Fraction(mult) for _, mult, seq in info.actions}
-        row[info.parent_seq] = row.get(info.parent_seq, Fraction(0)) - 1
-        constraints.append((row, EQ, Fraction(0)))
+        row = {seq: mult for _, mult, seq in info.actions}
+        row[info.parent_seq] = row.get(info.parent_seq, 0) - 1
+        constraints.append((row, EQ, 0))
 
     children: dict[int, list[int]] = {}
     for info in game.h_infosets:
@@ -272,13 +272,13 @@ def _searcher_lp(game: _QuotientGame):
         (q_of(info.uid), mult) for info in game.h_infosets for _, mult, _ in info.actions
     ]
     for t, (own, mult) in enumerate(owners):
-        row = {own: Fraction(mult)}
+        row = {own: mult}
         for uid in children.get(t, ()):  # blocks this sequence enables
             col = q_of(uid)
-            row[col] = row.get(col, Fraction(0)) - 1
+            row[col] = row.get(col, 0) - 1
         for s, w in pay_by_h.get(t, ()):  # win mass the searcher collects
-            row[s] = row.get(s, Fraction(0)) - w
-        constraints.append((row, LEQ, Fraction(0)))
+            row[s] = row.get(s, 0) - w
+        constraints.append((row, LEQ, 0))
 
     return num_vars, objective, constraints, range(S, num_vars)
 

@@ -1,16 +1,16 @@
-"""Two-phase primal simplex over exact rationals, pivoting on integers.
+"""Two-phase revised simplex over exact rationals, pivoting on integers.
 
 Entering and leaving variables follow Bland's smallest-index rule, which
 cannot cycle, so termination is guaranteed on the degenerate LPs that
-sequence-form games produce. Each tableau row is a sparse dict of integer
-numerators and an integer right-hand side over one positive row
-denominator; the objective row has its own denominator. Every row is kept
-divided by the gcd of its entries, so no Fraction is built while pivoting:
-Bland's rule reads only signs, and the ratio test compares b_i/a_i by
-cross-multiplying numerators, since a row's denominator cancels. Problem
-data and solutions are exact rationals, there is no floating point
-anywhere. The duals of the inequality rows are read from the final reduced
-costs of their slack columns.
+sequence-form games produce. The original rows stay fixed; the rows that
+pivot are those of the basis inverse, sparse integer dicts over original
+row indices, each with an integer right-hand side over one positive
+denominator. The objective row has its own denominator. No Fraction is
+built while pivoting: Bland's rule reads only signs, and the ratio test
+compares b_i/a_i by cross-multiplying numerators, since a row's
+denominator cancels. Problem data and solutions are exact rationals, there
+is no floating point anywhere. The duals of the inequality rows are read
+from the final reduced costs of their slack columns.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ def solve_lp(
     split internally into differences of nonnegative parts.
     """
     if isinstance(objective, Mapping):
+        for j in objective:
+            if j < 0 or j >= num_vars:
+                raise ValueError(f"objective index {j} out of range")
         objective = [objective.get(j, 0) for j in range(num_vars)]
     c = [_exact(v) for v in objective]
     if len(c) != num_vars:
@@ -139,10 +142,11 @@ def _reduced(row: dict[int, int], b: int, den: int) -> tuple[dict[int, int], int
 def _eliminate(row, b, den, f, prow_items, pb, p):
     """Clear column c from a row that holds f there: (row*p - f*prow) / (den*p).
 
-    prow is the pivot row over its denominator p = prow[c], so its value
-    at c is 1. A common factor of p and f is cancelled first, entries that
-    cancel are deleted, and the result is gcd-reduced. When p divides f the
-    row is updated in place.
+    prow is the pivot row over its denominator p, so its value at c is 1. A
+    common factor of p and f is cancelled first, entries that cancel are
+    deleted, and when p divides f the row is updated in place. Signs and
+    cross-multiplied ratios do not change with a row's scale, so the result
+    is gcd-reduced only once its denominator outgrows a machine word.
     """
     h = gcd(p, f)
     if h != 1:
@@ -156,23 +160,26 @@ def _eliminate(row, b, den, f, prow_items, pb, p):
             row[j] = v
         else:
             del row[j]
-    return _reduced(row, b * p - f * pb, den * p)
+    b, den = b * p - f * pb, den * p
+    return _reduced(row, b, den) if den >> 63 else (row, b, den)
 
 
 class _Tableau:
-    """Sparse integer simplex tableau with explicit slack and artificial columns.
-
-    Row i stands for rows[i][j] / den[i] with right-hand side b[i] / den[i],
-    and den[i] > 0, so signs read off the numerators. The objective row
-    holds improvement coefficients obj[j] / obj_den. A basic column's entry
-    in its own row equals the row's denominator.
+    """Original rows M[k] in integers, with slack and artificial columns, and
+    cols[j] = {k: M[k][j]}. Tableau row i is sum_k W[i][k] * M[k] / den[i]
+    with right-hand side b[i] / den[i] and den[i] > 0, so signs read off the
+    numerators; a pivot forms one column and one row of it and updates only
+    W. The objective row holds improvement coefficients obj[j] / obj_den. A
+    basic column's entry in its own tableau row equals the row's denominator.
     """
 
     def __init__(self, num_cols, rows, rels, rhs, pivot_limit):
         self.num_cols = num_cols  # structural columns, before slacks and artificials
         self.pivot_limit = pivot_limit
         self.pivots = 0
-        self.rows: list[dict[int, int]] = []
+        self.M: list[dict[int, int]] = []
+        self.cols: dict[int, dict[int, int]] = {}
+        self.W: list[dict[int, int]] = []
         self.b: list[int] = []
         self.den: list[int] = []
         self.basis: list[int] = []
@@ -181,7 +188,7 @@ class _Tableau:
         self.obj: dict[int, int] = {}
         self.obj_den = 1
         col = num_cols
-        for coeffs, rel, bi in zip(rows, rels, rhs):
+        for k, (coeffs, rel, bi) in enumerate(zip(rows, rels, rhs)):
             # Numerators over the lcm of the row's denominators.
             den = lcm(bi.denominator, *(a.denominator for a in coeffs.values()))
             row = {j: a.numerator * (den // a.denominator) for j, a in coeffs.items()}
@@ -196,7 +203,10 @@ class _Tableau:
             self.basis.append(col)
             col += 1
             row, b, den = _reduced(row, b, den)
-            self.rows.append(row)
+            self.M.append(row)
+            for j, a in row.items():
+                self.cols.setdefault(j, {})[k] = a
+            self.W.append({k: 1})
             self.b.append(b)
             self.den.append(den)
 
@@ -215,6 +225,28 @@ class _Tableau:
         self._set_reduced_costs(obj)
         return self._optimize()
 
+    def _row(self, i: int) -> dict[int, int]:
+        """Tableau row i's numerators over den[i]: sum_k W[i][k] * M[k]."""
+        row: dict[int, int] = {}
+        get = row.get
+        for k, w in self.W[i].items():
+            for j, a in self.M[k].items():
+                row[j] = get(j, 0) + w * a
+        return {j: a for j, a in row.items() if a}
+
+    def _column(self, col: int) -> list[tuple[int, int]]:
+        """(i, numerator over den[i]) for each tableau row with an entry in col."""
+        entries = self.cols.get(col, {})
+        keys = entries.keys()
+        out = []
+        for i, w in enumerate(self.W):
+            a = 0
+            for k in w.keys() & keys:
+                a += w[k] * entries[k]
+            if a:
+                out.append((i, a))
+        return out
+
     def _set_reduced_costs(self, obj: dict[int, int | Fraction]) -> None:
         """Express the objective over nonbasic columns given the current basis."""
         den = lcm(*(v.denominator for v in obj.values()))
@@ -222,7 +254,7 @@ class _Tableau:
         for i, bi in enumerate(self.basis):
             f = reduced.get(bi)
             if f:
-                reduced, _, den = _eliminate(reduced, 0, den, f, list(self.rows[i].items()), 0, self.den[i])
+                reduced, _, den = _eliminate(reduced, 0, den, f, list(self._row(i).items()), 0, self.den[i])
         self.obj, _, self.obj_den = _reduced(reduced, 0, den)
 
     def _optimize(self) -> str:
@@ -231,10 +263,10 @@ class _Tableau:
             entering = min((j for j, v in self.obj.items() if v > 0), default=None)
             if entering is None:
                 return OPTIMAL
+            column = self._column(entering)
             leaving_row = None
-            for i, row in enumerate(self.rows):
-                a = row.get(entering)
-                if a is None or a <= 0:
+            for i, a in column:
+                if a <= 0:
                     continue
                 if leaving_row is not None:
                     # b_i/a_i against the best b/a: both a > 0, and a row's
@@ -245,54 +277,53 @@ class _Tableau:
                 leaving_row, best_a, best_b = i, a, self.b[i]
             if leaving_row is None:
                 return UNBOUNDED
-            self._pivot(leaving_row, entering)
+            self._pivot(leaving_row, entering, column)
 
-    def _pivot(self, row_idx: int, col: int) -> None:
+    def _pivot(self, row_idx: int, col: int, column: list[tuple[int, int]]) -> None:
+        """Pivot on (row_idx, col); column is col's entries from _column."""
         self.pivots += 1
         if self.pivots > self.pivot_limit:
             raise PivotLimitError(f"exceeded {self.pivot_limit} pivots")
-        prow, pb = self.rows[row_idx], self.b[row_idx]
-        p = prow[col]
+        w, pb = self.W[row_idx], self.b[row_idx]
+        p = next(a for i, a in column if i == row_idx)
         if p < 0:  # _drive_out_artificials may pivot on a negative entry
-            prow = {j: -a for j, a in prow.items()}
+            w = {k: -a for k, a in w.items()}
             pb, p = -pb, -p
-        # Divided by its pivot entry, the row is prow / p.
-        prow, pb, p = _reduced(prow, pb, p)
-        self.rows[row_idx], self.b[row_idx], self.den[row_idx] = prow, pb, p
-        prow_items = list(prow.items())
-        for i, other in enumerate(self.rows):
-            f = other.get(col)
-            if f is None or i == row_idx:
-                continue
-            self.rows[i], self.b[i], self.den[i] = _eliminate(
-                other, self.b[i], self.den[i], f, prow_items, pb, p
-            )
+        # Divided by its pivot entry, the row is w.M / p.
+        w, pb, p = _reduced(w, pb, p)
+        self.W[row_idx], self.b[row_idx], self.den[row_idx] = w, pb, p
+        w_items = list(w.items())
+        for i, f in column:
+            if i != row_idx:
+                self.W[i], self.b[i], self.den[i] = _eliminate(
+                    self.W[i], self.b[i], self.den[i], f, w_items, pb, p
+                )
         f = self.obj.get(col)
         if f:
+            prow_items = list(self._row(row_idx).items())
             self.obj, _, self.obj_den = _eliminate(self.obj, 0, self.obj_den, f, prow_items, 0, p)
         self.basis[row_idx] = col
 
     def _drive_out_artificials(self) -> None:
         """Pivot basic artificials onto structural columns; drop empty rows."""
         self.obj = {}  # phase 2 builds its own objective row
-        for i in range(len(self.rows)):
+        for i in range(len(self.W)):
             if self.basis[i] not in self.artificial:
                 continue
-            target = min((j for j in self.rows[i] if j not in self.artificial), default=None)
+            target = min((j for j in self._row(i) if j not in self.artificial), default=None)
             if target is not None:
-                self._pivot(i, target)
+                self._pivot(i, target, self._column(target))
         keep = [i for i, bi in enumerate(self.basis) if bi not in self.artificial]
-        if len(keep) != len(self.rows):
+        if len(keep) != len(self.W):
             # Redundant original constraints: their rows are zero over the
             # structural columns once phase 1 ends at zero.
-            self.rows = [self.rows[i] for i in keep]
+            self.W = [self.W[i] for i in keep]
             self.b = [self.b[i] for i in keep]
             self.den = [self.den[i] for i in keep]
             self.basis = [self.basis[i] for i in keep]
-        for row in self.rows:
-            for j in list(row):
-                if j in self.artificial:
-                    del row[j]
+        for j in self.artificial:
+            for k in self.cols.pop(j, ()):
+                del self.M[k][j]
 
     def duals(self) -> list[Fraction | None]:
         """Row shadow prices: a slack column's reduced cost is -sign * dual."""

@@ -99,6 +99,11 @@ def test_strong_duality_reported():
     assert report.details["dual_value"] == report.value
 
 
+SLOW = pytest.mark.skipif(
+    not os.environ.get("TREASUREHUNT_SLOW"), reason="seconds-long; set TREASUREHUNT_SLOW=1 to run"
+)
+
+
 @pytest.mark.parametrize("n,d,k,occupancy,value,pivots,s_seqs,h_seqs,positions", [
     pytest.param(3, 3, 2, "multi", F(3, 5), 64, 95, 16, 54, id="3-3-2-multi-value0-64"),
     pytest.param(5, 3, 2, "multi", F(8, 35), 66, 148, 17, 66, id="5-3-2-multi-value1-66"),
@@ -106,6 +111,8 @@ def test_strong_duality_reported():
     pytest.param(7, 3, 2, "single", F(8, 35), 44, 113, 7, 21, id="7-3-2-single-value3-44"),
     pytest.param(9, 3, 2, "multi", F(8, 165), 69, 149, 17, 66, id="9-3-2-multi-value4-69"),
     pytest.param(4, 3, 3, "multi", F(18, 25), 434, 542, 56, 170, id="4-3-3-multi-value5-434"),
+    pytest.param(4, 4, 2, "multi", F(12, 35), 1348, 1908, 185, 863, id="4-4-2-multi-value6-1348", marks=SLOW),
+    pytest.param(5, 4, 2, "multi", F(8, 35), 7202, 2559, 200, 1015, id="5-4-2-multi-value7-7202", marks=SLOW),
 ])
 def test_searcher_lp_pivot_counts_are_pinned(n, d, k, occupancy, value, pivots, s_seqs, h_seqs, positions):
     # Bland's rule makes every entering and leaving choice a function of
@@ -251,8 +258,7 @@ RANDOM_PLAN_GAMES = [
     (5, 4, 2, "multi"),
     (3, 5, 2, "multi"),
     (4, 4, 2, "single"),
-    pytest.param(5, 5, 2, "multi", marks=pytest.mark.skipif(
-        not os.environ.get("TREASUREHUNT_SLOW"), reason="seconds-long; set TREASUREHUNT_SLOW=1 to run")),
+    pytest.param(5, 5, 2, "multi", marks=SLOW),
 ]
 
 
@@ -466,6 +472,31 @@ def test_build_relabels_only_its_roots(monkeypatch):
     assert game.states == 170
 
 
+def _digest_games():
+    """The 86 quotients that the digests below pin, in a fixed order."""
+    for occupancy in ("multi", "single"):
+        for n in range(1, 7):
+            for d in range(1, 4):
+                if occupancy == "single" and d > n:
+                    continue
+                for k in range(1, min(3, n) + 1):
+                    yield build_quotient_game(
+                        GameConfig(n, d, k, occupancy=occupancy), node_budget=10**6, column_budget=10**5
+                    )
+
+
+def _as_fractions(lp):
+    """_searcher_lp's output with each coefficient, checked to be an int, as a Fraction."""
+    num_vars, objective, constraints, free = lp
+
+    def exact(v):
+        assert type(v) is int
+        return Fraction(v)
+
+    rows = [({j: exact(a) for j, a in row.items()}, rel, exact(b)) for row, rel, b in constraints]
+    return num_vars, {j: exact(v) for j, v in objective.items()}, rows, free
+
+
 # sha256 of every quotient (infosets, actions, sequence numbers and payoff
 # entries, in order) and its _searcher_lp rows, over the games below.
 QUOTIENT_DIGEST = "cad5b7e804190f192944229f9ddda53d36192d59df341246d85682f8fe10edbe"
@@ -474,26 +505,38 @@ QUOTIENT_DIGEST = "cad5b7e804190f192944229f9ddda53d36192d59df341246d85682f8fe10e
 def test_quotient_digest_is_pinned():
     # Any change to the build or the LP assembly that moves one sequence
     # number, orbit size or coefficient on these 86 games changes the digest.
+    # The LP is assembled in ints and hashed as Fractions of the same values.
     digest = hashlib.sha256()
     games = 0
-    for occupancy in ("multi", "single"):
-        for n in range(1, 7):
-            for d in range(1, 4):
-                if occupancy == "single" and d > n:
-                    continue
-                for k in range(1, min(3, n) + 1):
-                    game = build_quotient_game(
-                        GameConfig(n, d, k, occupancy=occupancy), node_budget=10**6, column_budget=10**5
-                    )
-                    for info in game.s_infosets:
-                        digest.update(repr((info.uid, info.hist, info.parent_seq, info.actions)).encode())
-                    for info in game.h_infosets:
-                        digest.update(repr((info.uid, info.parent_seq, info.actions)).encode())
-                    digest.update(repr((game.s_count, game.h_count, game.states, list(game.payoff.items()))).encode())
-                    digest.update(repr(_searcher_lp(game)).encode())
-                    games += 1
+    for game in _digest_games():
+        for info in game.s_infosets:
+            digest.update(repr((info.uid, info.hist, info.parent_seq, info.actions)).encode())
+        for info in game.h_infosets:
+            digest.update(repr((info.uid, info.parent_seq, info.actions)).encode())
+        digest.update(repr((game.s_count, game.h_count, game.states, list(game.payoff.items()))).encode())
+        digest.update(repr(_as_fractions(_searcher_lp(game))).encode())
+        games += 1
     assert games == 86
     assert digest.hexdigest() == QUOTIENT_DIGEST
+
+
+# sha256 of solve_lp's (status, objective, x, duals, pivots) on the searcher
+# LP of each game that QUOTIENT_DIGEST pins.
+RESULTS_DIGEST = "c559237ec5576eedb26f8dc8b379ecdc5156d579e8bb963fe2c885d8a3573444"
+
+
+def test_searcher_lp_results_are_pinned():
+    # Bland's rule fixes the pivot path, so any faithful exact simplex
+    # returns the same basis, point, duals and pivot count on these LPs.
+    digest = hashlib.sha256()
+    games = 0
+    for game in _digest_games():
+        num_vars, objective, constraints, free = _searcher_lp(game)
+        r = solve_lp(num_vars, objective, constraints, maximize=True, free_vars=free)
+        digest.update(repr((r.status, r.objective, r.x, r.duals, r.pivots)).encode())
+        games += 1
+    assert games == 86
+    assert digest.hexdigest() == RESULTS_DIGEST
 
 
 def test_certificate_json_round_trip():

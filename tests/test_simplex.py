@@ -173,6 +173,16 @@ def test_pivot_limit_is_a_budget_error():
     assert solve_lp(1, [F(1)], [({0: F(1)}, LEQ, F(1))], pivot_limit=1).objective == 1
 
 
+@pytest.mark.parametrize("key", [5, 1, -1])
+def test_objective_mapping_key_out_of_range_is_rejected(key):
+    # A mapping objective is checked like a constraint row: a key outside
+    # 0..num_vars-1 raises instead of being dropped from the objective.
+    with pytest.raises(ValueError, match=f"objective index {key} out of range"):
+        solve_lp(1, {0: 1, key: 7}, [({0: 1}, LEQ, 1)])
+    with pytest.raises(ValueError, match=f"variable index {key} out of range"):
+        solve_lp(1, {0: 1}, [({0: 1, key: 7}, LEQ, 1)])
+
+
 @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
 @given(data=st.data(), cols=st.integers(1, 3), rows=st.integers(1, 4), maximize=st.booleans())
 def test_inequality_duals_certify_the_optimum(data, cols, rows, maximize):
