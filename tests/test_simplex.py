@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from treasurehunt import simplex
 from treasurehunt.errors import BudgetExceededError
 from treasurehunt.simplex import EQ, GEQ, LEQ, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -118,6 +120,32 @@ def test_exact_fractions_survive():
         [({0: F(7, 13)}, LEQ, F(8, 165))],
     )
     assert res.objective == F(8, 165) * F(13, 7)
+
+
+def test_rows_past_a_machine_word_still_certify_the_optimum(monkeypatch):
+    # Coefficients near 2**40 push row denominators past 2**63, the point
+    # at which eliminated rows start being gcd-reduced. The LP stays exact:
+    # x is feasible and the duals prove it optimal.
+    denominators = []
+    reduced = simplex._reduced
+    monkeypatch.setattr(simplex, "_reduced", lambda row, b, den: denominators.append(den) or reduced(row, b, den))
+    rng = random.Random(5)
+    cols = 5
+    cons = [({j: 1}, LEQ, 7) for j in range(cols)]
+    for _ in range(5):
+        a = {j: rng.choice((1, -1)) * rng.randint(2**39, 2**41) for j in range(cols)}
+        cons.append((a, LEQ, rng.randint(2**39, 2**41)))
+    c = [rng.randint(1, 2**20) for _ in range(cols)]
+    res = solve_lp(cols, c, cons)
+    assert res.status == OPTIMAL and res.pivots > 5
+    assert max(denominators) >> 63
+    for row, _, b in cons:
+        assert sum(a * res.x[j] for j, a in row.items()) <= b
+    y = res.duals
+    assert all(yi >= 0 for yi in y)
+    for j in range(cols):
+        assert c[j] - sum(yi * row.get(j, 0) for (row, _, _), yi in zip(cons, y)) <= 0
+    assert sum(b * yi for (_, _, b), yi in zip(cons, y)) == res.objective
 
 
 def test_matrix_game_minimax_equals_maximin():
