@@ -65,7 +65,8 @@ def solve_lp(
     Each constraint is (coefficients by variable index, one of "<=", ">=",
     "=", right-hand side). Int and Fraction data are used as given; any
     other number is converted by Fraction, exactly. Free variables are
-    split internally into differences of nonnegative parts.
+    split internally into differences of nonnegative parts. _Tableau checks
+    the constraints as it builds its rows; x and the duals are read off it.
     """
     if isinstance(objective, Mapping):
         for j in objective:
@@ -82,53 +83,25 @@ def solve_lp(
     # Variable j keeps column j; a free variable also gets a negated column.
     neg_col = {j: num_vars + i for i, j in enumerate(sorted(free))}
     sign = 1 if maximize else -1
-    obj = {}
-    for j, cj in enumerate(c):
-        if cj:
-            obj[j] = sign * cj
-            if j in free:
-                obj[neg_col[j]] = -sign * cj
+    obj = {j: sign * cj for j, cj in enumerate(c) if cj}
+    obj.update({neg_col[j]: -v for j, v in obj.items() if j in free})
 
-    rows: list[dict[int, Fraction]] = []
-    rels: list[str] = []
-    rhs: list[Fraction] = []
-    flips: list[int] = []
-    for coeffs, rel, b in constraints:
-        if rel not in (LEQ, GEQ, EQ):
-            raise ValueError(f"unknown relation {rel!r}")
-        row: dict[int, Fraction] = {}
-        for j, a in coeffs.items():
-            a = _exact(a)
-            if not a:
-                continue
-            if j < 0 or j >= num_vars:
-                raise ValueError(f"variable index {j} out of range")
-            row[j] = a
-            if j in free:
-                row[neg_col[j]] = -a
-        b = _exact(b)
-        flips.append(-1 if b < 0 else 1)
-        if b < 0:
-            row = {j: -a for j, a in row.items()}
-            b = -b
-            rel = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[rel]
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
-
-    tableau = _Tableau(num_vars + len(free), rows, rels, rhs, pivot_limit)
+    tableau = _Tableau(num_vars, neg_col, constraints, pivot_limit)
     status = tableau.solve(obj)
     if status != OPTIMAL:
         return LPResult(status=status, objective=None, x=None, pivots=tableau.pivots)
-    full = tableau.solution()
-    x = tuple(full[j] - full[neg_col[j]] if j in free else full[j] for j in range(num_vars))
-    objective_value = sum((cj * xj for cj, xj in zip(c, x) if cj), Fraction(0))
+    zero = Fraction(0)
+    value = {bi: Fraction(b, den) for bi, b, den in zip(tableau.basis, tableau.b, tableau.den)}.get
+    # Nonbasic columns are 0; a free variable's value is less its negated column's.
+    x = [value(j, zero) for j in range(num_vars)]
+    for j, neg in neg_col.items():
+        x[j] -= value(neg, zero)
+    objective_value = sum((cj * xj for cj, xj in zip(c, x) if cj), zero)
     duals = tuple(
-        None if y is None else sign * flip * y for y, flip in zip(tableau.duals(), flips)
+        None if sl is None else Fraction(-sign * sl[1] * tableau.obj.get(sl[0], 0), tableau.obj_den)
+        for sl in tableau.slack
     )
-    return LPResult(
-        status=OPTIMAL, objective=objective_value, x=x, duals=duals, pivots=tableau.pivots
-    )
+    return LPResult(OPTIMAL, objective_value, tuple(x), duals, tableau.pivots)
 
 
 def _reduced(row: dict[int, int], b: int, den: int) -> tuple[dict[int, int], int, int]:
@@ -171,10 +144,14 @@ class _Tableau:
     numerators; a pivot forms one column and one row of it and updates only
     W. The objective row holds improvement coefficients obj[j] / obj_den. A
     basic column's entry in its own tableau row equals the row's denominator.
+
+    Rows come straight from solve_lp's constraints: a free variable j is
+    repeated, negated, in column neg_col[j], and a row with b < 0 is negated.
+    slack[k] is (column, s), s = +1 for a given <= and -1 for >=, so -s times
+    the slack's reduced cost is row k's dual in the maximized objective.
     """
 
-    def __init__(self, num_cols, rows, rels, rhs, pivot_limit):
-        self.num_cols = num_cols  # structural columns, before slacks and artificials
+    def __init__(self, num_vars, neg_col, constraints, pivot_limit):
         self.pivot_limit = pivot_limit
         self.pivots = 0
         self.M: list[dict[int, int]] = []
@@ -184,20 +161,35 @@ class _Tableau:
         self.den: list[int] = []
         self.basis: list[int] = []
         self.artificial: set[int] = set()
-        self.slack: list[tuple[int, int] | None] = []  # (column, +1 or -1) per row
+        self.slack: list[tuple[int, int] | None] = []
         self.obj: dict[int, int] = {}
         self.obj_den = 1
-        col = num_cols
-        for k, (coeffs, rel, bi) in enumerate(zip(rows, rels, rhs)):
-            # Numerators over the lcm of the row's denominators.
-            den = lcm(bi.denominator, *(a.denominator for a in coeffs.values()))
-            row = {j: a.numerator * (den // a.denominator) for j, a in coeffs.items()}
-            b = bi.numerator * (den // bi.denominator)
-            self.slack.append((col, 1 if rel == LEQ else -1) if rel != EQ else None)
-            if rel == GEQ:
+        col = num_vars + len(neg_col)  # the first slack or artificial column
+        for k, (coeffs, rel, b) in enumerate(constraints):
+            if rel not in (LEQ, GEQ, EQ):
+                raise ValueError(f"unknown relation {rel!r}")
+            row: dict[int, int | Fraction] = {}
+            for j, a in coeffs.items():
+                a = _exact(a)
+                if not a:
+                    continue
+                if j < 0 or j >= num_vars:
+                    raise ValueError(f"variable index {j} out of range")
+                row[j] = a
+                if j in neg_col:
+                    row[neg_col[j]] = -a
+            b = _exact(b)
+            s = (rel == LEQ) - (rel == GEQ)  # the slack's sign, 0 for "="
+            self.slack.append((col, s) if s else None)
+            # Numerators over the lcm of the row's denominators, negated if b < 0.
+            den = lcm(b.denominator, *(a.denominator for a in row.values()))
+            m, s = (den, s) if b >= 0 else (-den, -s)
+            row = {j: a.numerator * (m // a.denominator) for j, a in row.items()}
+            b = b.numerator * (m // b.denominator)
+            if s < 0:
                 row[col] = -den
                 col += 1
-            if rel != LEQ:
+            if s <= 0:
                 self.artificial.add(col)
             row[col] = den
             self.basis.append(col)
@@ -324,15 +316,3 @@ class _Tableau:
         for j in self.artificial:
             for k in self.cols.pop(j, ()):
                 del self.M[k][j]
-
-    def duals(self) -> list[Fraction | None]:
-        """Row shadow prices: a slack column's reduced cost is -sign * dual."""
-        return [
-            None if sl is None else Fraction(-sl[1] * self.obj.get(sl[0], 0), self.obj_den)
-            for sl in self.slack
-        ]
-
-    def solution(self) -> dict[int, Fraction]:
-        """Values of the structural columns."""
-        values = {bi: Fraction(self.b[i], self.den[i]) for i, bi in enumerate(self.basis)}
-        return {j: values.get(j, Fraction(0)) for j in range(self.num_cols)}

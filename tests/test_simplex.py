@@ -78,6 +78,9 @@ def test_int_fraction_and_float_data_give_identical_results():
     ]
     assert results[0].status == OPTIMAL and results[0].objective == F(23, 2)
     assert results[0].x == (F(12, 7), F(17, 7), F(-3, 2))
+    # Both >= rows have b < 0 and reach the tableau negated as <= rows; the
+    # duals keep the signs of the rows as given.
+    assert results[0].duals == (F(0), None, F(-1), F(-1, 2))
     assert results[1] == results[0] and results[2] == results[0]
     for res in results:
         values = (res.objective, *res.x, *(y for y in res.duals if y is not None))
@@ -209,6 +212,26 @@ def test_objective_mapping_key_out_of_range_is_rejected(key):
         solve_lp(1, {0: 1, key: 7}, [({0: 1}, LEQ, 1)])
     with pytest.raises(ValueError, match=f"variable index {key} out of range"):
         solve_lp(1, {0: 1}, [({0: 1, key: 7}, LEQ, 1)])
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, [1], [({0: 1}, "<", 1)]), {}, "unknown relation '<'"),
+    ((2, [1, 1], [({0: 1}, LEQ, 1)]), {"free_vars": [2]}, "free variable index out of range"),
+    ((2, [1, 1], [({0: 1}, LEQ, 1)]), {"free_vars": [-1]}, "free variable index out of range"),
+    ((2, [1], [({0: 1}, LEQ, 1)]), {}, "objective length does not match num_vars"),
+    ((2, [1, 1, 1], [({0: 1}, LEQ, 1)]), {}, "objective length does not match num_vars"),
+])
+def test_malformed_input_is_rejected(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        solve_lp(*args, **kwargs)
+
+
+@pytest.mark.parametrize("zero", [0, F(0), 0.0])
+def test_zero_coefficient_out_of_range_is_dropped(zero):
+    # A zero coefficient is dropped before its index is checked, so it
+    # cannot name a variable the LP does not have.
+    res = solve_lp(1, [1], [({0: 1, 5: zero, -1: zero}, LEQ, 1)])
+    assert res.status == OPTIMAL and res.objective == 1 and res.x == (F(1),)
 
 
 @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
