@@ -8,7 +8,7 @@ nothing in this package ever rounds.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, perm
 
 SINGLE = "single"
 MULTI = "multi"
@@ -121,7 +121,7 @@ def partition_weight(pi: Partition, n: int) -> int:
     j = len(parts)
     if j > n:
         raise ValueError(f"partition has {j} parts but only {n} doors exist")
-    weight = factorial(n) // factorial(n - j)
+    weight = perm(n, j)
     mult: dict[int, int] = {}
     for p in parts:
         mult[p] = mult.get(p, 0) + 1

@@ -31,6 +31,7 @@ from .strategies import HiderStrategy, SearcherStrategy, check_built_for, guess_
 
 _MASK64 = (1 << 64) - 1
 MIN_CHECK_TRIALS = 100  # fewest trials compare_to_exact accepts
+CHECK_SIGMAS = 4.0  # largest |z| compare_to_exact passes
 BLOCK_TRIALS = 10_000  # trials per block; each block reads its own seeded stream
 _SIGKILL = 9  # POSIX fixes SIGKILL at 9, and os has no name for it
 
@@ -370,8 +371,8 @@ class McCheck:
     exact: Fraction
 
 
-def compare_to_exact(report: McReport, exact: Fraction, sigmas: float = 4.0) -> McCheck:
-    """z-test of the estimate against an exact value; passes within 4 sigma."""
+def compare_to_exact(report: McReport, exact: Fraction) -> McCheck:
+    """z-test of the estimate against an exact value; passes within CHECK_SIGMAS."""
     if report.trials < MIN_CHECK_TRIALS:
         raise ValueError(f"need at least {MIN_CHECK_TRIALS} trials for a meaningful z-test")
     stderr = report.stderr
@@ -379,4 +380,4 @@ def compare_to_exact(report: McReport, exact: Fraction, sigmas: float = 4.0) -> 
         z = 0.0 if report.estimate == exact else float("inf")
     else:
         z = (report.wins / report.trials - float(exact)) / stderr
-    return McCheck(z_score=z, passed=abs(z) <= sigmas, exact=Fraction(exact))
+    return McCheck(z_score=z, passed=abs(z) <= CHECK_SIGMAS, exact=Fraction(exact))

@@ -35,6 +35,30 @@ def decision_diagrams(n: int, d: int) -> list[Partition]:
     return out
 
 
+def _continuation_masses(n: int, d: int) -> dict[Partition, list[int]]:
+    """Reach and stay masses of every diagram, in one pass over the shapes of d.
+
+    Shape pi continues the diagram pi[:j] + (c,) for every part pi[j] and
+    every 1 <= c <= pi[j] that keeps the diagram's size at most d-1, and
+    stays there when pi[j] > c. Each shape adds its allocation count to the
+    [reach, stay] masses of every diagram it continues, so a diagram's stay
+    probability is stay/reach. A diagram no shape continues has no entry;
+    readers take it as [1, 0], never staying.
+    """
+    masses: dict[Partition, list[int]] = {}
+    for pi in enumerate_partitions(d, n):
+        w = partition_weight(pi, n)
+        size = 0
+        for j, part in enumerate(pi):
+            for c in range(1, min(part, d - 1 - size) + 1):
+                mass = masses.setdefault(pi[:j] + (c,), [0, 0])
+                mass[0] += w
+                if part > c:
+                    mass[1] += w
+            size += part
+    return masses
+
+
 def stay_probability(n: int, d: int, diagram: Partition) -> Fraction:
     """Probability the guess-one mimic keeps digging its current door.
 
@@ -50,22 +74,8 @@ def stay_probability(n: int, d: int, diagram: Partition) -> Fraction:
         raise ValueError(f"diagram size {size} outside 1..{d - 1}")
     if len(lam) > n:
         raise ValueError(f"diagram has {len(lam)} parts but only {n} doors exist")
-    prefix, last = lam[:-1], lam[-1]
-    stay_mass = 0
-    total_mass = 0
-    for pi in enumerate_partitions(d, n):
-        j = len(lam)
-        if len(pi) < j or pi[: j - 1] != prefix:
-            continue
-        if pi[j - 1] < last:
-            continue
-        w = partition_weight(pi, n)
-        total_mass += w
-        if pi[j - 1] > last:
-            stay_mass += w
-    if stay_mass == 0:
-        return Fraction(0)
-    return Fraction(stay_mass, total_mass)
+    reach, stay = _continuation_masses(n, d).get(lam, (1, 0))
+    return Fraction(stay, reach)
 
 
 @dataclass(frozen=True)
@@ -161,9 +171,11 @@ def scaled_stay_table(n: int, d: int, k: int) -> StayTable:
     """
     if n < d * k:
         raise DoorBudgetError(f"scaling needs n >= d*k, got n={n} < {d * k}")
+    masses = _continuation_masses(n, d)
     entries: dict[Partition, Fraction] = {}
     for diagram in decision_diagrams(n, d):
-        p = k * stay_probability(n, d, diagram)
+        reach, stay = masses.get(diagram, (1, 0))
+        p = Fraction(k * stay, reach)
         if p > 1:
             raise ExceedsUnitError(diagram, p)
         entries[diagram] = p
@@ -179,12 +191,9 @@ def min_scalable_doors(d: int, k: int) -> int:
     if d < 1 or k < 1:
         raise ValueError("d and k must be positive")
     n = d * k
-    while True:
-        try:
-            scaled_stay_table(n, d, k)
-            return n
-        except ExceedsUnitError:
-            n += 1
+    while any(k * stay > reach for reach, stay in _continuation_masses(n, d).values()):
+        n += 1
+    return n
 
 
 def q_one_find(n: int, d: int) -> Fraction:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -55,6 +56,8 @@ def test_q_one_find_closed_form():
             if d < 2:
                 continue
             assert 1 - stay_probability(n, d, (1,)) == q_one_find(n, d)
+    for d in range(2, 9):
+        assert 1 - stay_probability(10**5, d, (1,)) == q_one_find(10**5, d)
 
 
 def test_scaled_table_success_cases():
@@ -81,6 +84,11 @@ def test_min_scalable_doors():
     assert min_scalable_doors(2, 2) == 4
     assert min_scalable_doors(3, 2) == 9
     assert min_scalable_doors(1, 7) == 7
+    for k in range(2, 7):
+        assert min_scalable_doors(3, k) == 6 * k - 3
+    for k in range(2, 5):
+        assert min_scalable_doors(4, k) == 12 * k - 6
+    assert (min_scalable_doors(5, 2), min_scalable_doors(6, 2)) == (29, 44)
     # Independent upward scan straight from the base probabilities.
     d, k = 3, 2
     n = d * k
@@ -90,6 +98,26 @@ def test_min_scalable_doors():
     ):
         n += 1
     assert n == min_scalable_doors(d, k) == 9
+
+
+def test_stay_tables_digest_is_pinned():
+    # Every base stay probability, every scaled table or the error it
+    # raises, and five scan thresholds on a grid, hashed so that any
+    # change to the stay sums shows.
+    digest = hashlib.sha256()
+    for n in range(1, 30):
+        for d in range(1, 9):
+            for lam in decision_diagrams(n, d):
+                digest.update(repr((n, d, lam, stay_probability(n, d, lam))).encode())
+            for k in range(1, 5):
+                try:
+                    out = scaled_stay_table(n, d, k).sorted_items()
+                except (DoorBudgetError, ExceedsUnitError) as exc:
+                    out = (type(exc).__name__, str(exc))
+                digest.update(repr((n, d, k, out)).encode())
+    for d, k in [(3, 2), (4, 2), (4, 3), (5, 2), (6, 2)]:
+        digest.update(repr((d, k, min_scalable_doors(d, k))).encode())
+    assert digest.hexdigest() == "5db8617d8d075dae593a6f18b5712714016aa75ced49be9a2cacb9d6d966f806"
 
 
 def test_stay_probability_range_and_support():
